@@ -16,12 +16,11 @@ from .extreme import (
 from .hilbert import (
     best_ball_approx_h,
     dist_ball_h,
-    isometry_distance_check,
     positive_ball_approx,
     soft_threshold_approx,
 )
 from .jacobi import NumericError, jacobi_singular_values, jacobi_svd
-from .l1 import best_ball_approx_l1, dist_ball_l1, finite_column_oracle, truncate_column
+from .l1 import best_ball_approx_l1, dist_ball_l1, truncate_column
 from .models import (
     BallApproxResult,
     Branch,
@@ -74,11 +73,9 @@ __all__ = [
     "dist_ball_h",
     "dist_ball_l1",
     "ess_norm",
-    "finite_column_oracle",
     "finite_section",
     "finite_section_bounds",
     "is_extreme",
-    "isometry_distance_check",
     "jacobi_singular_values",
     "jacobi_svd",
     "op_norm",

@@ -17,7 +17,7 @@ from .hilbert import best_ball_approx_h, positive_ball_approx
 from .jacobi import NumericError
 from .l1 import best_ball_approx_l1
 from .models import HilbertOperator, L1Operator, ValidationError, ball_distance, ess_norm, op_norm
-from .oracles import CertificationError, competitor_search
+from .oracles import DEFAULT_TOL, CertificationError, competitor_search
 from .serialize import certificate_to_doc, operator_from_doc, operator_to_doc, point_to_doc
 
 __all__ = ["main", "run_command"]
@@ -57,9 +57,7 @@ def run_command(args) -> tuple:
             coords = json.loads(args.point)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"--point must be a JSON array: {exc}") from exc
-        if not isinstance(coords, (list, tuple)):
-            raise ValidationError("--point must be a JSON array of numbers")
-        point = NormedSpacePoint(Space.from_str(args.space), tuple(coords))
+        point = NormedSpacePoint(Space.from_str(args.space), coords)
         doc = {"command": cmd, "alpha": args.alpha, "point": point_to_doc(point)}
         if args.samples is None:
             proj, dist = project_scalar_multiple(args.alpha, point)
@@ -151,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_operator_command("verify", "competitor search against the claimed distance")
     p.add_argument("--samples", type=int, default=1000, help="random competitors (default 1000)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-10, help="certification tolerance")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="certification tolerance")
 
     p = sub.add_parser("project-extreme",
                        help="radial projection of a scaled extreme point")
@@ -166,17 +164,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         doc, code = run_command(args)
     except ValidationError as exc:
-        print(json.dumps({"command": args.command, "error": str(exc)}))
-        return 1
+        doc, code = {"command": args.command, "error": str(exc)}, 1
     except (CertificationError, NumericError) as exc:
-        print(json.dumps({"command": args.command, "error": str(exc)}))
-        return 2
-    print(json.dumps(doc))
+        doc, code = {"command": args.command, "error": str(exc)}, 2
+    try:
+        text = json.dumps(doc, allow_nan=False)
+    except ValueError as exc:  # a NaN or an infinity in the result
+        text = json.dumps({"command": args.command, "error": f"non-finite result: {exc}"})
+        code = 2
+    print(text)
     return code
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ValidationError
+from .models import ValidationError, _finite_tuple, _require_finite
 
 __all__ = [
     "Space",
@@ -44,12 +44,7 @@ class Space(enum.Enum):
         raise ValidationError(f"unknown space {name!r}, expected one of l1, l2, linf")
 
     def norm(self, coords) -> float:
-        x = np.asarray(coords, dtype=float)
-        if self is Space.L1:
-            return float(np.sum(np.abs(x)))
-        if self is Space.L2:
-            return float(np.sqrt(np.sum(x * x)))
-        return float(np.max(np.abs(x)))
+        return float(self.norm_rows(np.asarray(coords, dtype=float)[None, :])[0])
 
     def norm_rows(self, arr: np.ndarray) -> np.ndarray:
         if self is Space.L1:
@@ -65,11 +60,9 @@ class NormedSpacePoint:
     coords: tuple
 
     def __post_init__(self):
-        coords = tuple(float(c) for c in self.coords)
+        coords = _finite_tuple(self.coords, "coords")
         if not coords:
             raise ValidationError("points need at least one coordinate")
-        if any(not math.isfinite(c) for c in coords):
-            raise ValidationError("coordinates must be finite")
         object.__setattr__(self, "coords", coords)
 
     @property
@@ -106,8 +99,8 @@ def project_scalar_multiple(alpha: float, point: NormedSpacePoint):
     point is then unique: ``sign(alpha) * point`` at distance
     ``|alpha| - 1``.
     """
-    alpha = float(alpha)
-    if not math.isfinite(alpha) or abs(alpha) <= 1.0:
+    alpha = _require_finite(alpha, "alpha")
+    if abs(alpha) <= 1.0:
         raise ValidationError(f"projection requires |alpha| > 1, got {alpha}")
     if not is_extreme(point):
         raise ValidationError("uniqueness of the projection requires an extreme point")
@@ -209,8 +202,8 @@ def verify_unique_projection(
     Unlike :func:`project_scalar_multiple` this accepts non-extreme
     inputs, so failure demonstrations are expressible.
     """
-    alpha = float(alpha)
-    if not math.isfinite(alpha) or abs(alpha) <= 1.0:
+    alpha = _require_finite(alpha, "alpha")
+    if abs(alpha) <= 1.0:
         raise ValidationError(f"verification requires |alpha| > 1, got {alpha}")
     if not isinstance(point, NormedSpacePoint):
         raise ValidationError("expected a NormedSpacePoint")

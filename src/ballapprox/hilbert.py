@@ -45,11 +45,8 @@ __all__ = [
     "dist_ball_h",
     "best_ball_approx_h",
     "soft_threshold_approx",
-    "isometry_distance_check",
     "positive_ball_approx",
 ]
-
-IDENTITY_TOL = 1e-12
 
 
 def _require_hilbert(t) -> HilbertOperator:
@@ -133,28 +130,6 @@ def soft_threshold_approx(t: HilbertOperator) -> BallApproxResult:
     # every tail entry sits within d of 0 by the distance formula
     approx = HilbertOperator(t.shape, new, TailRule.const(0.0))
     return make_result(t, approx, branch)
-
-
-def isometry_distance_check(a: float, t: HilbertOperator) -> bool:
-    """Check the scaled-isometry identity ``dist(a*t, ball) = |a|``.
-
-    ``t`` must be a weighted shift with all weights of modulus 1 and a
-    const tail of modulus 1 (a forward isometry); then the distance of
-    ``a * t`` to the compact unit ball equals its essential norm ``|a|``
-    for every real ``a``, even when ``|a| <= 1``, because no compact
-    operator can track an isometry down the basis.
-    """
-    t = _require_hilbert(t)
-    if t.shape is not Shape.WEIGHTED_SHIFT:
-        raise ValidationError("the isometry identity is stated for weighted shifts")
-    if any(abs(w) != 1.0 for w in t.explicit):
-        raise ValidationError("isometry check requires all weights of modulus 1")
-    if t.tail.kind is not TailKind.CONST or abs(t.tail.limit) != 1.0:
-        raise ValidationError("isometry check requires a const tail of modulus 1")
-    scaled = scale(t, float(a))
-    d = dist_ball_h(scaled)
-    target = abs(float(a))
-    return abs(d - target) <= IDENTITY_TOL and abs(ess_norm(scaled) - target) <= IDENTITY_TOL
 
 
 def positive_ball_approx(t: HilbertOperator) -> BallApproxResult:

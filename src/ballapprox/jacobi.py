@@ -22,10 +22,12 @@ class NumericError(ArithmeticError):
     """The iteration failed to converge within the sweep bound."""
 
 
-def _max_pair_correlation(w: np.ndarray) -> float:
-    # max_{p<q} |<w_p, w_q>| / (|w_p| |w_q|), treating zero columns as orthogonal
+def _max_pair_correlation(w: np.ndarray, zero_norm: float) -> float:
+    # max_{p<q} |<w_p, w_q>| / (|w_p| |w_q|), treating columns of norm at
+    # most zero_norm as zero and zero columns as orthogonal
     g = w.T @ w
     d = np.sqrt(np.diag(g))
+    d[d <= zero_norm] = 0.0
     denom = np.outer(d, d)
     with np.errstate(invalid="ignore", divide="ignore"):
         c = np.abs(g) / denom
@@ -35,10 +37,19 @@ def _max_pair_correlation(w: np.ndarray) -> float:
 
 
 def _orthogonalize_columns(w: np.ndarray, v, tol: float, max_sweeps: int):
-    """Cyclic Jacobi sweeps on ``w`` (in place), mirroring rotations on ``v``."""
+    """Cyclic Jacobi sweeps on ``w`` (in place), mirroring rotations on ``v``.
+
+    A column whose norm is at most ``n * eps * ||w||_F`` is rounding
+    error of a rank-deficient input: it counts as zero and is never
+    rotated (the zero-column test of Drmac and Veselic's one-sided
+    Jacobi).  Rotations keep ``||w||_F``, so the threshold is fixed; it is
+    summed with ``hypot`` so that it cannot overflow.
+    """
     n = w.shape[1]
+    zero_norm = n * np.finfo(float).eps * float(np.hypot.reduce(w.ravel()))
+    zero_sq = zero_norm * zero_norm
     for sweep in range(max_sweeps + 1):
-        if _max_pair_correlation(w) <= tol:
+        if _max_pair_correlation(w, zero_norm) <= tol:
             return
         if sweep == max_sweeps:
             raise NumericError(
@@ -51,7 +62,7 @@ def _orthogonalize_columns(w: np.ndarray, v, tol: float, max_sweeps: int):
                 beta = wq @ wq
                 gamma = wp @ wq
                 scale = np.sqrt(alpha * beta)
-                if scale == 0.0 or abs(gamma) <= tol * scale:
+                if min(alpha, beta) <= zero_sq or abs(gamma) <= tol * scale:
                     continue
                 zeta = (beta - alpha) / (2.0 * gamma)
                 t = np.sign(zeta) / (abs(zeta) + np.sqrt(1.0 + zeta * zeta))

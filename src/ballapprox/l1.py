@@ -11,14 +11,14 @@ limiting mass carried by the single-entry tail columns.
 
 from __future__ import annotations
 
-import math
-
 from .models import (
     BallApproxResult,
     Branch,
     L1Operator,
     TailRule,
     ValidationError,
+    _finite_tuple,
+    _require_finite,
     ball_distance,
     make_result,
 )
@@ -27,7 +27,6 @@ __all__ = [
     "dist_ball_l1",
     "truncate_column",
     "best_ball_approx_l1",
-    "finite_column_oracle",
 ]
 
 
@@ -50,12 +49,10 @@ def truncate_column(column, d: float) -> tuple:
     first partially removed entry, so the residual ``column - result``
     has mass ``min(mass, d)`` exactly.  Signs are preserved.
     """
-    col = tuple(float(v) for v in column)
-    if any(not math.isfinite(v) for v in col):
-        raise ValidationError("column entries must be finite")
-    d = float(d)
-    if not math.isfinite(d) or d < 0.0:
-        raise ValidationError(f"mass to remove must be a finite nonnegative number, got {d}")
+    col = _finite_tuple(column, "column")
+    d = _require_finite(d, "mass to remove")
+    if d < 0.0:
+        raise ValidationError(f"mass to remove must be nonnegative, got {d}")
     if d == 0.0:
         return col
     total = sum(abs(v) for v in col)
@@ -88,22 +85,3 @@ def best_ball_approx_l1(t: L1Operator) -> BallApproxResult:
     # the constant tail weight sits within d of 0 by the distance formula
     approx = L1Operator(cols, weights, TailRule.const(0.0))
     return make_result(t, approx, Branch.L1_TRUNCATION)
-
-
-def finite_column_oracle(t: L1Operator, n: int) -> float:
-    """Lower bound on the ball distance from the first ``n`` columns.
-
-    Each column decouples: no mass-1 column can sit closer to column j
-    than ``(mass_j - 1)+``.  The bound equals the true distance once
-    ``n`` reaches a column of maximal mass and the norm term dominates
-    the essential norm; it can never certify the essential-norm part.
-    """
-    t = _require_l1(t)
-    if n < t.n_explicit:
-        raise ValidationError(
-            f"oracle needs at least the {t.n_explicit} explicit columns, got {n}"
-        )
-    best = 0.0
-    for j in range(1, n + 1):
-        best = max(best, t.column_mass(j) - 1.0)
-    return best

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -62,16 +63,32 @@ class ValidationError(ValueError):
     """An operator description violates a model-class invariant."""
 
 
-def _require_finite(value, what: str):
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ValidationError(f"{what} must be a real number, got {value!r}")
-    if not math.isfinite(value):
-        raise ValidationError(f"{what} must be finite, got {value!r}")
-    return float(value)
+def _require_finite(value, what: str, index: Optional[int] = None) -> float:
+    """The one check for a number from outside: a finite real, not a bool.
+
+    The error names the number ``what[index]``; that name is built only on
+    failure, since wide models run this once per entry.
+    """
+    # float and int first: the numbers.Real ABC check is several times slower
+    if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
+        problem = "a real number"
+    else:
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an int too large for a float
+            pass
+        problem = "finite"
+    name = what if index is None else f"{what}[{index}]"
+    raise ValidationError(f"{name} must be {problem}, got {value!r}")
 
 
-def _finite_tuple(values, what: str):
-    return tuple(_require_finite(v, f"{what}[{i}]") for i, v in enumerate(values))
+def _finite_tuple(values, what: str) -> tuple:
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    if not isinstance(values, (list, tuple)):
+        raise ValidationError(f"{what} must be an array, got {values!r}")
+    return tuple(_require_finite(v, what, i) for i, v in enumerate(values))
 
 
 class TailKind(enum.Enum):
@@ -314,9 +331,7 @@ def ess_norm(t: Operator) -> float:
     shift models, the limiting row-tail column mass ``|limit|`` for l1
     models, and 0 for finite matrices.
     """
-    if isinstance(t, L1Operator):
-        return t.tail.sup_abs
-    if t.shape is Shape.FINITE_MATRIX:
+    if isinstance(t, HilbertOperator) and t.shape is Shape.FINITE_MATRIX:
         return 0.0
     return t.tail.sup_abs
 
@@ -523,9 +538,7 @@ def residual_norm(t: Operator, k: Operator) -> float:
 
 
 def _is_compact(k: Operator) -> bool:
-    if isinstance(k, L1Operator):
-        return k.tail.kind is TailKind.CONST and k.tail.limit == 0.0
-    if k.shape is Shape.FINITE_MATRIX:
+    if isinstance(k, HilbertOperator) and k.shape is Shape.FINITE_MATRIX:
         return True
     return k.tail.kind is TailKind.CONST and k.tail.limit == 0.0
 
@@ -535,17 +548,18 @@ def make_result(t: Operator, approximant: Operator, branch: Branch) -> BallAppro
 
     Enforces the contract every construction promises: the approximant
     sits in the unit ball (within 1e-12), is compact by construction,
-    and its residual norm reproduces the distance formula.
+    and its residual norm reproduces the distance formula.  The checks
+    are written so that a NaN or an overflowed norm fails them.
     """
     nrm, ess = op_norm(t), ess_norm(t)
     formula = max(nrm - 1.0, ess, 0.0)
     if not _is_compact(approximant):
         raise ValidationError("approximant must be compact (const 0 tail or finite)")
     a_norm = op_norm(approximant)
-    if a_norm > 1.0 + IDENTITY_TOL:
+    if not a_norm <= 1.0 + IDENTITY_TOL:
         raise ValidationError(f"approximant norm {a_norm} exceeds the unit ball")
     residuals, tail_res, res_norm = residual_profile(t, approximant)
-    if abs(res_norm - formula) > IDENTITY_TOL * max(1.0, formula):
+    if not abs(res_norm - formula) <= IDENTITY_TOL * max(1.0, formula):
         raise ValidationError(
             f"residual norm {res_norm} disagrees with the distance formula {formula}"
         )

@@ -28,12 +28,14 @@ from .hilbert import best_ball_approx_h, soft_threshold_approx
 from .jacobi import jacobi_singular_values, jacobi_svd
 from .l1 import best_ball_approx_l1
 from .models import (
+    IDENTITY_TOL,
     HilbertOperator,
     L1Operator,
     Operator,
     Shape,
     TailRule,
     ValidationError,
+    _require_finite,
     ball_distance,
     ess_norm,
     finite_section,
@@ -72,11 +74,13 @@ class SearchReport:
 
 
 def _deterministic_candidates(t: Operator):
+    """Named in-ball candidates; the first is the construction itself."""
     if isinstance(t, L1Operator):
         best = best_ball_approx_l1(t).approximant
+        masses = [sum(abs(x) for x in col) for col in t.columns]
         scaled_cols = tuple(
-            tuple(v * min(1.0, 1.0 / max(sum(abs(x) for x in col), 1e-300)) for v in col)
-            for col in t.columns
+            tuple(v * min(1.0, 1.0 / max(mass, 1e-300)) for v in col)
+            for col, mass in zip(t.columns, masses)
         )
         clipped = L1Operator(
             scaled_cols,
@@ -109,11 +113,12 @@ def _deterministic_candidates(t: Operator):
     return out
 
 
-def _random_entry_competitors(t: HilbertOperator, trials: int, rng):
+def _random_entry_competitors(t: HilbertOperator, best: HilbertOperator, trials: int, rng):
     """Batched residual norms of random diagonal/shift competitors.
 
     Returns (residuals, entry_rows, width): each row of entry_rows is an
-    in-ball competitor on the first `width` slots with const 0 tail.
+    in-ball competitor on the first `width` slots with const 0 tail;
+    half of them perturb the construction ``best``.
     """
     width = len(t.explicit) + 4
     target = np.array([hilbert_entry(t, i) for i in range(1, width + 1)])
@@ -122,8 +127,7 @@ def _random_entry_competitors(t: HilbertOperator, trials: int, rng):
     n_free = trials // 2
     free = rng.uniform(-1.1, 1.1, (n_free, width))
     opt = np.zeros(width)
-    opt_entries = best_ball_approx_h(t).approximant.explicit
-    opt[: len(opt_entries)] = opt_entries
+    opt[: len(best.explicit)] = best.explicit
     near = opt[None, :] + rng.uniform(-0.6, 0.6, (trials - n_free, width))
     rows = np.vstack([free, near])
     rowmax = np.max(np.abs(rows), axis=1)
@@ -133,12 +137,12 @@ def _random_entry_competitors(t: HilbertOperator, trials: int, rng):
     return residuals, rows, width
 
 
-def _random_matrix_competitors(t: HilbertOperator, trials: int, rng):
+def _random_matrix_competitors(t: HilbertOperator, best: HilbertOperator, trials: int, rng):
     m = t.matrix_array()
     n = m.shape[0]
     n_free = trials // 2
     free = rng.standard_normal((n_free, n, n)) * (0.6 / np.sqrt(n))
-    base = best_ball_approx_h(t).approximant.matrix_array()
+    base = best.matrix_array()
     near = base[None, :, :] + rng.standard_normal((trials - n_free, n, n)) * (
         0.3 / np.sqrt(n)
     )
@@ -206,6 +210,9 @@ def competitor_search(
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
+    tol = _require_finite(tol, "tol")
+    if tol < 0.0:
+        raise ValidationError(f"tol must be nonnegative, got {tol}")
     if claimed is None:
         claimed = ball_distance(t)
     claimed = float(claimed)
@@ -214,7 +221,9 @@ def competitor_search(
     best_found = np.inf
     best_kind = ""
     best_candidate: Optional[Operator] = None
-    for kind, cand in _deterministic_candidates(t):
+    candidates = _deterministic_candidates(t)
+    construction = candidates[0][1]
+    for kind, cand in candidates:
         r = residual_norm(t, cand)
         if r < best_found:
             best_found, best_kind, best_candidate = r, kind, cand
@@ -227,14 +236,14 @@ def competitor_search(
             best_found = float(residuals[idx])
             best_kind = "random"
     elif t.shape is Shape.FINITE_MATRIX:
-        residuals, mats = _random_matrix_competitors(t, trials, rng)
+        residuals, mats = _random_matrix_competitors(t, construction, trials, rng)
         idx = int(np.argmin(residuals))
         if residuals[idx] < best_found:
             best_candidate = HilbertOperator.finite_matrix(mats[idx])
             best_found = float(residuals[idx])
             best_kind = "random"
     else:
-        residuals, rows, width = _random_entry_competitors(t, trials, rng)
+        residuals, rows, width = _random_entry_competitors(t, construction, trials, rng)
         idx = int(np.argmin(residuals))
         if residuals[idx] < best_found:
             best_candidate = HilbertOperator(
@@ -304,7 +313,7 @@ def finite_section_bounds(t: Operator, n: int):
         sec_norm = float(np.linalg.norm(sec, 2)) if sec.size else 0.0
     lower = max(sec_norm - 1.0, 0.0)
     formula = ball_distance(t)
-    if lower > formula + 1e-12:
+    if lower > formula + IDENTITY_TOL:
         raise CertificationError(
             f"section lower bound {lower} exceeds the distance formula {formula}"
         )

@@ -32,29 +32,10 @@ __all__ = [
 ]
 
 
-def _number(doc, key, what):
+def _field(doc, key, what):
     if key not in doc:
         raise ValidationError(f"missing field {what}")
-    v = doc[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValidationError(f"{what} must be a number, got {v!r}")
-    return float(v)
-
-
-def _number_list(doc, key, what, required=True):
-    if key not in doc:
-        if required:
-            raise ValidationError(f"missing field {what}")
-        return []
-    seq = doc[key]
-    if not isinstance(seq, (list, tuple)):
-        raise ValidationError(f"{what} must be an array")
-    out = []
-    for i, v in enumerate(seq):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ValidationError(f"{what}[{i}] must be a number, got {v!r}")
-        out.append(float(v))
-    return out
+    return doc[key]
 
 
 def tail_to_doc(tail: TailRule) -> dict:
@@ -68,10 +49,10 @@ def tail_from_doc(doc) -> TailRule:
         raise ValidationError("tail must be an object")
     kind = doc.get("kind")
     if kind == "const":
-        return TailRule.const(_number(doc, "value", "tail.value"))
+        return TailRule.const(_field(doc, "value", "tail.value"))
     if kind == "geometric":
         return TailRule.geometric(
-            _number(doc, "limit", "tail.limit"), _number(doc, "ratio", "tail.ratio")
+            _field(doc, "limit", "tail.limit"), _field(doc, "ratio", "tail.ratio")
         )
     raise ValidationError(f"unknown tail kind {kind!r}, expected const or geometric")
 
@@ -107,29 +88,18 @@ def operator_from_doc(doc) -> Operator:
         cols = doc.get("columns")
         if not isinstance(cols, (list, tuple)):
             raise ValidationError("columns must be an array of arrays")
-        columns = tuple(
-            tuple(_number_list({"c": col}, "c", f"columns[{j}]")) for j, col in enumerate(cols)
-        )
-        weights = tuple(_number_list(doc, "tail_weights", "tail_weights", required=False))
         tail = tail_from_doc(doc.get("tail", {"kind": "const", "value": 0.0}))
-        return L1Operator(columns, weights, tail)
+        return L1Operator(tuple(cols), doc.get("tail_weights", ()), tail)
     if space == "l2":
         if model == "matrix":
             entries = doc.get("entries")
             if not isinstance(entries, (list, tuple)) or not entries:
                 raise ValidationError("entries must be a nonempty array of rows")
-            rows = tuple(
-                tuple(_number_list({"r": row}, "r", f"entries[{i}]"))
-                for i, row in enumerate(entries)
-            )
-            return HilbertOperator(Shape.FINITE_MATRIX, entries=rows)
+            return HilbertOperator(Shape.FINITE_MATRIX, entries=tuple(entries))
         if model in ("diagonal", "shift"):
-            explicit = tuple(_number_list(doc, "explicit", "explicit", required=False))
-            if "tail" not in doc:
-                raise ValidationError("missing field tail")
-            tail = tail_from_doc(doc["tail"])
+            tail = tail_from_doc(_field(doc, "tail", "tail"))
             shape = Shape.DIAGONAL if model == "diagonal" else Shape.WEIGHTED_SHIFT
-            return HilbertOperator(shape, explicit, tail)
+            return HilbertOperator(shape, doc.get("explicit", ()), tail)
         raise ValidationError(
             f"unknown l2 model {model!r}, expected diagonal, shift, or matrix"
         )
@@ -144,8 +114,7 @@ def point_from_doc(doc) -> NormedSpacePoint:
     if not isinstance(doc, dict):
         raise ValidationError("point document must be an object")
     space = Space.from_str(doc.get("space", ""))
-    coords = _number_list(doc, "coords", "coords")
-    return NormedSpacePoint(space, tuple(coords))
+    return NormedSpacePoint(space, _field(doc, "coords", "coords"))
 
 
 def certificate_to_doc(cert: Certificate) -> dict:

@@ -12,10 +12,10 @@ from ballapprox import (
     best_ball_approx_h,
     dist_ball_h,
     ess_norm,
-    isometry_distance_check,
     op_norm,
     positive_ball_approx,
     residual_norm,
+    scale,
     soft_threshold_approx,
 )
 
@@ -156,24 +156,20 @@ class TestSoftThreshold:
 
 
 class TestIsometryCheck:
+    """dist(a S, ball) = ess_norm(a S) = |a| for a forward isometry S."""
+
+    @staticmethod
+    def assert_identity(a, t):
+        scaled = scale(t, a)
+        assert dist_ball_h(scaled) == pytest.approx(abs(a), abs=1e-12)
+        assert ess_norm(scaled) == pytest.approx(abs(a), abs=1e-12)
+
     @pytest.mark.parametrize("a", [3.0, 1.5, 1.0, 0.5, -2.0])
     def test_scaled_shift_distance_equals_scale(self, a):
-        t = HilbertOperator.weighted_shift([], TailRule.const(1))
-        assert isometry_distance_check(a, t)
+        self.assert_identity(a, HilbertOperator.weighted_shift([], TailRule.const(1)))
 
     def test_signed_weights_allowed(self):
-        t = HilbertOperator.weighted_shift([-1.0, 1.0], TailRule.const(-1))
-        assert isometry_distance_check(2.0, t)
-
-    def test_non_unimodular_weight_rejected(self):
-        t = HilbertOperator.weighted_shift([0.9], TailRule.const(1))
-        with pytest.raises(ValidationError):
-            isometry_distance_check(2.0, t)
-
-    def test_diagonal_rejected(self):
-        t = HilbertOperator.diagonal([1.0], TailRule.const(1))
-        with pytest.raises(ValidationError):
-            isometry_distance_check(2.0, t)
+        self.assert_identity(2.0, HilbertOperator.weighted_shift([-1.0, 1.0], TailRule.const(-1)))
 
 
 class TestPositive:

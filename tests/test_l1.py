@@ -11,7 +11,7 @@ from ballapprox import (
     best_ball_approx_l1,
     dist_ball_l1,
     ess_norm,
-    finite_column_oracle,
+    finite_section_bounds,
     op_norm,
     residual_norm,
     truncate_column,
@@ -121,13 +121,17 @@ class TestBestApprox:
 
 
 class TestFiniteColumnOracle:
+    """The l1 lower-bound oracle: ``finite_section_bounds`` on column models."""
+
     def test_worked_column(self):
         t = L1Operator(((0.6, 0.9, 0.9),), (), TailRule.const(1))
-        assert finite_column_oracle(t, 10) == pytest.approx(1.4, abs=1e-15)
+        lower, formula = finite_section_bounds(t, 10)
+        assert lower == pytest.approx(1.4, abs=1e-15)
+        assert formula == pytest.approx(1.4, abs=1e-15)
 
     def test_blind_to_essential_part(self):
         t = L1Operator((), (), TailRule.const(1))
-        assert finite_column_oracle(t, 50) == 0.0
+        assert finite_section_bounds(t, 50) == (0.0, 1.0)
         assert dist_ball_l1(t) == 1.0
 
     def test_equality_when_norm_term_dominates(self):
@@ -135,9 +139,11 @@ class TestFiniteColumnOracle:
         hits = 0
         for _ in range(100):
             t = random_l1(rng)
-            n = t.column_count_listed() + 1
-            lower = finite_column_oracle(t, n)
-            d = dist_ball_l1(t)
+            # cover every dense row and the row of every listed tail weight
+            longest = max((len(c) for c in t.columns), default=0)
+            n = max(longest, t.column_count_listed() + 1)
+            lower, d = finite_section_bounds(t, n)
+            assert d == dist_ball_l1(t)
             assert lower <= d + 1e-12
             if op_norm(t) - 1.0 >= ess_norm(t):
                 assert lower == pytest.approx(max(op_norm(t) - 1.0, 0.0), abs=1e-12)
@@ -147,4 +153,4 @@ class TestFiniteColumnOracle:
     def test_needs_explicit_columns(self):
         t = L1Operator(((0.5,), (0.5,)), (), TailRule.const(0))
         with pytest.raises(ValidationError):
-            finite_column_oracle(t, 1)
+            finite_section_bounds(t, 1)

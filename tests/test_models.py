@@ -82,6 +82,33 @@ class TestValidation:
         with pytest.raises(ValidationError):
             L1Operator((), (), TailRule.geometric(1.0, 0.5))
 
+    def test_numpy_scalars_accepted(self):
+        t = HilbertOperator.diagonal(
+            (np.float64(3.0), np.int64(2), np.float32(0.5)), TailRule.const(np.int32(1))
+        )
+        assert t.explicit == (3.0, 2.0, 0.5) and t.tail.limit == 1.0
+        assert all(type(e) is float for e in t.explicit)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [True, "1", None, [1.0], 10**400, float("-inf")],
+        ids=["bool", "str", "none", "list", "huge_int", "-inf"],
+    )
+    def test_non_numbers_rejected(self, bad):
+        with pytest.raises(ValidationError):
+            HilbertOperator.diagonal([bad], TailRule.const(0.0))
+        with pytest.raises(ValidationError):
+            TailRule.const(bad)
+
+    @pytest.mark.parametrize("bad", [5, "ab", None, {"a": 1}])
+    def test_non_array_is_a_validation_error(self, bad):
+        with pytest.raises(ValidationError):
+            L1Operator((bad,), (), TailRule.const(0.0))
+        with pytest.raises(ValidationError):
+            L1Operator((), bad, TailRule.const(0.0))
+        with pytest.raises(ValidationError):
+            HilbertOperator(Shape.DIAGONAL, bad, TailRule.const(0.0))
+
 
 class TestOpNorm:
     def test_diagonal_with_const_tail(self):

@@ -14,6 +14,7 @@ from ballapprox import (
     svd_clip_oracle,
 )
 
+from ballapprox import oracles
 from helpers import random_hilbert, random_l1
 
 
@@ -69,6 +70,30 @@ class TestCompetitorSearch:
         t = HilbertOperator.diagonal([1], TailRule.const(0))
         with pytest.raises(ValidationError):
             competitor_search(t, trials=0)
+
+    @pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1e-10, "1e-10"])
+    def test_tol_validated(self, tol):
+        t = HilbertOperator.diagonal([1], TailRule.const(0))
+        with pytest.raises(ValidationError):
+            competitor_search(t, trials=10, tol=tol)
+
+    @pytest.mark.parametrize(
+        "t",
+        [
+            HilbertOperator.diagonal([3, 2, 0.5], TailRule.const(1)),
+            HilbertOperator.finite_matrix([[1.2, 0.4], [-0.3, 0.9]]),
+        ],
+    )
+    def test_one_construction_per_search(self, t, monkeypatch):
+        calls = []
+
+        def counting(op):
+            calls.append(op)
+            return best_ball_approx_h(op)
+
+        monkeypatch.setattr(oracles, "best_ball_approx_h", counting)
+        assert competitor_search(t, trials=50, seed=1).passed
+        assert len(calls) == 1
 
 
 class TestSvdClip:
