@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .models import (
     BallApproxResult,
     Branch,
@@ -119,10 +121,7 @@ def soft_threshold_approx(t: HilbertOperator) -> BallApproxResult:
     d = ball_distance(t)
     branch = Branch.COMPACT_INPUT if d == 0.0 else Branch.SMALL_NORM
     if t.shape is Shape.FINITE_MATRIX:
-        from .jacobi import jacobi_svd
-        import numpy as np
-
-        u, sv, vt = jacobi_svd(t.matrix_array())
+        u, sv, vt = t.matrix_svd
         shrunk = np.maximum(sv - d, 0.0)
         approx = HilbertOperator.finite_matrix(u @ np.diag(shrunk) @ vt)
         return make_result(t, approx, branch)

@@ -17,12 +17,15 @@ Because the families are closed under differences against compact
 members of the same family, residual norms are exact maxima over a
 finite list of candidates; no iterative norm estimation is involved for
 diagonal, shift, or l1 models.  Finite matrices use the one-sided
-Jacobi singular value routine from :mod:`ballapprox.jacobi`.
+Jacobi singular value routine from :mod:`ballapprox.jacobi`, run at most
+once per operator: the SVD is kept on the operator
+(:attr:`HilbertOperator.matrix_svd`).
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -30,7 +33,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .jacobi import jacobi_singular_values
+from .jacobi import jacobi_singular_values, jacobi_svd
 
 __all__ = [
     "ValidationError",
@@ -154,12 +157,15 @@ class TailRule:
         return self.kind is TailKind.CONST
 
     def scaled(self, c: float) -> "TailRule":
-        # c == 0 would make a geometric tail's limit 0; collapse to const 0
-        # so scaling stays total on the model class.
+        # c == 0, or a c so small that c * limit underflows, would make a
+        # geometric tail's limit 0; collapse to const 0 so scaling stays
+        # total on the model class (every entry of such a tail rounds to 0).
         if c == 0.0:
             return TailRule.const(0.0)
         if self.kind is TailKind.CONST:
             return TailRule.const(c * self.limit)
+        if c * self.limit == 0.0:
+            return TailRule.const(0.0)
         return TailRule.geometric(c * self.limit, self.ratio)
 
 
@@ -235,6 +241,18 @@ class HilbertOperator:
             raise ValidationError("matrix_array is defined for finite matrices only")
         return np.array(self.entries, dtype=float)
 
+    @functools.cached_property
+    def matrix_svd(self) -> tuple:
+        """``(u, s, vt)`` of the matrix block from :func:`jacobi_svd`.
+
+        Computed on first use and kept on the instance (the operator is
+        frozen, so it cannot go stale); the arrays are read-only.
+        """
+        usv = jacobi_svd(self.matrix_array())
+        for part in usv:
+            part.flags.writeable = False
+        return usv
+
 
 def hilbert_entry(t: HilbertOperator, n: int) -> float:
     """Entry value at slot ``n >= 1`` of a diagonal or shift model."""
@@ -307,7 +325,8 @@ def op_norm(t: Operator) -> float:
 
     Diagonal and shift models: sup of entry magnitudes (the tail
     contributes ``|limit|`` whether or not it is attained).  Finite
-    matrices: largest singular value.  L1 models: sup of column masses.
+    matrices: largest singular value, read from the memoised SVD.  L1
+    models: sup of column masses.
     """
     if isinstance(t, L1Operator):
         best = t.tail.sup_abs
@@ -315,8 +334,7 @@ def op_norm(t: Operator) -> float:
             best = max(best, t.column_mass(j))
         return best
     if t.shape is Shape.FINITE_MATRIX:
-        sv = jacobi_singular_values(t.matrix_array())
-        return float(sv[0]) if len(sv) else 0.0
+        return float(t.matrix_svd[1][0])
     best = t.tail.sup_abs
     for e in t.explicit:
         best = max(best, abs(e))

@@ -97,10 +97,9 @@ def _deterministic_candidates(t: Operator):
     soft = soft_threshold_approx(t).approximant
     out = [("construction", best), ("soft_threshold", soft)]
     if t.shape is Shape.FINITE_MATRIX:
-        m = t.matrix_array()
-        u, sv, vt = jacobi_svd(m)
+        u, sv, vt = t.matrix_svd
         clipped = HilbertOperator.finite_matrix(u @ np.diag(np.minimum(sv, 1.0)) @ vt)
-        zero = HilbertOperator.finite_matrix(np.zeros_like(m))
+        zero = HilbertOperator.finite_matrix(np.zeros_like(u))
         out += [("sv_clip", clipped), ("zero", zero)]
     else:
         clipped = HilbertOperator(

@@ -19,6 +19,7 @@ from .models import (
     TailKind,
     TailRule,
     ValidationError,
+    _require_finite,
 )
 
 __all__ = [
@@ -49,7 +50,8 @@ def tail_from_doc(doc) -> TailRule:
         raise ValidationError("tail must be an object")
     kind = doc.get("kind")
     if kind == "const":
-        return TailRule.const(_field(doc, "value", "tail.value"))
+        # checked here so that an error names the document's field, not the model's
+        return TailRule.const(_require_finite(_field(doc, "value", "tail.value"), "tail.value"))
     if kind == "geometric":
         return TailRule.geometric(
             _field(doc, "limit", "tail.limit"), _field(doc, "ratio", "tail.ratio")

@@ -81,6 +81,13 @@ class TestReadingInput:
             ('{"space":"l1","model":"columns","columns":[[1, Infinity]]}', "columns[0][1]"),
             ('{"space":"l1","model":"columns","columns":[],"tail_weights":"ab"}', "tail_weights"),
             ('{"space":"l1","model":"columns","columns":[],"tail_weights":[false]}', "tail_weights[0]"),
+            # a const tail's number is named by its document field, not the model's
+            ('{"space":"l2","model":"shift","explicit":[],"tail":{"kind":"const","value":true}}',
+             "tail.value must be a real number"),
+            ('{"space":"l2","model":"diagonal","explicit":[],"tail":{"kind":"const","value":"abc"}}',
+             "tail.value must be a real number"),
+            ('{"space":"l1","model":"columns","columns":[],"tail":{"kind":"const","value":true}}',
+             "tail.value must be a real number"),
         ],
     )
     def test_validation_diagnostics(self, payload, fragment, monkeypatch, capsys):

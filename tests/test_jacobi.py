@@ -1,10 +1,19 @@
+import io
+import itertools
+import json
+
 import numpy as np
 import pytest
 
-from ballapprox import NumericError, jacobi_singular_values, jacobi_svd
+from ballapprox import NumericError, jacobi_singular_values, jacobi_svd, models, oracles
+from ballapprox.cli import main
+from ballapprox.jacobi import _round_indices, _round_robin, _round_rotation
 
 
-@pytest.mark.parametrize("n,seed", [(1, 0), (2, 1), (3, 2), (5, 3), (8, 4), (16, 5)])
+@pytest.mark.parametrize(
+    "n,seed", [(1, 0), (2, 1), (3, 2), (4, 6), (5, 3), (7, 7), (8, 4), (12, 8), (16, 5),
+               (31, 9), (64, 10)]
+)
 def test_against_numpy_svd(n, seed):
     rng = np.random.default_rng(seed)
     for _ in range(8):
@@ -59,3 +68,93 @@ def test_rejects_nonsquare_and_nonfinite():
         jacobi_svd(np.ones((2, 3)))
     with pytest.raises(ValueError):
         jacobi_svd(np.array([[np.nan]]))
+
+
+def test_overflow_is_named_before_any_sweep():
+    m = np.array([[1e200, 0.0], [0.0, 1.0]])  # finite, but its Gram matrix is not
+    for decompose in (jacobi_svd, jacobi_singular_values):
+        with pytest.raises(NumericError, match="overflow"):
+            decompose(m, max_sweeps=0)
+
+
+def test_large_entries_still_rotate():
+    # |w_p|^2 |w_q|^2 overflows here although the Gram matrix does not; such
+    # pairs must still be rotated, not skipped as orthogonal
+    m = np.random.default_rng(2).standard_normal((5, 5)) * 1e100
+    s = jacobi_svd(m)[1]
+    ref = np.linalg.svd(m, compute_uv=False)
+    np.testing.assert_allclose(s, ref, rtol=0, atol=1e-12 * ref[0])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 12, 31, 64])
+def test_round_robin_schedule(n):
+    rounds = _round_robin(n)
+    pairs = [pair for pairs in rounds for pair in pairs]
+    # every sweep meets each pair p < q exactly once ...
+    assert sorted(pairs) == list(itertools.combinations(range(n), 2))
+    assert len(rounds) == (n - 1 + n % 2 if n > 1 else 0)
+    for pairs in rounds:
+        # ... in rounds of disjoint pairs, at most one column sitting out
+        slots = [i for pair in pairs for i in pair]
+        assert len(set(slots)) == len(slots) >= n - 1
+
+
+def test_one_round_equals_its_rotations_one_pair_at_a_time():
+    w = np.random.default_rng(3).standard_normal((6, 6))
+    read, write = _round_indices(6)[0]
+    rot = _round_rotation(w.T @ w, read, write, np.eye(6), 1e-12, 0.0)
+    rotated = w @ rot
+    expected = w.copy()
+    for p, q in _round_robin(6)[0]:
+        wp, wq = expected[:, p].copy(), expected[:, q].copy()
+        zeta = (wq @ wq - wp @ wp) / (2.0 * (wp @ wq))
+        t = np.sign(zeta) / (abs(zeta) + np.sqrt(1.0 + zeta * zeta))
+        c = 1.0 / np.sqrt(1.0 + t * t)
+        expected[:, p], expected[:, q] = c * wp - c * t * wq, c * t * wp + c * wq
+        assert abs(expected[:, p] @ expected[:, q]) < 1e-12
+    np.testing.assert_allclose(rotated, expected, rtol=0, atol=1e-13)
+
+
+@pytest.fixture
+def jacobi_inputs(monkeypatch):
+    """Record the input of every Jacobi call made by the model and oracle layers."""
+    inputs = []
+
+    def counting(fn):
+        def wrapper(a, *args, **kwargs):
+            inputs.append((fn.__name__, np.array(a, dtype=float)))
+            return fn(a, *args, **kwargs)
+        return wrapper
+
+    for module in (models, oracles):
+        for name in ("jacobi_svd", "jacobi_singular_values"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(getattr(module, name)))
+    return inputs
+
+
+def _matrix_run(argv, m, monkeypatch, capsys):
+    doc = {"space": "l2", "model": "matrix", "entries": m.tolist()}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code = main(argv)
+    capsys.readouterr()
+    return code
+
+
+def test_verify_takes_one_svd_of_its_input(jacobi_inputs, monkeypatch, capsys):
+    m = np.random.default_rng(4).standard_normal((16, 16)) * 0.5
+    assert _matrix_run(["verify", "--samples", "50"], m, monkeypatch, capsys) == 0
+    # one SVD of T, memoised on the operator; the only other run on the same
+    # numbers is the search's residual T - 0 against the zero candidate
+    of_input = sorted(name for name, a in jacobi_inputs if np.array_equal(a, m))
+    assert of_input == ["jacobi_singular_values", "jacobi_svd"]
+    # two constructions (norm of K, residual T - K each), four candidate residuals
+    assert len(jacobi_inputs) == 9
+
+
+def test_approx_makes_three_jacobi_calls(jacobi_inputs, monkeypatch, capsys):
+    m = np.random.default_rng(5).standard_normal((16, 16)) * 0.5
+    assert _matrix_run(["approx"], m, monkeypatch, capsys) == 0
+    # T once (memoised), then the approximant's norm and the residual T - K
+    assert len(jacobi_inputs) == 3
+    assert sum(np.array_equal(a, m) for _, a in jacobi_inputs) == 1

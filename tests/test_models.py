@@ -260,6 +260,12 @@ class TestScaling:
         assert z.tail == TailRule.const(0.0)
         assert op_norm(z) == 0.0
 
+    def test_underflowing_scale_collapses_geometric_tail(self):
+        t = HilbertOperator.weighted_shift([], TailRule.geometric(-0.5, 0.5))
+        z = scale(t, 5e-324)  # c * limit underflows to -0.0
+        assert z.tail == TailRule.const(0.0)
+        assert op_norm(z) == 0.0
+
     def test_l1_scaling(self):
         t = L1Operator(((0.6, 0.9, 0.9),), (0.5,), TailRule.const(1))
         assert op_norm(scale(t, -2.0)) == pytest.approx(4.8, abs=1e-12)
