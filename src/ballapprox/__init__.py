@@ -13,14 +13,9 @@ from .extreme import (
     project_scalar_multiple,
     verify_unique_projection,
 )
-from .hilbert import (
-    best_ball_approx_h,
-    dist_ball_h,
-    positive_ball_approx,
-    soft_threshold_approx,
-)
+from .hilbert import best_ball_approx_h
 from .jacobi import NumericError, jacobi_singular_values, jacobi_svd
-from .l1 import best_ball_approx_l1, dist_ball_l1, truncate_column
+from .l1 import best_ball_approx_l1, truncate_column
 from .models import (
     BallApproxResult,
     Branch,
@@ -70,8 +65,6 @@ __all__ = [
     "best_ball_approx_h",
     "best_ball_approx_l1",
     "competitor_search",
-    "dist_ball_h",
-    "dist_ball_l1",
     "ess_norm",
     "finite_section",
     "finite_section_bounds",
@@ -79,11 +72,9 @@ __all__ = [
     "jacobi_singular_values",
     "jacobi_svd",
     "op_norm",
-    "positive_ball_approx",
     "project_scalar_multiple",
     "residual_norm",
     "scale",
-    "soft_threshold_approx",
     "svd_clip_oracle",
     "truncate_column",
     "verify_unique_projection",

@@ -13,10 +13,11 @@ import json
 import sys
 
 from .extreme import NormedSpacePoint, Space, project_scalar_multiple, verify_unique_projection
-from .hilbert import best_ball_approx_h, positive_ball_approx
+from .hilbert import best_ball_approx_h
 from .jacobi import NumericError
 from .l1 import best_ball_approx_l1
-from .models import HilbertOperator, L1Operator, ValidationError, ball_distance, ess_norm, op_norm
+from .models import HilbertOperator, L1Operator, Shape, ValidationError
+from .models import ball_distance, ess_norm, op_norm
 from .oracles import DEFAULT_TOL, CertificationError, competitor_search
 from .serialize import certificate_to_doc, operator_from_doc, operator_to_doc, point_to_doc
 
@@ -40,13 +41,21 @@ def _read_operator(source: str):
 
 
 def _approx_result(t, positive: bool):
-    if positive:
-        if not isinstance(t, HilbertOperator):
-            raise ValidationError("--positive applies to diagonal l2 operators")
-        return positive_ball_approx(t)
-    if isinstance(t, L1Operator):
-        return best_ball_approx_l1(t)
-    return best_ball_approx_h(t)
+    if not positive:
+        return best_ball_approx_l1(t) if isinstance(t, L1Operator) else best_ball_approx_h(t)
+    # the construction keeps signs, so nonnegative diagonal input gets a
+    # nonnegative approximant; the input is checked and the output certified
+    if not isinstance(t, HilbertOperator):
+        raise ValidationError("--positive applies to diagonal l2 operators")
+    if t.shape is not Shape.DIAGONAL:
+        raise ValidationError("positive approximation is defined for diagonal models")
+    if any(e < 0.0 for e in t.explicit) or t.tail.limit < 0.0:
+        raise ValidationError("positive approximation requires nonnegative entries")
+    result = best_ball_approx_h(t)
+    k = result.approximant
+    if any(e < 0.0 for e in k.explicit) or k.tail.limit < 0.0:
+        raise ValidationError("construction produced a negative entry")
+    return result
 
 
 def run_command(args) -> tuple:

@@ -24,21 +24,9 @@ from .models import (
 )
 
 __all__ = [
-    "dist_ball_l1",
     "truncate_column",
     "best_ball_approx_l1",
 ]
-
-
-def _require_l1(t) -> L1Operator:
-    if not isinstance(t, L1Operator):
-        raise ValidationError("expected an l1 model operator")
-    return t
-
-
-def dist_ball_l1(t: L1Operator) -> float:
-    """Distance from ``t`` to the unit ball of compact operators on l1."""
-    return ball_distance(_require_l1(t))
 
 
 def truncate_column(column, d: float) -> tuple:
@@ -74,12 +62,13 @@ def best_ball_approx_l1(t: L1Operator) -> BallApproxResult:
     """Optimal compact in-ball approximant of an l1 column model.
 
     Truncates every explicit column (and every listed tail weight) at
-    ``d = dist_ball_l1(t)`` and zeroes the constant tail; the residual
+    ``d = ball_distance(t)`` and zeroes the constant tail; the residual
     mass of each column is ``min(mass, d)``, so the residual norm is
     exactly ``d`` while every surviving column keeps mass at most 1.
     """
-    t = _require_l1(t)
-    d = dist_ball_l1(t)
+    if not isinstance(t, L1Operator):
+        raise ValidationError("expected an l1 model operator")
+    d = ball_distance(t)
     cols = tuple(truncate_column(c, d) for c in t.columns)
     weights = tuple(truncate_column((w,), d)[0] for w in t.tail_weights)
     # the constant tail weight sits within d of 0 by the distance formula

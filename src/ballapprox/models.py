@@ -28,7 +28,7 @@ import enum
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -284,7 +284,12 @@ class L1Operator:
     def __post_init__(self):
         cols = []
         for j, col in enumerate(self.columns):
-            cols.append(_finite_tuple(col, f"columns[{j}]"))
+            col = _finite_tuple(col, f"columns[{j}]")
+            # summed as column_mass sums it, so a column accepted here has a finite norm
+            mass = sum(abs(v) for v in col)
+            if not math.isfinite(mass):
+                raise ValidationError(f"columns[{j}] must have a finite mass, got {mass!r}")
+            cols.append(col)
         object.__setattr__(self, "columns", tuple(cols))
         object.__setattr__(
             self, "tail_weights", _finite_tuple(self.tail_weights, "tail_weights")

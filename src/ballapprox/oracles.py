@@ -5,12 +5,20 @@ constructions they certify:
 
 * :func:`competitor_search` tries to beat a claimed distance with
   randomly sampled in-ball compact competitors from the same model
-  class (plus the deterministic candidates themselves);
+  class, after scoring the deterministic candidates;
 * :func:`svd_clip_oracle` solves the finite matrix case directly by
   clipping singular values at 1 and cross-checks the construction;
 * :func:`finite_section_bounds` turns leading compressions into
   certified lower bounds, which can approach ``op_norm - 1`` but never
   certify the essential-norm part of the distance.
+
+The deterministic candidates, each scored once: the construction and,
+on l2, the soft-threshold approximant (shrink every entry, or singular
+value, by the distance) come with the residual norm that their
+:func:`~ballapprox.models.make_result` certified; the zero operator's
+residual is ``op_norm(t)``; only the clipped candidate (singular values
+or entries clipped at 1 on l2, columns scaled to mass 1 on l1) goes
+through :func:`~ballapprox.models.residual_norm`.
 
 Random-trial residual norms for matrices and section norms use
 ``numpy.linalg`` so they stay independent of the package's own Jacobi
@@ -24,11 +32,13 @@ from typing import Optional
 
 import numpy as np
 
-from .hilbert import best_ball_approx_h, soft_threshold_approx
-from .jacobi import jacobi_singular_values, jacobi_svd
+from .hilbert import _soft, best_ball_approx_h
+from .jacobi import jacobi_singular_values
 from .l1 import best_ball_approx_l1
 from .models import (
     IDENTITY_TOL,
+    BallApproxResult,
+    Branch,
     HilbertOperator,
     L1Operator,
     Operator,
@@ -40,6 +50,7 @@ from .models import (
     ess_norm,
     finite_section,
     hilbert_entry,
+    make_result,
     op_norm,
     residual_norm,
 )
@@ -73,10 +84,38 @@ class SearchReport:
     best_candidate: Optional[Operator]
 
 
-def _deterministic_candidates(t: Operator):
-    """Named in-ball candidates; the first is the construction itself."""
+def _sv_clip(t: HilbertOperator) -> np.ndarray:
+    """The matrix of ``t`` with its singular values clipped at 1."""
+    u, sv, vt = t.matrix_svd
+    return u @ np.diag(np.minimum(sv, 1.0)) @ vt
+
+
+def _soft_threshold_approx(t: HilbertOperator) -> BallApproxResult:
+    """Alternative optimal approximant by uniform shrinkage.
+
+    Shrinks every entry toward zero by ``d = ball_distance(t)`` (singular
+    values, for a finite matrix).  The residual norm equals ``d``
+    exactly, matching :func:`best_ball_approx_h` in distance though the
+    approximants may differ entrywise.
+    """
+    d = ball_distance(t)
+    branch = Branch.COMPACT_INPUT if d == 0.0 else Branch.SMALL_NORM
+    if t.shape is Shape.FINITE_MATRIX:
+        u, sv, vt = t.matrix_svd
+        approx = HilbertOperator.finite_matrix(u @ np.diag(np.maximum(sv - d, 0.0)) @ vt)
+    else:
+        # every tail entry sits within d of 0 by the distance formula
+        approx = HilbertOperator(
+            t.shape, tuple(_soft(e, d) for e in t.explicit), TailRule.const(0.0)
+        )
+    return make_result(t, approx, branch)
+
+
+def _deterministic_candidates(t: Operator) -> list:
+    """Named in-ball candidates ``(kind, operator, residual norm)``; the
+    first is the construction itself."""
     if isinstance(t, L1Operator):
-        best = best_ball_approx_l1(t).approximant
+        built = best_ball_approx_l1(t)
         masses = [sum(abs(x) for x in col) for col in t.columns]
         scaled_cols = tuple(
             tuple(v * min(1.0, 1.0 / max(mass, 1e-300)) for v in col)
@@ -92,60 +131,69 @@ def _deterministic_candidates(t: Operator):
             tuple(0.0 for _ in t.tail_weights),
             TailRule.const(0.0),
         )
-        return [("construction", best), ("column_scaling", clipped), ("zero", zero)]
-    best = best_ball_approx_h(t).approximant
-    soft = soft_threshold_approx(t).approximant
-    out = [("construction", best), ("soft_threshold", soft)]
+        return [
+            ("construction", built.approximant, built.distance),
+            ("column_scaling", clipped, residual_norm(t, clipped)),
+            ("zero", zero, op_norm(t)),
+        ]
+    built = best_ball_approx_h(t)
+    soft = _soft_threshold_approx(t)
     if t.shape is Shape.FINITE_MATRIX:
-        u, sv, vt = t.matrix_svd
-        clipped = HilbertOperator.finite_matrix(u @ np.diag(np.minimum(sv, 1.0)) @ vt)
-        zero = HilbertOperator.finite_matrix(np.zeros_like(u))
-        out += [("sv_clip", clipped), ("zero", zero)]
+        clip_kind, clipped = "sv_clip", HilbertOperator.finite_matrix(_sv_clip(t))
+        zero = HilbertOperator.finite_matrix(np.zeros((len(t.entries),) * 2))
     else:
+        clip_kind = "entry_clip"
         clipped = HilbertOperator(
             t.shape,
             tuple(np.sign(e) * min(abs(e), 1.0) for e in t.explicit),
             TailRule.const(0.0),
         )
         zero = HilbertOperator(t.shape, tuple(0.0 for _ in t.explicit), TailRule.const(0.0))
-        out += [("entry_clip", clipped), ("zero", zero)]
-    return out
+    return [
+        ("construction", built.approximant, built.distance),
+        ("soft_threshold", soft.approximant, soft.distance),
+        (clip_kind, clipped, residual_norm(t, clipped)),
+        ("zero", zero, op_norm(t)),
+    ]
 
 
 def _random_entry_competitors(t: HilbertOperator, best: HilbertOperator, trials: int, rng):
     """Batched residual norms of random diagonal/shift competitors.
 
-    Returns (residuals, entry_rows, width): each row of entry_rows is an
-    in-ball competitor on the first `width` slots with const 0 tail;
-    half of them perturb the construction ``best``.
+    Returns (residuals, entry_rows): each row of entry_rows is an in-ball
+    competitor on the first ``len(t.explicit) + 4`` slots with const 0
+    tail; half of them perturb the construction ``best``.
     """
     width = len(t.explicit) + 4
     target = np.array([hilbert_entry(t, i) for i in range(1, width + 1)])
     tail_rem = ess_norm(t)  # residual supremum beyond the sampled window
 
     n_free = trials // 2
-    free = rng.uniform(-1.1, 1.1, (n_free, width))
     opt = np.zeros(width)
     opt[: len(best.explicit)] = best.explicit
-    near = opt[None, :] + rng.uniform(-0.6, 0.6, (trials - n_free, width))
-    rows = np.vstack([free, near])
+    rows = np.empty((trials, width))
+    rows[:n_free] = rng.uniform(-1.1, 1.1, (n_free, width))
+    np.add(opt, rng.uniform(-0.6, 0.6, (trials - n_free, width)), out=rows[n_free:])
     rowmax = np.max(np.abs(rows), axis=1)
     rows /= np.maximum(rowmax, 1.0)[:, None]
 
     residuals = np.maximum(np.max(np.abs(target[None, :] - rows), axis=1), tail_rem)
-    return residuals, rows, width
+    return residuals, rows
 
 
 def _random_matrix_competitors(t: HilbertOperator, best: HilbertOperator, trials: int, rng):
     m = t.matrix_array()
     n = m.shape[0]
     n_free = trials // 2
-    free = rng.standard_normal((n_free, n, n)) * (0.6 / np.sqrt(n))
-    base = best.matrix_array()
-    near = base[None, :, :] + rng.standard_normal((trials - n_free, n, n)) * (
-        0.3 / np.sqrt(n)
-    )
-    mats = np.concatenate([free, near], axis=0)
+    # both halves drawn into one trials x n x n array and scaled in place, so no
+    # second copy of the trials is alive during the batched SVDs
+    mats = np.empty((trials, n, n))
+    free, near = mats[:n_free], mats[n_free:]
+    rng.standard_normal(out=free)
+    free *= 0.6 / np.sqrt(n)
+    rng.standard_normal(out=near)
+    near *= 0.3 / np.sqrt(n)
+    near += best.matrix_array()
     top = np.linalg.svd(mats, compute_uv=False)[:, 0]
     mats /= np.maximum(top, 1.0)[:, None, None]
     residuals = np.linalg.svd(m[None, :, :] - mats, compute_uv=False)[:, 0]
@@ -222,34 +270,24 @@ def competitor_search(
     best_candidate: Optional[Operator] = None
     candidates = _deterministic_candidates(t)
     construction = candidates[0][1]
-    for kind, cand in candidates:
-        r = residual_norm(t, cand)
+    for kind, cand, r in candidates:
         if r < best_found:
             best_found, best_kind, best_candidate = r, kind, cand
 
     if isinstance(t, L1Operator):
         residuals, col_samples, n_listed = _random_l1_competitors(t, trials, rng)
-        idx = int(np.argmin(residuals))
-        if residuals[idx] < best_found:
-            best_candidate = _l1_from_samples(t, col_samples, n_listed, idx)
-            best_found = float(residuals[idx])
-            best_kind = "random"
+        build = lambda i: _l1_from_samples(t, col_samples, n_listed, i)
     elif t.shape is Shape.FINITE_MATRIX:
         residuals, mats = _random_matrix_competitors(t, construction, trials, rng)
-        idx = int(np.argmin(residuals))
-        if residuals[idx] < best_found:
-            best_candidate = HilbertOperator.finite_matrix(mats[idx])
-            best_found = float(residuals[idx])
-            best_kind = "random"
+        build = lambda i: HilbertOperator.finite_matrix(mats[i])
     else:
-        residuals, rows, width = _random_entry_competitors(t, construction, trials, rng)
-        idx = int(np.argmin(residuals))
-        if residuals[idx] < best_found:
-            best_candidate = HilbertOperator(
-                t.shape, tuple(float(v) for v in rows[idx]), TailRule.const(0.0)
-            )
-            best_found = float(residuals[idx])
-            best_kind = "random"
+        residuals, rows = _random_entry_competitors(t, construction, trials, rng)
+        build = lambda i: HilbertOperator(
+            t.shape, tuple(float(v) for v in rows[i]), TailRule.const(0.0)
+        )
+    idx = int(np.argmin(residuals))
+    if residuals[idx] < best_found:
+        best_found, best_kind, best_candidate = float(residuals[idx]), "random", build(idx)
 
     beaten = best_found < claimed - tol
     attained = best_found <= claimed + tol
@@ -271,23 +309,24 @@ def svd_clip_oracle(matrix, tol: float = DEFAULT_TOL):
     """Solve the finite matrix case by singular value clipping.
 
     Returns ``(k, distance)`` where ``k`` clips the singular values of
-    ``matrix`` at 1 and ``distance = max(sigma_1 - 1, 0)``.  Raises
-    :class:`CertificationError` if the reconstruction or the main
+    ``matrix`` at 1 and ``distance = max(sigma_1 - 1, 0)``.  ``matrix``
+    is read as a finite matrix model (:class:`ValidationError` if it is
+    not one), whose memoised SVD both this clip and the construction use.
+    Raises :class:`CertificationError` if the reconstruction or the main
     construction disagrees beyond ``tol``; raises
     :class:`~ballapprox.jacobi.NumericError` if the singular value
     iteration fails to converge.
     """
-    m = np.array(matrix, dtype=float)
-    u, sv, vt = jacobi_svd(m)
-    k = u @ np.diag(np.minimum(sv, 1.0)) @ vt
-    distance = float(max(sv[0] - 1.0, 0.0)) if len(sv) else 0.0
+    t = HilbertOperator.finite_matrix(matrix)
+    k = _sv_clip(t)
+    distance = float(max(t.matrix_svd[1][0] - 1.0, 0.0))
 
-    achieved = float(jacobi_singular_values(m - k)[0])
+    achieved = float(jacobi_singular_values(t.matrix_array() - k)[0])
     if abs(achieved - distance) > tol:
         raise CertificationError(
             f"clip reconstruction achieves {achieved}, expected {distance}"
         )
-    built = best_ball_approx_h(HilbertOperator.finite_matrix(m)).distance
+    built = best_ball_approx_h(t).distance
     if abs(built - distance) > tol:
         raise CertificationError(
             f"construction distance {built} disagrees with clipped SVD {distance}"

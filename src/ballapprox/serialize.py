@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import asdict
 
-from .extreme import NormedSpacePoint, Space
+from .extreme import NormedSpacePoint
 from .models import (
     Certificate,
     HilbertOperator,
@@ -28,7 +28,6 @@ __all__ = [
     "operator_to_doc",
     "operator_from_doc",
     "point_to_doc",
-    "point_from_doc",
     "certificate_to_doc",
 ]
 
@@ -110,13 +109,6 @@ def operator_from_doc(doc) -> Operator:
 
 def point_to_doc(p: NormedSpacePoint) -> dict:
     return {"space": p.space.value, "coords": list(p.coords)}
-
-
-def point_from_doc(doc) -> NormedSpacePoint:
-    if not isinstance(doc, dict):
-        raise ValidationError("point document must be an object")
-    space = Space.from_str(doc.get("space", ""))
-    return NormedSpacePoint(space, _field(doc, "coords", "coords"))
 
 
 def certificate_to_doc(cert: Certificate) -> dict:

@@ -20,18 +20,16 @@ from ballapprox import (
     best_ball_approx_h,
     best_ball_approx_l1,
     competitor_search,
-    dist_ball_h,
     ess_norm,
     finite_section_bounds,
     op_norm,
-    positive_ball_approx,
     project_scalar_multiple,
     residual_norm,
     scale,
-    soft_threshold_approx,
     svd_clip_oracle,
     verify_unique_projection,
 )
+from ballapprox.oracles import _soft_threshold_approx
 from helpers import (
     random_hilbert,
     random_l1,
@@ -145,7 +143,7 @@ def test_04_scaled_isometry_distance():
     t0 = time.perf_counter()
     for a in (0.5, 1.0, 1.5, 3.0, -2.0):
         scaled = scale(shift, a)
-        d = dist_ball_h(scaled)
+        d = ball_distance(scaled)
         if abs(d - abs(a)) > 1e-12:
             failures.append(f"a={a}: distance {d} != |a|")
         if abs(ess_norm(scaled) - abs(a)) > 1e-12:
@@ -164,7 +162,7 @@ def test_05_positive_diagonal_approximants():
     t0 = time.perf_counter()
     for i in range(100):
         t = random_positive_diagonal(rng)
-        res = positive_ball_approx(t)
+        res = best_ball_approx_h(t)
         k = res.approximant
         if any(e < 0.0 for e in k.explicit) or k.tail.limit < 0.0:
             failures.append(f"#{i}: negative entry in approximant")
@@ -288,7 +286,7 @@ def test_08_cross_oracle_agreement():
             failures.append(f"#{i}: svd clip {clipped} vs construction {built}")
     for i in range(300):
         t = random_hilbert(rng)
-        st = soft_threshold_approx(t).certificate.residual_norm
+        st = _soft_threshold_approx(t).certificate.residual_norm
         main = best_ball_approx_h(t).certificate.residual_norm
         if abs(st - main) > 1e-10:
             failures.append(f"#{i}: soft-threshold residual {st} vs construction {main}")

@@ -1,10 +1,11 @@
+import dataclasses
 import io
 import json
 
 import numpy as np
 import pytest
 
-from ballapprox import HilbertOperator, L1Operator, TailRule
+from ballapprox import HilbertOperator, L1Operator, TailRule, best_ball_approx_h
 from ballapprox.cli import main
 from ballapprox.serialize import operator_from_doc, operator_to_doc
 
@@ -116,6 +117,33 @@ class TestCommands:
         payload = '{"space":"l2","model":"diagonal","explicit":[-1],"tail":{"kind":"const","value":0}}'
         code, doc = run(["approx", "--positive"], payload, monkeypatch, capsys)
         assert code == 1 and "nonnegative" in doc["error"]
+
+    @pytest.mark.parametrize(
+        "payload,message",
+        [
+            ('{"space":"l2","model":"diagonal","explicit":[-0.1],"tail":{"kind":"const","value":0}}',
+             "positive approximation requires nonnegative entries"),
+            ('{"space":"l2","model":"diagonal","explicit":[0.5],"tail":{"kind":"const","value":-0.2}}',
+             "positive approximation requires nonnegative entries"),
+            ('{"space":"l2","model":"shift","explicit":[1.0],"tail":{"kind":"const","value":0}}',
+             "positive approximation is defined for diagonal models"),
+            (L1_DOC, "--positive applies to diagonal l2 operators"),
+        ],
+        ids=["negative_entry", "negative_tail", "shift", "l1"],
+    )
+    def test_approx_positive_rejects(self, payload, message, monkeypatch, capsys):
+        code, doc = run(["approx", "--positive"], payload, monkeypatch, capsys)
+        assert code == 1 and doc == {"command": "approx", "error": message}
+
+    def test_approx_positive_certifies_the_output_sign(self, monkeypatch, capsys):
+        negative = HilbertOperator.diagonal([-0.5], TailRule.const(0.0))
+        monkeypatch.setattr(
+            "ballapprox.cli.best_ball_approx_h",
+            lambda t: dataclasses.replace(best_ball_approx_h(t), approximant=negative),
+        )
+        payload = '{"space":"l2","model":"diagonal","explicit":[2],"tail":{"kind":"const","value":0}}'
+        code, doc = run(["approx", "--positive"], payload, monkeypatch, capsys)
+        assert code == 1 and doc["error"] == "construction produced a negative entry"
 
     def test_approx_positive_worked_example(self, monkeypatch, capsys):
         payload = '{"space":"l2","model":"diagonal","explicit":[2,1.2],"tail":{"kind":"const","value":0.8}}'
@@ -229,8 +257,8 @@ class TestFailClosed:
     @pytest.mark.parametrize(
         "argv,payload,exit_code",
         [
-            (["norm"], L1_OVERFLOW, 2),
-            (["distball"], L1_OVERFLOW, 2),
+            (["norm"], L1_OVERFLOW, 1),
+            (["distball"], L1_OVERFLOW, 1),
             (["approx"], OVERFLOW, 2),
             (["norm"], OVERFLOW, 2),
             (["distball"], OVERFLOW, 2),
@@ -244,6 +272,12 @@ class TestFailClosed:
     def test_nonfinite_fails_with_strict_json(self, argv, payload, exit_code, monkeypatch, capsys):
         code, doc = run(argv, payload, monkeypatch, capsys)
         assert code == exit_code and "error" in doc and "pass" not in doc
+
+    @pytest.mark.parametrize("command", ["norm", "distball", "approx", "verify"])
+    def test_overflowing_l1_mass_is_invalid_input(self, command, monkeypatch, capsys):
+        code, doc = run([command], self.L1_OVERFLOW, monkeypatch, capsys)
+        assert code == 1
+        assert doc == {"command": command, "error": "columns[0] must have a finite mass, got inf"}
 
 
 class TestParserReuse:

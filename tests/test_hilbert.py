@@ -8,16 +8,14 @@ from ballapprox import (
     HilbertOperator,
     TailKind,
     TailRule,
-    ValidationError,
+    ball_distance,
     best_ball_approx_h,
-    dist_ball_h,
     ess_norm,
     op_norm,
-    positive_ball_approx,
     residual_norm,
     scale,
-    soft_threshold_approx,
 )
+from ballapprox.oracles import _soft_threshold_approx
 
 from helpers import random_hilbert, random_nonattaining, random_positive_diagonal
 
@@ -25,19 +23,19 @@ from helpers import random_hilbert, random_nonattaining, random_positive_diagona
 class TestDistance:
     def test_norm_and_essential_terms_combine(self):
         t = HilbertOperator.diagonal([3, 2, 0.5], TailRule.const(1))
-        assert dist_ball_h(t) == 2.0  # norm term 3 - 1 dominates
+        assert ball_distance(t) == 2.0  # norm term 3 - 1 dominates
 
     def test_essential_term_dominates_for_nonattaining(self):
         t = HilbertOperator.diagonal([0.5], TailRule.geometric(2, 0.5))
-        assert dist_ball_h(t) == 2.0  # distance to compacts alone
+        assert ball_distance(t) == 2.0  # distance to compacts alone
 
     def test_inside_ball_pays_only_compactness(self):
         t = HilbertOperator.diagonal([0.5], TailRule.const(0.2))
-        assert dist_ball_h(t) == pytest.approx(0.2, abs=1e-15)
+        assert ball_distance(t) == pytest.approx(0.2, abs=1e-15)
 
     def test_compact_in_ball_costs_nothing(self):
         t = HilbertOperator.diagonal([0.9, 0.1], TailRule.const(0))
-        assert dist_ball_h(t) == 0.0
+        assert ball_distance(t) == 0.0
 
 
 class TestBestApprox:
@@ -121,20 +119,20 @@ class TestBestApprox:
 class TestSoftThreshold:
     def test_uniform_shrinkage_example(self):
         t = HilbertOperator.diagonal([3, 2, 0.5], TailRule.const(1))
-        r = soft_threshold_approx(t)
+        r = _soft_threshold_approx(t)
         # every entry moves toward zero by the distance 2
         np.testing.assert_allclose(r.approximant.explicit, [1.0, 0.0, 0.0], atol=1e-15)
         assert r.distance == pytest.approx(2.0, abs=1e-12)
 
     def test_in_ball_compact_input_unchanged(self):
         t = HilbertOperator.diagonal([0.7], TailRule.const(0))
-        r = soft_threshold_approx(t)
+        r = _soft_threshold_approx(t)
         assert r.branch is Branch.COMPACT_INPUT
         assert r.approximant == t
 
     def test_matrix_singular_value_shrinkage(self):
         m = np.diag([3.0, 1.5, 0.2])
-        r = soft_threshold_approx(HilbertOperator.finite_matrix(m))
+        r = _soft_threshold_approx(HilbertOperator.finite_matrix(m))
         sv = np.linalg.svd(r.approximant.matrix_array(), compute_uv=False)
         np.testing.assert_allclose(sv, [1.0, 0.0, 0.0], atol=1e-10)
         assert r.distance == pytest.approx(2.0, abs=1e-10)
@@ -144,14 +142,14 @@ class TestSoftThreshold:
         for _ in range(80):
             t = random_hilbert(rng, max_len=8, max_dim=6)
             a = best_ball_approx_h(t)
-            b = soft_threshold_approx(t)
+            b = _soft_threshold_approx(t)
             assert a.distance == pytest.approx(b.distance, abs=1e-10)
             assert op_norm(b.approximant) <= 1.0 + 1e-12
 
     def test_approximants_may_differ_entrywise(self):
         t = HilbertOperator.diagonal([3, 2, 0.5], TailRule.const(1))
         a = best_ball_approx_h(t).approximant.explicit
-        b = soft_threshold_approx(t).approximant.explicit
+        b = _soft_threshold_approx(t).approximant.explicit
         assert a != b
 
 
@@ -161,7 +159,7 @@ class TestIsometryCheck:
     @staticmethod
     def assert_identity(a, t):
         scaled = scale(t, a)
-        assert dist_ball_h(scaled) == pytest.approx(abs(a), abs=1e-12)
+        assert ball_distance(scaled) == pytest.approx(abs(a), abs=1e-12)
         assert ess_norm(scaled) == pytest.approx(abs(a), abs=1e-12)
 
     @pytest.mark.parametrize("a", [3.0, 1.5, 1.0, 0.5, -2.0])
@@ -173,25 +171,20 @@ class TestIsometryCheck:
 
 
 class TestPositive:
+    """The construction keeps signs; ``approx --positive`` (tests/test_cli.py)
+    checks the input and certifies the sign of the output."""
+
     def test_worked_example(self):
         t = HilbertOperator.diagonal([2, 1.2], TailRule.const(0.8))
-        r = positive_ball_approx(t)
+        r = best_ball_approx_h(t)
         assert r.distance == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(r.approximant.explicit, [1.0, 0.4], atol=1e-12)
-
-    def test_negative_entry_rejected(self):
-        with pytest.raises(ValidationError):
-            positive_ball_approx(HilbertOperator.diagonal([-0.1], TailRule.const(0)))
-
-    def test_shift_rejected(self):
-        with pytest.raises(ValidationError):
-            positive_ball_approx(HilbertOperator.weighted_shift([1.0], TailRule.const(0)))
 
     def test_output_nonnegative_and_dominated(self):
         rng = np.random.default_rng(31)
         for _ in range(60):
             t = random_positive_diagonal(rng)
-            r = positive_ball_approx(t)
+            r = best_ball_approx_h(t)
             for e, a in zip(t.explicit, r.approximant.explicit):
                 assert 0.0 <= a <= e + 1e-15
             assert r.approximant.tail.limit >= 0.0

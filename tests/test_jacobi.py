@@ -5,7 +5,14 @@ import json
 import numpy as np
 import pytest
 
-from ballapprox import NumericError, jacobi_singular_values, jacobi_svd, models, oracles
+from ballapprox import (
+    NumericError,
+    jacobi_singular_values,
+    jacobi_svd,
+    models,
+    oracles,
+    svd_clip_oracle,
+)
 from ballapprox.cli import main
 from ballapprox.jacobi import _round_indices, _round_robin, _round_rotation
 
@@ -144,12 +151,19 @@ def _matrix_run(argv, m, monkeypatch, capsys):
 def test_verify_takes_one_svd_of_its_input(jacobi_inputs, monkeypatch, capsys):
     m = np.random.default_rng(4).standard_normal((16, 16)) * 0.5
     assert _matrix_run(["verify", "--samples", "50"], m, monkeypatch, capsys) == 0
-    # one SVD of T, memoised on the operator; the only other run on the same
-    # numbers is the search's residual T - 0 against the zero candidate
-    of_input = sorted(name for name, a in jacobi_inputs if np.array_equal(a, m))
-    assert of_input == ["jacobi_singular_values", "jacobi_svd"]
-    # two constructions (norm of K, residual T - K each), four candidate residuals
-    assert len(jacobi_inputs) == 9
+    # one SVD of T, memoised on the operator; the zero candidate is scored by
+    # op_norm(T), so no other run sees T's numbers
+    assert [name for name, a in jacobi_inputs if np.array_equal(a, m)] == ["jacobi_svd"]
+    # two constructions (norm of K, residual T - K each), one scored clip candidate
+    assert len(jacobi_inputs) == 6
+
+
+def test_svd_clip_oracle_decomposes_its_input_once(jacobi_inputs):
+    m = np.random.default_rng(6).standard_normal((16, 16)) * 0.5
+    svd_clip_oracle(m)
+    assert [name for name, a in jacobi_inputs if np.array_equal(a, m)] == ["jacobi_svd"]
+    # T once, the clip residual T - K, the construction's norm of K and T - K
+    assert len(jacobi_inputs) == 4
 
 
 def test_approx_makes_three_jacobi_calls(jacobi_inputs, monkeypatch, capsys):

@@ -8,8 +8,8 @@ from ballapprox import (
     L1Operator,
     TailRule,
     ValidationError,
+    ball_distance,
     best_ball_approx_l1,
-    dist_ball_l1,
     ess_norm,
     finite_section_bounds,
     op_norm,
@@ -23,19 +23,19 @@ from helpers import random_l1
 class TestDistance:
     def test_worked_column(self):
         t = L1Operator(((0.6, 0.9, 0.9),), (), TailRule.const(1))
-        assert dist_ball_l1(t) == pytest.approx(1.4, abs=1e-15)  # max(2.4 - 1, 1)
+        assert ball_distance(t) == pytest.approx(1.4, abs=1e-15)  # max(2.4 - 1, 1)
 
     def test_small_column_tail_dominates(self):
         t = L1Operator(((0.3,),), (), TailRule.const(0.5))
-        assert dist_ball_l1(t) == 0.5
+        assert ball_distance(t) == 0.5
 
     def test_unweighted_shift_tail(self):
         t = L1Operator((), (), TailRule.const(1))
-        assert dist_ball_l1(t) == 1.0
+        assert ball_distance(t) == 1.0
 
     def test_compact_in_ball(self):
         t = L1Operator(((0.3, 0.3),), (0.2,), TailRule.const(0))
-        assert dist_ball_l1(t) == 0.0
+        assert ball_distance(t) == 0.0
 
 
 class TestTruncateColumn:
@@ -132,7 +132,7 @@ class TestFiniteColumnOracle:
     def test_blind_to_essential_part(self):
         t = L1Operator((), (), TailRule.const(1))
         assert finite_section_bounds(t, 50) == (0.0, 1.0)
-        assert dist_ball_l1(t) == 1.0
+        assert ball_distance(t) == 1.0
 
     def test_equality_when_norm_term_dominates(self):
         rng = np.random.default_rng(43)
@@ -143,7 +143,7 @@ class TestFiniteColumnOracle:
             longest = max((len(c) for c in t.columns), default=0)
             n = max(longest, t.column_count_listed() + 1)
             lower, d = finite_section_bounds(t, n)
-            assert d == dist_ball_l1(t)
+            assert d == ball_distance(t)
             assert lower <= d + 1e-12
             if op_norm(t) - 1.0 >= ess_norm(t):
                 assert lower == pytest.approx(max(op_norm(t) - 1.0, 0.0), abs=1e-12)

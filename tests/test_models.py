@@ -78,6 +78,12 @@ class TestValidation:
         with pytest.raises(ValidationError):
             L1Operator(((1.0, float("nan")),), (), TailRule.const(0.0))
 
+    def test_l1_column_mass_must_be_finite(self):
+        with pytest.raises(ValidationError, match=r"^columns\[1\] must have a finite mass"):
+            L1Operator(((1.0,), (1e308, 1e308)), (), TailRule.const(0.0))
+        t = L1Operator(((1e308, 7e307),), (), TailRule.const(0.0))
+        assert op_norm(t) == t.column_mass(1) == 1.7e308
+
     def test_l1_tail_must_be_const(self):
         with pytest.raises(ValidationError):
             L1Operator((), (), TailRule.geometric(1.0, 0.5))

@@ -14,7 +14,8 @@ from ballapprox import (
     svd_clip_oracle,
 )
 
-from ballapprox import oracles
+from ballapprox import hilbert, l1, oracles
+from ballapprox.models import make_result, residual_norm
 from helpers import random_hilbert, random_l1
 
 
@@ -94,6 +95,35 @@ class TestCompetitorSearch:
         monkeypatch.setattr(oracles, "best_ball_approx_h", counting)
         assert competitor_search(t, trials=50, seed=1).passed
         assert len(calls) == 1
+
+    def test_candidate_scores_are_their_residual_norms(self):
+        # certified distances and op_norm(t) stand in for recomputed residuals
+        rng = np.random.default_rng(17)
+        for t in [random_hilbert(rng, max_len=6, max_dim=6) for _ in range(30)] + [
+            random_l1(rng) for _ in range(30)
+        ]:
+            for kind, cand, score in oracles._deterministic_candidates(t):
+                assert score == residual_norm(t, cand), kind
+
+    @pytest.mark.parametrize(
+        "t,built",
+        [
+            (HilbertOperator.diagonal([3, 2, 0.5], TailRule.const(1)), 2),
+            (HilbertOperator.finite_matrix([[1.2, 0.4], [-0.3, 0.9]]), 2),
+            (L1Operator(((0.6, 0.9, 0.9),), (), TailRule.const(1)), 1),
+        ],
+    )
+    def test_every_scored_approximant_is_certified(self, t, built, monkeypatch):
+        calls = []
+
+        def counting(op, k, branch):
+            calls.append(k)
+            return make_result(op, k, branch)
+
+        for module in (hilbert, l1, oracles):
+            monkeypatch.setattr(module, "make_result", counting)
+        candidates = oracles._deterministic_candidates(t)
+        assert [k for _, k, _ in candidates[:built]] == calls
 
 
 class TestSvdClip:
