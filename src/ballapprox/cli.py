@@ -49,11 +49,11 @@ def _approx_result(t, positive: bool):
         raise ValidationError("--positive applies to diagonal l2 operators")
     if t.shape is not Shape.DIAGONAL:
         raise ValidationError("positive approximation is defined for diagonal models")
-    if any(e < 0.0 for e in t.explicit) or t.tail.limit < 0.0:
+    if (t.explicit < 0.0).any() or t.tail.limit < 0.0:
         raise ValidationError("positive approximation requires nonnegative entries")
     result = best_ball_approx_h(t)
     k = result.approximant
-    if any(e < 0.0 for e in k.explicit) or k.tail.limit < 0.0:
+    if (k.explicit < 0.0).any() or k.tail.limit < 0.0:
         raise ValidationError("construction produced a negative entry")
     return result
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ValidationError, _finite_tuple, _require_finite
+from .models import ValidationError, _finite_array, _require_finite
 
 __all__ = [
     "Space",
@@ -60,7 +60,7 @@ class NormedSpacePoint:
     coords: tuple
 
     def __post_init__(self):
-        coords = _finite_tuple(self.coords, "coords")
+        coords = tuple(_finite_array(self.coords, "coords").tolist())
         if not coords:
             raise ValidationError("points need at least one coordinate")
         object.__setattr__(self, "coords", coords)

@@ -27,7 +27,7 @@ approximants that cross-check it are candidates in
 
 from __future__ import annotations
 
-import math
+import numpy as np
 
 from .models import (
     BallApproxResult,
@@ -46,8 +46,9 @@ from .models import (
 __all__ = ["best_ball_approx_h"]
 
 
-def _soft(e: float, d: float) -> float:
-    return math.copysign(max(abs(e) - d, 0.0), e)
+def _soft(x: np.ndarray, d: float) -> np.ndarray:
+    """Every entry shrunk toward 0 by ``d``, sign kept."""
+    return np.copysign(np.maximum(np.abs(x) - d, 0.0), x)
 
 
 def best_ball_approx_h(t: HilbertOperator) -> BallApproxResult:
@@ -71,24 +72,21 @@ def best_ball_approx_h(t: HilbertOperator) -> BallApproxResult:
         return make_result(t, scale(t, 0.0), Branch.NON_ATTAINING)
 
     zero_tail = TailRule.const(0.0)
+    x = t.explicit
     if nrm > 1.0:
         if t.tail.kind is TailKind.GEOMETRIC:
             # Only entries at or above the tail supremum carry the norm;
             # there are finitely many, all explicit.
-            new = tuple(e / nrm if abs(e) >= ess else 0.0 for e in t.explicit)
+            new = np.where(np.abs(x) >= ess, x / nrm, 0.0)
             branch = Branch.FINITE_HEAD
         else:
             # Entries above 1 + ess must shrink radially to fit the ball;
             # soft-thresholding them at ess would leave magnitude > 1.
-            head_cut = 1.0 + ess
-            new = tuple(
-                e / nrm if abs(e) > head_cut else _soft(e, ess) for e in t.explicit
-            )
+            new = np.where(np.abs(x) > 1.0 + ess, x / nrm, _soft(x, ess))
             branch = Branch.INFINITE_SERIES
         approx = HilbertOperator(t.shape, new, zero_tail)
         return make_result(t, approx, branch)
 
     # norm at most 1: shaving is free, only compactness costs anything
-    new = tuple(_soft(e, ess) for e in t.explicit)
-    approx = HilbertOperator(t.shape, new, zero_tail)
+    approx = HilbertOperator(t.shape, _soft(x, ess), zero_tail)
     return make_result(t, approx, Branch.SMALL_NORM)

@@ -7,9 +7,14 @@ bottom of its support, splitting at most one entry fractionally.  The
 distance to the compact unit ball is again
 ``max(op_norm - 1, ess_norm, 0)``, where the essential norm is the
 limiting mass carried by the single-entry tail columns.
+
+Columns are the read-only float64 arrays of ``L1Operator``;
+:func:`truncate_column` takes any real sequence and returns a tuple.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .models import (
     BallApproxResult,
@@ -17,7 +22,7 @@ from .models import (
     L1Operator,
     TailRule,
     ValidationError,
-    _finite_tuple,
+    _finite_array,
     _require_finite,
     ball_distance,
     make_result,
@@ -37,25 +42,32 @@ def truncate_column(column, d: float) -> tuple:
     first partially removed entry, so the residual ``column - result``
     has mass ``min(mass, d)`` exactly.  Signs are preserved.
     """
-    col = _finite_tuple(column, "column")
+    col = _finite_array(column, "column")
     d = _require_finite(d, "mass to remove")
     if d < 0.0:
         raise ValidationError(f"mass to remove must be nonnegative, got {d}")
+    return tuple(_truncate(col, d).tolist())
+
+
+def _truncate(col: np.ndarray, d: float) -> np.ndarray:
+    """:func:`truncate_column` on a checked column and ``d >= 0``."""
     if d == 0.0:
         return col
-    total = sum(abs(v) for v in col)
-    if total <= d:
-        return tuple(0.0 for _ in col)
-    # suffix[i] = mass of entries i.. ; find the last index whose suffix
-    # still exceeds d (its entry is necessarily nonzero)
     n = len(col)
-    suffix = [0.0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + abs(col[i])
-    cut = max(i for i in range(n) if suffix[i] > d)
-    a = (d - suffix[cut + 1]) / abs(col[cut])  # fraction of entry `cut` removed
-    out = list(col[:cut]) + [(1.0 - a) * col[cut]] + [0.0] * (n - cut - 1)
-    return tuple(out)
+    mag = np.abs(col)
+    # below[i] = mass of the last i + 1 entries, summed from the bottom up;
+    # below[-1] is the total, summed in the same order as the cut it decides
+    below = np.add.accumulate(mag[::-1])
+    if n == 0 or below[-1] <= d:
+        return np.zeros(n)
+    # below is nondecreasing; entries 0..cut each have more than d of mass
+    # at or beneath them, and entry `cut` (nonzero) is split
+    cut = n - 1 - int(below.searchsorted(d, side="right"))
+    rest = below[n - 2 - cut] if cut < n - 1 else 0.0  # mass beneath entry `cut`
+    out = col.copy()
+    out[cut] = (1.0 - (d - rest) / mag[cut]) * col[cut]
+    out[cut + 1 :] = 0.0
+    return out
 
 
 def best_ball_approx_l1(t: L1Operator) -> BallApproxResult:
@@ -69,8 +81,13 @@ def best_ball_approx_l1(t: L1Operator) -> BallApproxResult:
     if not isinstance(t, L1Operator):
         raise ValidationError("expected an l1 model operator")
     d = ball_distance(t)
-    cols = tuple(truncate_column(c, d) for c in t.columns)
-    weights = tuple(truncate_column((w,), d)[0] for w in t.tail_weights)
+    cols = tuple(_truncate(c, d) for c in t.columns)
+    weights = t.tail_weights
+    if d > 0.0 and len(weights):  # each weight is a one-entry column, cut as _truncate cuts it
+        mag = np.abs(weights)
+        keep = mag > d
+        weights = np.where(keep, weights, 0.0)
+        weights[keep] *= 1.0 - d / mag[keep]
     # the constant tail weight sits within d of 0 by the distance formula
     approx = L1Operator(cols, weights, TailRule.const(0.0))
     return make_result(t, approx, Branch.L1_TRUNCATION)

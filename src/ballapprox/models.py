@@ -13,6 +13,10 @@ and norm attainment can be read off from finitely many numbers:
   entry in row j+1) whose weights follow a finite list and a constant
   tail rule.
 
+Every number of a model sits in a read-only float64 array, checked by
+one ``isfinite`` when the model is built; norms and residuals are
+whole-array numpy, and :mod:`ballapprox.serialize` emits ``.tolist()``.
+
 Because the families are closed under differences against compact
 members of the same family, residual norms are exact maxima over a
 finite list of candidates; no iterative norm estimation is involved for
@@ -28,7 +32,7 @@ import enum
 import functools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
@@ -53,7 +57,6 @@ __all__ = [
     "ball_distance",
     "residual_norm",
     "residual_profile",
-    "hilbert_entry",
     "make_result",
 ]
 
@@ -86,12 +89,54 @@ def _require_finite(value, what: str, index: Optional[int] = None) -> float:
     raise ValidationError(f"{name} must be {problem}, got {value!r}")
 
 
-def _finite_tuple(values, what: str) -> tuple:
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+#: Element types that ``np.array(..., dtype=float)`` converts as ``float()`` does.
+_PLAIN_TYPES = frozenset({float, int, np.float64})
+
+
+def _float64(values) -> Optional[np.ndarray]:
+    """``values`` as a new float64 array if it converts whole, else None:
+    a list or tuple of (numpy) floats and ints, or a numeric (not bool)
+    1-D array.  Its entries are not checked yet."""
     if isinstance(values, np.ndarray):
-        values = values.tolist()
-    if not isinstance(values, (list, tuple)):
-        raise ValidationError(f"{what} must be an array, got {values!r}")
-    return tuple(_require_finite(v, what, i) for i, v in enumerate(values))
+        return values.astype(float) if values.ndim == 1 and values.dtype.kind in "iuf" else None
+    if isinstance(values, (list, tuple)) and set(map(type, values)) <= _PLAIN_TYPES:
+        try:
+            return np.array(values, dtype=float)
+        except OverflowError:  # an int too large for a float
+            pass
+    return None
+
+
+def _finite_array(values, what: str) -> np.ndarray:
+    """``values`` as a read-only float64 array of finite reals.
+
+    Checked whole by one ``isfinite`` where :func:`_float64` converts it;
+    otherwise, or if some entry is not finite, each entry goes through
+    :func:`_require_finite`, so an error names the first bad one ``what[i]``.
+    """
+    arr = _float64(values)
+    if arr is None or (len(arr) and not np.isfinite(arr).all()):
+        if isinstance(values, np.ndarray):
+            values = values.tolist()
+        if not isinstance(values, (list, tuple)):
+            raise ValidationError(f"{what} must be an array, got {values!r}")
+        arr = np.array([_require_finite(v, what, i) for i, v in enumerate(values)], dtype=float)
+    return _readonly(arr)
+
+
+def _sum_lr(values: np.ndarray) -> float:
+    """The sum in a plain loop's left-to-right order, on every Python
+    (``np.sum`` adds pairwise, Python 3.12's ``sum`` compensates)."""
+    return float(np.add.accumulate(values)[-1]) if len(values) else 0.0
+
+
+def _max_abs(values: np.ndarray) -> float:
+    return float(np.maximum.reduce(np.abs(values))) if len(values) else 0.0
 
 
 class TailKind(enum.Enum):
@@ -180,7 +225,7 @@ class Shape(enum.Enum):
 MAX_MATRIX_DIM = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HilbertOperator:
     """Structured operator on l2 with a closed-form norm.
 
@@ -189,18 +234,20 @@ class HilbertOperator:
     * ``WEIGHTED_SHIFT``: ``T e_n = w_n e_{n+1}`` likewise.
     * ``FINITE_MATRIX``: the block ``entries`` acts on the leading
       coordinates, zero beyond.
+
+    ``explicit`` and ``entries`` are read-only float64 arrays.
     """
 
     shape: Shape
-    explicit: tuple = ()
+    explicit: np.ndarray = ()
     tail: Optional[TailRule] = None
-    entries: Optional[tuple] = None  # row tuples, FINITE_MATRIX only
+    entries: Optional[np.ndarray] = None  # FINITE_MATRIX only
 
     def __post_init__(self):
         if self.shape is Shape.FINITE_MATRIX:
-            if self.tail is not None or self.explicit:
+            if self.tail is not None or len(self.explicit):
                 raise ValidationError("finite matrices take entries only")
-            if self.entries is None or not self.entries:
+            if self.entries is None or not len(self.entries):
                 raise ValidationError("finite matrices require entries")
             m = len(self.entries)
             if m > MAX_MATRIX_DIM:
@@ -209,19 +256,26 @@ class HilbertOperator:
                 )
             rows = []
             for i, row in enumerate(self.entries):
-                row = _finite_tuple(row, f"entries[{i}]")
+                row = _finite_array(row, f"entries[{i}]")
                 if len(row) != m:
                     raise ValidationError(
                         f"entries must be square, row {i} has length {len(row)} != {m}"
                     )
                 rows.append(row)
-            object.__setattr__(self, "entries", tuple(rows))
+            object.__setattr__(self, "entries", _readonly(np.array(rows)))
         else:
             if self.entries is not None:
                 raise ValidationError(f"{self.shape.value} operators take no matrix entries")
             if self.tail is None:
                 raise ValidationError(f"{self.shape.value} operators require a tail rule")
-            object.__setattr__(self, "explicit", _finite_tuple(self.explicit, "explicit"))
+            object.__setattr__(self, "explicit", _finite_array(self.explicit, "explicit"))
+
+    def __eq__(self, other):  # the arrays compare by value
+        if not isinstance(other, HilbertOperator):
+            return NotImplemented
+        same = np.array_equal(self.explicit, other.explicit) and np.array_equal(
+            self.entries, other.entries)
+        return same and (self.shape, self.tail) == (other.shape, other.tail)
 
     @staticmethod
     def diagonal(entries, tail: TailRule) -> "HilbertOperator":
@@ -239,7 +293,13 @@ class HilbertOperator:
     def matrix_array(self) -> np.ndarray:
         if self.shape is not Shape.FINITE_MATRIX:
             raise ValidationError("matrix_array is defined for finite matrices only")
-        return np.array(self.entries, dtype=float)
+        return self.entries
+
+    @functools.cached_property
+    def _norm(self) -> float:  # op_norm, computed on first use
+        if self.shape is Shape.FINITE_MATRIX:
+            return float(self.matrix_svd[1][0])
+        return max(self.tail.sup_abs, _max_abs(self.explicit))
 
     @functools.cached_property
     def matrix_svd(self) -> tuple:
@@ -248,25 +308,22 @@ class HilbertOperator:
         Computed on first use and kept on the instance (the operator is
         frozen, so it cannot go stale); the arrays are read-only.
         """
-        usv = jacobi_svd(self.matrix_array())
-        for part in usv:
-            part.flags.writeable = False
-        return usv
+        return tuple(map(_readonly, jacobi_svd(self.matrix_array())))
 
 
-def hilbert_entry(t: HilbertOperator, n: int) -> float:
-    """Entry value at slot ``n >= 1`` of a diagonal or shift model."""
-    if t.shape is Shape.FINITE_MATRIX:
-        raise ValidationError("entry slots are defined for diagonal and shift models")
-    if n < 1:
-        raise ValidationError(f"entry slot must be >= 1, got {n}")
+def _leading_entries(t: HilbertOperator, n: int) -> np.ndarray:
+    """Entries at slots ``1..n`` of a diagonal or shift model.
+
+    Tail slots come from the scalar :meth:`TailRule.entry`: ``np.power``
+    may round ``ratio**k`` unlike the C library in the last bit.
+    """
     m = len(t.explicit)
     if n <= m:
-        return t.explicit[n - 1]
-    return t.tail.entry(n - m)
+        return t.explicit[:n]
+    return np.concatenate([t.explicit, [t.tail.entry(k) for k in range(1, n - m + 1)]])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class L1Operator:
     """Column-structured operator on l1 with a closed-form norm.
 
@@ -275,27 +332,46 @@ class L1Operator:
     row ``j + 1`` whose weight is the next element of ``tail_weights``,
     then the constant ``tail`` limit forever.  The norm is the supremum
     of column masses (l1 norms of columns).
+
+    ``columns`` is a tuple of read-only float64 arrays, each with its own
+    support, ``tail_weights`` one more; ``column_masses`` holds the
+    explicit columns' masses (:func:`_sum_lr`), summed once here.
     """
 
     columns: tuple = ()
-    tail_weights: tuple = ()
+    tail_weights: np.ndarray = ()
     tail: TailRule = TailRule.const(0.0)
+    column_masses: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        cols = []
-        for j, col in enumerate(self.columns):
-            col = _finite_tuple(col, f"columns[{j}]")
-            # summed as column_mass sums it, so a column accepted here has a finite norm
-            mass = sum(abs(v) for v in col)
-            if not math.isfinite(mass):
-                raise ValidationError(f"columns[{j}] must have a finite mass, got {mass!r}")
-            cols.append(col)
+        cols, masses = [], []
+        with np.errstate(over="ignore"):  # an overflowing mass is reported below
+            for j, col in enumerate(self.columns):
+                arr = _float64(col)
+                # a finite mass has finite entries: it stands in for their check
+                mass = math.inf if arr is None else _sum_lr(np.abs(arr))
+                if not math.isfinite(mass):
+                    arr = _finite_array(col, f"columns[{j}]")  # names a bad entry
+                    mass = _sum_lr(np.abs(arr))
+                    if not math.isfinite(mass):
+                        raise ValidationError(
+                            f"columns[{j}] must have a finite mass, got {mass!r}")
+                cols.append(_readonly(arr))
+                masses.append(mass)
         object.__setattr__(self, "columns", tuple(cols))
+        object.__setattr__(self, "column_masses", _readonly(np.array(masses, dtype=float)))
         object.__setattr__(
-            self, "tail_weights", _finite_tuple(self.tail_weights, "tail_weights")
+            self, "tail_weights", _finite_array(self.tail_weights, "tail_weights")
         )
         if self.tail.kind is not TailKind.CONST:
             raise ValidationError("l1 tail columns follow a const rule")
+
+    def __eq__(self, other):  # the arrays compare by value
+        if not isinstance(other, L1Operator):
+            return NotImplemented
+        mine, theirs = (self.tail_weights, *self.columns), (other.tail_weights, *other.columns)
+        return len(mine) == len(theirs) and all(map(np.array_equal, mine, theirs)) and (
+            self.tail == other.tail)
 
     @property
     def n_explicit(self) -> int:
@@ -311,14 +387,18 @@ class L1Operator:
         if idx < 1:
             raise ValidationError(f"column {j} is explicit, not a tail column")
         if idx <= len(self.tail_weights):
-            return self.tail_weights[idx - 1]
+            return float(self.tail_weights[idx - 1])
         return self.tail.limit
+
+    @functools.cached_property
+    def _norm(self) -> float:  # op_norm, computed on first use
+        return max(self.tail.sup_abs, _max_abs(self.column_masses), _max_abs(self.tail_weights))
 
     def column_mass(self, j: int) -> float:
         if j < 1:
             raise ValidationError(f"column index must be >= 1, got {j}")
         if j <= len(self.columns):
-            return float(sum(abs(v) for v in self.columns[j - 1]))
+            return float(self.column_masses[j - 1])
         return abs(self.tail_weight(j))
 
 
@@ -331,19 +411,9 @@ def op_norm(t: Operator) -> float:
     Diagonal and shift models: sup of entry magnitudes (the tail
     contributes ``|limit|`` whether or not it is attained).  Finite
     matrices: largest singular value, read from the memoised SVD.  L1
-    models: sup of column masses.
+    models: sup of column masses.  Computed once per operator.
     """
-    if isinstance(t, L1Operator):
-        best = t.tail.sup_abs
-        for j in range(1, t.column_count_listed() + 1):
-            best = max(best, t.column_mass(j))
-        return best
-    if t.shape is Shape.FINITE_MATRIX:
-        return float(t.matrix_svd[1][0])
-    best = t.tail.sup_abs
-    for e in t.explicit:
-        best = max(best, abs(e))
-    return best
+    return t._norm
 
 
 def ess_norm(t: Operator) -> float:
@@ -370,8 +440,7 @@ def attains_norm(t: HilbertOperator) -> bool:
         raise ValidationError("attains_norm is defined for Hilbert-space models")
     if t.shape is Shape.FINITE_MATRIX:
         return True
-    max_explicit = max((abs(e) for e in t.explicit), default=None)
-    if max_explicit is not None and max_explicit >= t.tail.sup_abs:
+    if len(t.explicit) and _max_abs(t.explicit) >= t.tail.sup_abs:
         return True
     return t.tail.sup_attained
 
@@ -409,10 +478,10 @@ def finite_section(t: Operator, n: int) -> np.ndarray:
             f"section size {n} is below the explicit part ({len(t.explicit)})"
         )
     if t.shape is Shape.DIAGONAL:
-        return np.diag([hilbert_entry(t, i) for i in range(1, n + 1)])
+        return np.diag(_leading_entries(t, n))
     out = np.zeros((n, n))
-    for i in range(1, n):  # slot i feeds coordinate i+1; the last one leaves the section
-        out[i, i - 1] = hilbert_entry(t, i)
+    rows = np.arange(1, n)  # slot i feeds coordinate i+1; the last one leaves the section
+    out[rows, rows - 1] = _leading_entries(t, n - 1)
     return out
 
 
@@ -421,13 +490,11 @@ def scale(t: Operator, c: float) -> Operator:
     c = _require_finite(c, "scale factor")
     if isinstance(t, L1Operator):
         return L1Operator(
-            tuple(tuple(c * v for v in col) for col in t.columns),
-            tuple(c * w for w in t.tail_weights),
-            t.tail.scaled(c),
+            tuple(c * col for col in t.columns), c * t.tail_weights, t.tail.scaled(c)
         )
     if t.shape is Shape.FINITE_MATRIX:
-        return HilbertOperator.finite_matrix(c * t.matrix_array())
-    return HilbertOperator(t.shape, tuple(c * e for e in t.explicit), t.tail.scaled(c))
+        return HilbertOperator.finite_matrix(c * t.entries)
+    return HilbertOperator(t.shape, c * t.explicit, t.tail.scaled(c))
 
 
 def ball_distance(t: Operator) -> float:
@@ -452,20 +519,21 @@ class Branch(enum.Enum):
     L1_TRUNCATION = "l1_truncation"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Certificate:
     """Record of the quantities certifying a best approximation.
 
-    ``residuals`` holds per-entry residual magnitudes for diagonal and
-    shift models, per-singular-value residuals for finite matrices, and
-    per-column residual masses for l1 models; ``tail_residual`` is the
-    supremum contributed by the region beyond all explicit data.
+    ``residuals`` (a read-only float64 array) holds per-entry residual
+    magnitudes for diagonal and shift models, per-singular-value
+    residuals for finite matrices, and per-column residual masses for l1
+    models; ``tail_residual`` is the supremum contributed by the region
+    beyond all explicit data.
     """
 
     op_norm: float
     ess_norm: float
     formula_distance: float
-    residuals: tuple
+    residuals: np.ndarray
     tail_residual: float
     residual_norm: float
 
@@ -504,12 +572,12 @@ def residual_profile(t: Operator, k: Operator):
         raise ValidationError("residuals require operators from the same model class")
     if isinstance(t, L1Operator):
         n_cols = max(t.column_count_listed(), k.column_count_listed())
-        residuals = []
-        for j in range(1, n_cols + 1):
-            residuals.append(_l1_column_residual(t, k, j))
+        n_dense = max(t.n_explicit, k.n_explicit)
+        dense = [_l1_column_residual(t, k, j) for j in range(1, n_dense + 1)]
+        single = np.abs(_tail_weights(t, n_dense, n_cols) - _tail_weights(k, n_dense, n_cols))
+        residuals = _readonly(np.concatenate([dense, single]))  # column by column
         tail_res = abs(t.tail.limit - k.tail.limit)
-        norm = max(max(residuals, default=0.0), tail_res)
-        return tuple(residuals), tail_res, norm
+        return residuals, tail_res, max(_max_abs(residuals), tail_res)
     if t.shape is Shape.FINITE_MATRIX or k.shape is Shape.FINITE_MATRIX:
         if t.shape is not Shape.FINITE_MATRIX or k.shape is not Shape.FINITE_MATRIX:
             raise ValidationError("residuals require operators of the same shape")
@@ -518,41 +586,39 @@ def residual_profile(t: Operator, k: Operator):
         pa, pb = np.zeros((m, m)), np.zeros((m, m))
         pa[: a.shape[0], : a.shape[1]] = a
         pb[: b.shape[0], : b.shape[1]] = b
-        sv = jacobi_singular_values(pa - pb)
-        norm = float(sv[0]) if len(sv) else 0.0
-        return tuple(float(s) for s in sv), 0.0, norm
+        sv = _readonly(jacobi_singular_values(pa - pb))
+        return sv, 0.0, float(sv[0])
     if t.shape is not k.shape:
         raise ValidationError("residuals require operators of the same shape")
     m = max(len(t.explicit), len(k.explicit))
-    residuals = tuple(
-        abs(hilbert_entry(t, i) - hilbert_entry(k, i)) for i in range(1, m + 1)
-    )
     tail_res = _tail_residual_sup(t.tail, k.tail, m - len(t.explicit) + 1)
-    norm = max(max(residuals, default=0.0), tail_res)
-    return residuals, tail_res, norm
+    residuals = _readonly(np.abs(_leading_entries(t, m) - _leading_entries(k, m)))
+    return residuals, tail_res, max(_max_abs(residuals), tail_res)
+
+
+def _tail_weights(op: L1Operator, skip: int, last: int) -> np.ndarray:
+    """Weights of tail columns ``skip+1..last`` (``skip >= op.n_explicit``)."""
+    w = op.tail_weights[skip - op.n_explicit : last - op.n_explicit]
+    if len(w) == last - skip:
+        return w
+    return np.concatenate([w, np.full(last - skip - len(w), op.tail.limit)])
 
 
 def _l1_column_residual(t: L1Operator, k: L1Operator, j: int) -> float:
-    """Exact l1 mass of column ``j`` of ``t - k``."""
+    """Exact l1 mass of column ``j`` of ``t - k``, explicit in ``t`` or
+    ``k``, summed from the top row; a tail column counts as a dense one."""
 
-    def column_repr(op: L1Operator, j: int):
+    def dense(op: L1Operator) -> np.ndarray:
         if j <= op.n_explicit:
-            return op.columns[j - 1], None
-        return None, (j + 1, op.tail_weight(j))  # single entry at row j+1
+            return op.columns[j - 1]
+        col = np.zeros(j + 1)
+        col[j] = op.tail_weight(j)  # row j + 1
+        return col
 
-    dense_t, single_t = column_repr(t, j)
-    dense_k, single_k = column_repr(k, j)
-    if single_t is not None and single_k is not None:
-        # same row by the model definition
-        return abs(single_t[1] - single_k[1])
-    if dense_t is not None and dense_k is not None:
-        n = max(len(dense_t), len(dense_k))
-        get = lambda col, i: col[i] if i < len(col) else 0.0
-        return float(sum(abs(get(dense_t, i) - get(dense_k, i)) for i in range(n)))
-    dense, (row, w) = (dense_t, single_k) if dense_t is not None else (dense_k, single_t)
-    mass = sum(abs(v) for i, v in enumerate(dense) if i != row - 1)
-    at_row = dense[row - 1] if row - 1 < len(dense) else 0.0
-    return float(mass + abs(at_row - w))
+    a, b = dense(t), dense(k)
+    if len(a) != len(b):  # the shorter column is 0 below its support
+        a, b = (np.pad(c, (0, max(len(a), len(b)) - len(c))) for c in (a, b))
+    return _sum_lr(np.abs(a - b))
 
 
 def residual_norm(t: Operator, k: Operator) -> float:

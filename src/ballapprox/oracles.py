@@ -45,11 +45,11 @@ from .models import (
     Shape,
     TailRule,
     ValidationError,
+    _leading_entries,
     _require_finite,
     ball_distance,
     ess_norm,
     finite_section,
-    hilbert_entry,
     make_result,
     op_norm,
     residual_norm,
@@ -64,6 +64,9 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-10
+
+#: Matrix entries per chunk of random-trial residuals (1 MiB of float64).
+SVD_CHUNK_ENTRIES = 1 << 17
 
 
 class CertificationError(RuntimeError):
@@ -105,9 +108,7 @@ def _soft_threshold_approx(t: HilbertOperator) -> BallApproxResult:
         approx = HilbertOperator.finite_matrix(u @ np.diag(np.maximum(sv - d, 0.0)) @ vt)
     else:
         # every tail entry sits within d of 0 by the distance formula
-        approx = HilbertOperator(
-            t.shape, tuple(_soft(e, d) for e in t.explicit), TailRule.const(0.0)
-        )
+        approx = HilbertOperator(t.shape, _soft(t.explicit, d), TailRule.const(0.0))
     return make_result(t, approx, branch)
 
 
@@ -116,19 +117,16 @@ def _deterministic_candidates(t: Operator) -> list:
     first is the construction itself."""
     if isinstance(t, L1Operator):
         built = best_ball_approx_l1(t)
-        masses = [sum(abs(x) for x in col) for col in t.columns]
         scaled_cols = tuple(
-            tuple(v * min(1.0, 1.0 / max(mass, 1e-300)) for v in col)
-            for col, mass in zip(t.columns, masses)
+            col * min(1.0, 1.0 / max(mass, 1e-300))
+            for col, mass in zip(t.columns, t.column_masses.tolist())
         )
         clipped = L1Operator(
-            scaled_cols,
-            tuple(max(-1.0, min(1.0, w)) for w in t.tail_weights),
-            TailRule.const(0.0),
+            scaled_cols, np.clip(t.tail_weights, -1.0, 1.0), TailRule.const(0.0)
         )
         zero = L1Operator(
-            tuple(tuple(0.0 for _ in col) for col in t.columns),
-            tuple(0.0 for _ in t.tail_weights),
+            tuple(np.zeros(len(col)) for col in t.columns),
+            np.zeros(len(t.tail_weights)),
             TailRule.const(0.0),
         )
         return [
@@ -143,12 +141,11 @@ def _deterministic_candidates(t: Operator) -> list:
         zero = HilbertOperator.finite_matrix(np.zeros((len(t.entries),) * 2))
     else:
         clip_kind = "entry_clip"
+        x = t.explicit
         clipped = HilbertOperator(
-            t.shape,
-            tuple(np.sign(e) * min(abs(e), 1.0) for e in t.explicit),
-            TailRule.const(0.0),
+            t.shape, np.sign(x) * np.minimum(np.abs(x), 1.0), TailRule.const(0.0)
         )
-        zero = HilbertOperator(t.shape, tuple(0.0 for _ in t.explicit), TailRule.const(0.0))
+        zero = HilbertOperator(t.shape, np.zeros(len(x)), TailRule.const(0.0))
     return [
         ("construction", built.approximant, built.distance),
         ("soft_threshold", soft.approximant, soft.distance),
@@ -165,7 +162,7 @@ def _random_entry_competitors(t: HilbertOperator, best: HilbertOperator, trials:
     tail; half of them perturb the construction ``best``.
     """
     width = len(t.explicit) + 4
-    target = np.array([hilbert_entry(t, i) for i in range(1, width + 1)])
+    target = _leading_entries(t, width)
     tail_rem = ess_norm(t)  # residual supremum beyond the sampled window
 
     n_free = trials // 2
@@ -196,7 +193,15 @@ def _random_matrix_competitors(t: HilbertOperator, best: HilbertOperator, trials
     near += best.matrix_array()
     top = np.linalg.svd(mats, compute_uv=False)[:, 0]
     mats /= np.maximum(top, 1.0)[:, None, None]
-    residuals = np.linalg.svd(m[None, :, :] - mats, compute_uv=False)[:, 0]
+    # residuals in chunks of fixed size, so no second trials x n x n array is
+    # alive (LAPACK decomposes each matrix alone: same values as one call)
+    chunk = max(1, SVD_CHUNK_ENTRIES // (n * n))
+    buf = np.empty((min(chunk, trials), n, n))
+    residuals = np.empty(trials)
+    for s in range(0, trials, chunk):
+        e = min(s + chunk, trials)
+        diff = np.subtract(m, mats[s:e], out=buf[: e - s])
+        residuals[s:e] = np.linalg.svd(diff, compute_uv=False)[:, 0]
     return residuals, mats
 
 
@@ -225,19 +230,13 @@ def _random_l1_competitors(t: L1Operator, trials: int, rng):
             col_res = np.abs(target - cand[:, 0])
         residuals = np.maximum(residuals, col_res)
         col_samples.append(cand)
-    return residuals, col_samples, n_listed
+    return residuals, col_samples
 
 
-def _l1_from_samples(t: L1Operator, col_samples, n_listed: int, row: int) -> L1Operator:
-    cols = []
-    weights = []
-    for j in range(1, n_listed + 1):
-        values = col_samples[j - 1][row]
-        if j <= t.n_explicit:
-            cols.append(tuple(float(v) for v in values))
-        else:
-            weights.append(float(values[0]))
-    return L1Operator(tuple(cols), tuple(weights), TailRule.const(0.0))
+def _l1_from_samples(t: L1Operator, col_samples, row: int) -> L1Operator:
+    picked = [samples[row] for samples in col_samples]
+    weights = np.array([w[0] for w in picked[t.n_explicit :]], dtype=float)
+    return L1Operator(tuple(picked[: t.n_explicit]), weights, TailRule.const(0.0))
 
 
 def competitor_search(
@@ -275,16 +274,14 @@ def competitor_search(
             best_found, best_kind, best_candidate = r, kind, cand
 
     if isinstance(t, L1Operator):
-        residuals, col_samples, n_listed = _random_l1_competitors(t, trials, rng)
-        build = lambda i: _l1_from_samples(t, col_samples, n_listed, i)
+        residuals, col_samples = _random_l1_competitors(t, trials, rng)
+        build = lambda i: _l1_from_samples(t, col_samples, i)
     elif t.shape is Shape.FINITE_MATRIX:
         residuals, mats = _random_matrix_competitors(t, construction, trials, rng)
         build = lambda i: HilbertOperator.finite_matrix(mats[i])
     else:
         residuals, rows = _random_entry_competitors(t, construction, trials, rng)
-        build = lambda i: HilbertOperator(
-            t.shape, tuple(float(v) for v in rows[i]), TailRule.const(0.0)
-        )
+        build = lambda i: HilbertOperator(t.shape, rows[i], TailRule.const(0.0))
     idx = int(np.argmin(residuals))
     if residuals[idx] < best_found:
         best_found, best_kind, best_candidate = float(residuals[idx]), "random", build(idx)

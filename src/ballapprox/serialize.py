@@ -1,13 +1,14 @@
 """JSON document mapping for operators, points, and result records.
 
-The document format round-trips exactly: floats are emitted with
-``repr`` precision by :mod:`json`, so ``operator_from_doc`` of an
-emitted document reconstructs the identical model object.
+The document format round-trips exactly: the models' float64 arrays
+are emitted with ``.tolist()`` as Python floats, which :mod:`json`
+writes with ``repr`` precision, so ``operator_from_doc`` of an emitted
+document reconstructs the identical model object.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict
+from dataclasses import fields
 
 from .extreme import NormedSpacePoint
 from .models import (
@@ -63,17 +64,17 @@ def operator_to_doc(t: Operator) -> dict:
         return {
             "space": "l1",
             "model": "columns",
-            "columns": [list(c) for c in t.columns],
-            "tail_weights": list(t.tail_weights),
+            "columns": [c.tolist() for c in t.columns],
+            "tail_weights": t.tail_weights.tolist(),
             "tail": tail_to_doc(t.tail),
         }
     if t.shape is Shape.FINITE_MATRIX:
-        return {"space": "l2", "model": "matrix", "entries": [list(r) for r in t.entries]}
+        return {"space": "l2", "model": "matrix", "entries": t.entries.tolist()}
     model = "diagonal" if t.shape is Shape.DIAGONAL else "shift"
     return {
         "space": "l2",
         "model": model,
-        "explicit": list(t.explicit),
+        "explicit": t.explicit.tolist(),
         "tail": tail_to_doc(t.tail),
     }
 
@@ -112,6 +113,6 @@ def point_to_doc(p: NormedSpacePoint) -> dict:
 
 
 def certificate_to_doc(cert: Certificate) -> dict:
-    out = asdict(cert)
-    out["residuals"] = list(out["residuals"])
+    out = {f.name: getattr(cert, f.name) for f in fields(cert)}
+    out["residuals"] = cert.residuals.tolist()
     return out

@@ -1,10 +1,13 @@
-"""Seeded instance generators shared by unit and acceptance tests."""
+"""Seeded instance generators shared by unit and acceptance tests, and a
+scalar reference for the model layer's whole-array arithmetic."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from ballapprox import HilbertOperator, L1Operator, TailRule
+from ballapprox import HilbertOperator, L1Operator, TailKind, TailRule
 
 
 def random_tail(rng, allow_const_zero=True) -> TailRule:
@@ -83,3 +86,117 @@ def random_nonattaining(rng, max_len=8) -> HilbertOperator:
         HilbertOperator.diagonal if rng.random() < 0.5 else HilbertOperator.weighted_shift
     )
     return ctor(entries, tail)
+
+
+# Scalar reference for the model layer's arithmetic, one Python float at a
+# time: the constructions and residual profiles, which the library computes
+# on whole arrays, must agree with it bit for bit.
+
+
+def lr_sum(values) -> float:
+    """Left-to-right sum, the order of the library's column masses."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def ref_entry(t, n: int) -> float:
+    """Slot ``n >= 1`` of a diagonal or shift model."""
+    m = len(t.explicit)
+    return float(t.explicit[n - 1]) if n <= m else t.tail.entry(n - m)
+
+
+def _soft(e: float, d: float) -> float:
+    return math.copysign(max(abs(e) - d, 0.0), e)
+
+
+def ref_construction_h(t) -> list:
+    """Explicit entries of ``best_ball_approx_h(t).approximant``."""
+    entries = [float(e) for e in t.explicit]
+    ess = abs(t.tail.limit)
+    nrm = ess
+    for e in entries:
+        nrm = max(nrm, abs(e))
+    if ess == 0.0:
+        c = 1.0 / max(nrm, 1.0)
+        return [c * e for e in entries]
+    attained = any(abs(e) >= ess for e in entries) or t.tail.kind is TailKind.CONST
+    if nrm > 1.0 and not attained:
+        return [0.0 * e for e in entries]
+    if nrm > 1.0 and t.tail.kind is TailKind.GEOMETRIC:
+        return [e / nrm if abs(e) >= ess else 0.0 for e in entries]
+    if nrm > 1.0:
+        return [e / nrm if abs(e) > 1.0 + ess else _soft(e, ess) for e in entries]
+    return [_soft(e, ess) for e in entries]
+
+
+def ref_residual_profile_h(t, k):
+    """``(residuals, tail_residual, residual_norm)`` of ``t - k``, const-tail ``k``."""
+    m = max(len(t.explicit), len(k.explicit))
+    residuals = [abs(ref_entry(t, i) - ref_entry(k, i)) for i in range(1, m + 1)]
+    c = k.tail.limit
+    tail_res = abs(t.tail.limit - c)
+    if t.tail.kind is TailKind.GEOMETRIC:
+        tail_res = max(abs(t.tail.entry(m - len(t.explicit) + 1) - c), tail_res)
+    return residuals, tail_res, max(max(residuals, default=0.0), tail_res)
+
+
+def ref_truncate(col, d: float) -> list:
+    """Remove ``d`` of mass from the bottom of a column."""
+    col = [float(v) for v in col]
+    if d == 0.0:
+        return col
+    n = len(col)
+    suffix = [0.0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + abs(col[i])
+    if suffix[0] <= d:
+        return [0.0] * n
+    cut = max(i for i in range(n) if suffix[i] > d)
+    a = (d - suffix[cut + 1]) / abs(col[cut])
+    return col[:cut] + [(1.0 - a) * col[cut]] + [0.0] * (n - cut - 1)
+
+
+def ref_norm_l1(t) -> float:
+    best = abs(t.tail.limit)
+    for col in t.columns:
+        best = max(best, lr_sum(abs(float(v)) for v in col))
+    for w in t.tail_weights:
+        best = max(best, abs(float(w)))
+    return best
+
+
+def ref_construction_l1(t):
+    """``(columns, tail_weights)`` of ``best_ball_approx_l1(t).approximant``."""
+    d = max(ref_norm_l1(t) - 1.0, abs(t.tail.limit), 0.0)
+    cols = [ref_truncate(c, d) for c in t.columns]
+    return cols, [ref_truncate([w], d)[0] for w in t.tail_weights]
+
+
+def _ref_column(op, j: int) -> list:
+    if j <= len(op.columns):
+        return [float(v) for v in op.columns[j - 1]]
+    idx = j - len(op.columns)
+    w = float(op.tail_weights[idx - 1]) if idx <= len(op.tail_weights) else op.tail.limit
+    return [0.0] * j + [w]  # a tail column's one entry sits in row j + 1
+
+
+def ref_residual_profile_l1(t, k):
+    """``(residuals, tail_residual, residual_norm)`` of ``t - k``; each
+    column mass is summed from the top row down."""
+    n_cols = max(len(op.columns) + len(op.tail_weights) for op in (t, k))
+    residuals = []
+    for j in range(1, n_cols + 1):
+        a, b = _ref_column(t, j), _ref_column(k, j)
+        n = max(len(a), len(b))
+        a, b = a + [0.0] * (n - len(a)), b + [0.0] * (n - len(b))
+        residuals.append(lr_sum(abs(x - y) for x, y in zip(a, b)))
+    tail_res = abs(t.tail.limit - k.tail.limit)
+    return residuals, tail_res, max(max(residuals, default=0.0), tail_res)
+
+
+def same_bits(a, b) -> bool:
+    """Equal as float64 bit patterns (so 0.0 and -0.0 differ)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))

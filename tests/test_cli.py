@@ -314,3 +314,23 @@ class TestRankDeficientResiduals:
             for dim in (3, 4):
                 code, doc = self.verify(norm_below_one_matrix(seed, dim), monkeypatch, capsys)
                 assert code == 0 and doc["pass"] is True, (seed, dim, doc)
+
+
+class TestTruncationCut:
+    def test_tail_equal_to_the_bottom_up_mass_is_certified(self, monkeypatch, capsys):
+        # a seeded column whose mass summed from the top exceeds the same
+        # mass summed from the bottom, the order the truncation cuts in
+        col = np.random.default_rng(0).uniform(-0.05, 0.05, 25).tolist()
+        top = below = 0.0
+        for v in col:
+            top += abs(v)
+        for v in reversed(col):
+            below += abs(v)
+        assert top > below
+        doc = {"space": "l1", "model": "columns", "columns": [col],
+               "tail": {"kind": "const", "value": below}}
+        code, out = run(["approx"], json.dumps(doc), monkeypatch, capsys)
+        assert code == 0 and out["pass"] is True
+        assert out["certificate"]["formula_distance"] == below
+        assert out["value"] == pytest.approx(below, abs=1e-12)
+        assert out["approximant"]["columns"] == [[0.0] * 25]

@@ -84,6 +84,21 @@ class TestTruncateColumn:
             assert all(v == 0.0 for v in out[first + 1 :])
 
 
+    @given(st.lists(st.floats(-2, 2, allow_nan=False, allow_infinity=False), max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_removing_the_bottom_up_mass_clears_the_column(self, col):
+        # the mass summed from the bottom, the order the cut sums in, can lie
+        # an ulp either side of the top-down mass
+        d = 0.0
+        for v in reversed(col):
+            d += abs(v)
+        assert truncate_column(col, d) == tuple(0.0 for _ in col)
+        t = L1Operator((col,), (), TailRule.const(d))
+        r = best_ball_approx_l1(t)
+        assert r.distance == pytest.approx(d, abs=1e-12)
+        assert all(v == 0.0 for v in r.approximant.columns[0])
+
+
 class TestBestApprox:
     def test_worked_instance(self):
         t = L1Operator(((0.6, 0.9, 0.9),), (), TailRule.const(1))

@@ -92,8 +92,8 @@ class TestValidation:
         t = HilbertOperator.diagonal(
             (np.float64(3.0), np.int64(2), np.float32(0.5)), TailRule.const(np.int32(1))
         )
-        assert t.explicit == (3.0, 2.0, 0.5) and t.tail.limit == 1.0
-        assert all(type(e) is float for e in t.explicit)
+        assert t.explicit.tolist() == [3.0, 2.0, 0.5] and t.tail.limit == 1.0
+        assert t.explicit.dtype == np.float64 and not t.explicit.flags.writeable
 
     @pytest.mark.parametrize(
         "bad",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,35 @@ class TestCompetitorSearch:
             monkeypatch.setattr(module, "make_result", counting)
         candidates = oracles._deterministic_candidates(t)
         assert [k for _, k, _ in candidates[:built]] == calls
+
+
+class TestMatrixTrials:
+    @pytest.mark.parametrize(
+        "n,trials,chunk_entries",
+        [(64, 200, None), (16, 200, 16 * 16 * 7), (5, 500, 25 * 3), (2, 7, 4)],
+    )
+    def test_chunked_residuals_equal_one_batch(self, n, trials, chunk_entries, monkeypatch):
+        if chunk_entries is not None:
+            monkeypatch.setattr(oracles, "SVD_CHUNK_ENTRIES", chunk_entries)
+        rng = np.random.default_rng(n)
+        t = HilbertOperator.finite_matrix(rng.standard_normal((n, n)))
+        best = best_ball_approx_h(t).approximant
+        residuals, mats = oracles._random_matrix_competitors(
+            t, best, trials, np.random.default_rng(1))
+        one_batch = np.linalg.svd(t.matrix_array()[None] - mats, compute_uv=False)[:, 0]
+        assert np.array_equal(residuals, one_batch)
+
+    def test_search_holds_about_one_trials_array(self):
+        rng = np.random.default_rng(3)
+        t = HilbertOperator.finite_matrix(rng.standard_normal((64, 64)) * 0.3)
+        trials_bytes = 200 * 64 * 64 * 8
+        tracemalloc.start()
+        try:
+            assert competitor_search(t, trials=200, seed=0).passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * trials_bytes, peak / trials_bytes
 
 
 class TestSvdClip:
