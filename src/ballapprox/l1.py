@@ -82,12 +82,7 @@ def best_ball_approx_l1(t: L1Operator) -> BallApproxResult:
         raise ValidationError("expected an l1 model operator")
     d = ball_distance(t)
     cols = tuple(_truncate(c, d) for c in t.columns)
-    weights = t.tail_weights
-    if d > 0.0 and len(weights):  # each weight is a one-entry column, cut as _truncate cuts it
-        mag = np.abs(weights)
-        keep = mag > d
-        weights = np.where(keep, weights, 0.0)
-        weights[keep] *= 1.0 - d / mag[keep]
+    weights = [_truncate(w, d)[0] for w in t.tail_weights[:, None]]  # one-entry columns
     # the constant tail weight sits within d of 0 by the distance formula
     approx = L1Operator(cols, weights, TailRule.const(0.0))
     return make_result(t, approx, Branch.L1_TRUNCATION)

@@ -32,7 +32,7 @@ import enum
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Union
 
 import numpy as np
@@ -98,28 +98,22 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 _PLAIN_TYPES = frozenset({float, int, np.float64})
 
 
-def _float64(values) -> Optional[np.ndarray]:
-    """``values`` as a new float64 array if it converts whole, else None:
-    a list or tuple of (numpy) floats and ints, or a numeric (not bool)
-    1-D array.  Its entries are not checked yet."""
-    if isinstance(values, np.ndarray):
-        return values.astype(float) if values.ndim == 1 and values.dtype.kind in "iuf" else None
-    if isinstance(values, (list, tuple)) and set(map(type, values)) <= _PLAIN_TYPES:
-        try:
-            return np.array(values, dtype=float)
-        except OverflowError:  # an int too large for a float
-            pass
-    return None
-
-
 def _finite_array(values, what: str) -> np.ndarray:
     """``values`` as a read-only float64 array of finite reals.
 
-    Checked whole by one ``isfinite`` where :func:`_float64` converts it;
+    A list or tuple of (numpy) floats and ints, or a numeric (not bool)
+    1-D array, is converted whole and checked by one ``isfinite``;
     otherwise, or if some entry is not finite, each entry goes through
     :func:`_require_finite`, so an error names the first bad one ``what[i]``.
     """
-    arr = _float64(values)
+    arr = None
+    if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "iuf":
+        arr = values.astype(float)
+    elif isinstance(values, (list, tuple)) and set(map(type, values)) <= _PLAIN_TYPES:
+        try:
+            arr = np.array(values, dtype=float)
+        except OverflowError:  # an int too large for a float
+            pass
     if arr is None or (len(arr) and not np.isfinite(arr).all()):
         if isinstance(values, np.ndarray):
             values = values.tolist()
@@ -137,6 +131,27 @@ def _sum_lr(values: np.ndarray) -> float:
 
 def _max_abs(values: np.ndarray) -> float:
     return float(np.maximum.reduce(np.abs(values))) if len(values) else 0.0
+
+
+def _value_key(v):
+    """A hashable stand-in for a field: arrays by value, with ``-0.0 == 0.0``
+    as for the floats they hold."""
+    if isinstance(v, np.ndarray):
+        return v.shape, (v + 0.0).tobytes()
+    return tuple(map(_value_key, v)) if isinstance(v, tuple) else v
+
+
+class _ByValue:
+    """Equality and hashing over the dataclass fields, arrays by value."""
+
+    def _key(self) -> tuple:
+        return tuple(_value_key(getattr(self, f.name)) for f in fields(self))
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 class TailKind(enum.Enum):
@@ -226,7 +241,7 @@ MAX_MATRIX_DIM = 64
 
 
 @dataclass(frozen=True, eq=False)
-class HilbertOperator:
+class HilbertOperator(_ByValue):
     """Structured operator on l2 with a closed-form norm.
 
     * ``DIAGONAL``: ``T e_n = t_n e_n`` with ``t_n`` from ``explicit``
@@ -269,13 +284,6 @@ class HilbertOperator:
             if self.tail is None:
                 raise ValidationError(f"{self.shape.value} operators require a tail rule")
             object.__setattr__(self, "explicit", _finite_array(self.explicit, "explicit"))
-
-    def __eq__(self, other):  # the arrays compare by value
-        if not isinstance(other, HilbertOperator):
-            return NotImplemented
-        same = np.array_equal(self.explicit, other.explicit) and np.array_equal(
-            self.entries, other.entries)
-        return same and (self.shape, self.tail) == (other.shape, other.tail)
 
     @staticmethod
     def diagonal(entries, tail: TailRule) -> "HilbertOperator":
@@ -324,7 +332,7 @@ def _leading_entries(t: HilbertOperator, n: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class L1Operator:
+class L1Operator(_ByValue):
     """Column-structured operator on l1 with a closed-form norm.
 
     ``columns[j-1]`` holds column ``j`` as dense values from row 1.  For
@@ -347,16 +355,11 @@ class L1Operator:
         cols, masses = [], []
         with np.errstate(over="ignore"):  # an overflowing mass is reported below
             for j, col in enumerate(self.columns):
-                arr = _float64(col)
-                # a finite mass has finite entries: it stands in for their check
-                mass = math.inf if arr is None else _sum_lr(np.abs(arr))
+                col = _finite_array(col, f"columns[{j}]")
+                mass = _sum_lr(np.abs(col))
                 if not math.isfinite(mass):
-                    arr = _finite_array(col, f"columns[{j}]")  # names a bad entry
-                    mass = _sum_lr(np.abs(arr))
-                    if not math.isfinite(mass):
-                        raise ValidationError(
-                            f"columns[{j}] must have a finite mass, got {mass!r}")
-                cols.append(_readonly(arr))
+                    raise ValidationError(f"columns[{j}] must have a finite mass, got {mass!r}")
+                cols.append(col)
                 masses.append(mass)
         object.__setattr__(self, "columns", tuple(cols))
         object.__setattr__(self, "column_masses", _readonly(np.array(masses, dtype=float)))
@@ -365,13 +368,6 @@ class L1Operator:
         )
         if self.tail.kind is not TailKind.CONST:
             raise ValidationError("l1 tail columns follow a const rule")
-
-    def __eq__(self, other):  # the arrays compare by value
-        if not isinstance(other, L1Operator):
-            return NotImplemented
-        mine, theirs = (self.tail_weights, *self.columns), (other.tail_weights, *other.columns)
-        return len(mine) == len(theirs) and all(map(np.array_equal, mine, theirs)) and (
-            self.tail == other.tail)
 
     @property
     def n_explicit(self) -> int:
@@ -520,7 +516,7 @@ class Branch(enum.Enum):
 
 
 @dataclass(frozen=True, eq=False)
-class Certificate:
+class Certificate(_ByValue):
     """Record of the quantities certifying a best approximation.
 
     ``residuals`` (a read-only float64 array) holds per-entry residual
@@ -607,15 +603,13 @@ def _tail_weights(op: L1Operator, skip: int, last: int) -> np.ndarray:
 def _l1_column_residual(t: L1Operator, k: L1Operator, j: int) -> float:
     """Exact l1 mass of column ``j`` of ``t - k``, explicit in ``t`` or
     ``k``, summed from the top row; a tail column counts as a dense one."""
-
-    def dense(op: L1Operator) -> np.ndarray:
-        if j <= op.n_explicit:
-            return op.columns[j - 1]
-        col = np.zeros(j + 1)
-        col[j] = op.tail_weight(j)  # row j + 1
-        return col
-
-    a, b = dense(t), dense(k)
+    a, b = (op.columns[j - 1] if j <= op.n_explicit else None for op in (t, k))
+    if a is None or b is None:  # a tail column: its one entry sits in row j + 1
+        a, w = (b, t.tail_weight(j)) if a is None else (a, k.tail_weight(j))
+        if j >= len(a):  # below the support: the 0.0 rows between add nothing
+            return _sum_lr(np.append(np.abs(a), abs(w)))
+        b = np.zeros(len(a))
+        b[j] = w
     if len(a) != len(b):  # the shorter column is 0 below its support
         a, b = (np.pad(c, (0, max(len(a), len(b)) - len(c))) for c in (a, b))
     return _sum_lr(np.abs(a - b))

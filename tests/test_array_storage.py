@@ -243,3 +243,56 @@ class TestScalarReference:
                         ref_residual_profile_l1(t, r.approximant))
         # other explicit counts and supports: dense, mixed and single-entry columns
         _assert_profile(residual_profile(t, k), ref_residual_profile_l1(t, k))
+
+
+class TestMixedColumnResiduals:
+    """A column explicit on one side and a one-entry tail column on the
+    other costs the explicit column's support, not the column index."""
+
+    def test_work_is_linear_in_the_support(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        supports = [1 + (j * 37) % 5 for j in range(10_000)]
+        t = L1Operator(tuple(rng.uniform(-1, 1, s) for s in supports), ())
+        summed = Counter()
+        original = ballapprox.models._sum_lr
+
+        def counted(values):
+            summed["entries"] += len(values)
+            return original(values)
+
+        monkeypatch.setattr(ballapprox.models, "_sum_lr", counted)
+        zero = L1Operator((), ())
+        for a, b in ((t, zero), (zero, t)):
+            summed.clear()
+            residuals = residual_profile(a, b)[0]
+            assert same_bits(residuals, t.column_masses)
+            assert summed["entries"] <= sum(supports) + len(supports), summed
+
+
+class TestValueSemantics:
+    """Models, certificates and results compare and hash by value."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: best_ball_approx_h(HilbertOperator.diagonal([3, 2, 0.5], TailRule.const(1))),
+        lambda: best_ball_approx_h(HilbertOperator.finite_matrix([[2, 1], [0, 1]])),
+        lambda: best_ball_approx_l1(L1Operator(((0.6, 0.9, 0.9),), [2.0], TailRule.const(1))),
+    ], ids=["diagonal", "matrix", "l1"])
+    def test_results_built_twice_are_equal(self, build):
+        a, b = build(), build()
+        assert a.certificate is not b.certificate
+        assert a.certificate == b.certificate and a == b
+        assert hash(a) == hash(b) and hash(a.approximant) == hash(b.approximant)
+        assert len({a.approximant, b.approximant}) == 1
+
+    def test_signed_zeros_compare_as_the_floats_do(self):
+        pos = HilbertOperator.diagonal([0.0, 1.0], TailRule.const(0.0))
+        neg = HilbertOperator.diagonal([-0.0, 1.0], TailRule.const(0.0))
+        assert pos == neg and hash(pos) == hash(neg)
+        assert L1Operator(((0.0,),), [-0.0]) == L1Operator(((-0.0,),), [0.0])
+
+    def test_different_values_or_layouts_differ(self):
+        d = HilbertOperator.diagonal([1.0, 2.0], TailRule.const(0.0))
+        assert d != HilbertOperator.diagonal([1.0, 2.5], TailRule.const(0.0))
+        assert d != HilbertOperator.weighted_shift([1.0, 2.0], TailRule.const(0.0))
+        assert L1Operator(((1.0, 2.0),)) != L1Operator(((1.0,), (2.0,)))
+        assert L1Operator(((1.0,),), [2.0]) != L1Operator(((1.0, 2.0),))
