@@ -141,15 +141,10 @@ def _radius_bound(space: Space, tol: float) -> float:
 
 def _ball_samples(space: Space, dim: int, n: int, rng) -> np.ndarray:
     """Roughly uniform samples from the unit ball, n x dim."""
-    if n <= 0:
-        return np.zeros((0, dim))
     if space is Space.LINF:
         return rng.uniform(-1.0, 1.0, (n, dim))
     if space is Space.L2:
-        g = rng.standard_normal((n, dim))
-        g /= np.maximum(np.sqrt(np.sum(g * g, axis=1, keepdims=True)), 1e-300)
-        radius = rng.uniform(0.0, 1.0, (n, 1)) ** (1.0 / dim)
-        return g * radius
+        return _boundary_samples(space, dim, n, rng) * rng.uniform(0.0, 1.0, (n, 1)) ** (1.0 / dim)
     mass = rng.exponential(1.0, (n, dim))
     mass /= np.sum(mass, axis=1, keepdims=True)
     radius = rng.uniform(0.0, 1.0, (n, 1)) ** (1.0 / dim)
@@ -158,8 +153,6 @@ def _ball_samples(space: Space, dim: int, n: int, rng) -> np.ndarray:
 
 
 def _boundary_samples(space: Space, dim: int, n: int, rng) -> np.ndarray:
-    if n <= 0:
-        return np.zeros((0, dim))
     if space is Space.LINF:
         pts = rng.uniform(-1.0, 1.0, (n, dim))
         idx = rng.integers(0, dim, n)
@@ -205,10 +198,7 @@ def verify_unique_projection(
     alpha = _require_finite(alpha, "alpha")
     if abs(alpha) <= 1.0:
         raise ValidationError(f"verification requires |alpha| > 1, got {alpha}")
-    if not isinstance(point, NormedSpacePoint):
-        raise ValidationError("expected a NormedSpacePoint")
-    if point.norm() > 1.0 + EXTREME_TOL:
-        raise ValidationError(f"point has norm {point.norm()} outside the unit ball")
+    extreme_input = is_extreme(point)  # also rejects a point outside the ball
     if samples < 1:
         raise ValidationError("samples must be >= 1")
     tol = float(tol)
@@ -216,7 +206,6 @@ def verify_unique_projection(
         raise ValidationError("tol must lie in (0, 1)")
 
     space, dim = point.space, point.dim
-    extreme_input = is_extreme(point)
     e = np.array(point.coords)
     target = alpha * e
     s = 1.0 if alpha > 0 else -1.0

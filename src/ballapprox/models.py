@@ -262,15 +262,17 @@ class HilbertOperator(_ByValue):
         if self.shape is Shape.FINITE_MATRIX:
             if self.tail is not None or len(self.explicit):
                 raise ValidationError("finite matrices take entries only")
-            if self.entries is None or not len(self.entries):
-                raise ValidationError("finite matrices require entries")
-            m = len(self.entries)
+            entries = self.entries
+            sized = isinstance(entries, (list, tuple)) or getattr(entries, "ndim", 0) > 0
+            if not sized or not len(entries):  # a scalar, a 0-d array or no rows
+                raise ValidationError(f"finite matrices require rows of entries, got {entries!r}")
+            m = len(entries)
             if m > MAX_MATRIX_DIM:
                 raise ValidationError(
                     f"matrix dimension {m} exceeds the certified cap {MAX_MATRIX_DIM}"
                 )
             rows = []
-            for i, row in enumerate(self.entries):
+            for i, row in enumerate(entries):
                 row = _finite_array(row, f"entries[{i}]")
                 if len(row) != m:
                     raise ValidationError(
@@ -295,8 +297,7 @@ class HilbertOperator(_ByValue):
 
     @staticmethod
     def finite_matrix(entries) -> "HilbertOperator":
-        rows = tuple(tuple(row) for row in np.atleast_2d(np.asarray(entries, dtype=float)))
-        return HilbertOperator(Shape.FINITE_MATRIX, entries=rows)
+        return HilbertOperator(Shape.FINITE_MATRIX, entries=entries)
 
     def matrix_array(self) -> np.ndarray:
         if self.shape is not Shape.FINITE_MATRIX:
@@ -319,16 +320,19 @@ class HilbertOperator(_ByValue):
         return tuple(map(_readonly, jacobi_svd(self.matrix_array())))
 
 
-def _leading_entries(t: HilbertOperator, n: int) -> np.ndarray:
-    """Entries at slots ``1..n`` of a diagonal or shift model.
+def _slots(listed: np.ndarray, tail: TailRule, start: int, stop: int) -> np.ndarray:
+    """Slots ``start..stop-1`` (from 0) of ``listed`` followed by ``tail``:
+    the entries of a diagonal or shift model, the weights of an l1 model's
+    single-entry tail columns.
 
     Tail slots come from the scalar :meth:`TailRule.entry`: ``np.power``
     may round ``ratio**k`` unlike the C library in the last bit.
     """
-    m = len(t.explicit)
-    if n <= m:
-        return t.explicit[:n]
-    return np.concatenate([t.explicit, [t.tail.entry(k) for k in range(1, n - m + 1)]])
+    m = len(listed)
+    if stop <= m:
+        return listed[start:stop]
+    extra = [tail.entry(k - m + 1) for k in range(max(start, m), stop)]
+    return np.concatenate([listed[start:], extra])
 
 
 @dataclass(frozen=True, eq=False)
@@ -455,12 +459,10 @@ def finite_section(t: Operator, n: int) -> np.ndarray:
         if n < need:
             raise ValidationError(f"section size {n} is below the explicit part ({need})")
         out = np.zeros((n, n))
-        for j in range(1, n + 1):
-            if j <= t.n_explicit:
-                col = t.columns[j - 1]
-                out[: len(col), j - 1] = col
-            elif j + 1 <= n:
-                out[j, j - 1] = t.tail_weight(j)
+        for j, col in enumerate(t.columns):
+            out[: len(col), j] = col
+        cols = np.arange(t.n_explicit, n - 1)  # column j+1's one entry sits in row j+2
+        out[cols + 1, cols] = _slots(t.tail_weights, t.tail, 0, len(cols))
         return out
     if t.shape is Shape.FINITE_MATRIX:
         m = len(t.entries)
@@ -474,10 +476,10 @@ def finite_section(t: Operator, n: int) -> np.ndarray:
             f"section size {n} is below the explicit part ({len(t.explicit)})"
         )
     if t.shape is Shape.DIAGONAL:
-        return np.diag(_leading_entries(t, n))
+        return np.diag(_slots(t.explicit, t.tail, 0, n))
     out = np.zeros((n, n))
     rows = np.arange(1, n)  # slot i feeds coordinate i+1; the last one leaves the section
-    out[rows, rows - 1] = _leading_entries(t, n - 1)
+    out[rows, rows - 1] = _slots(t.explicit, t.tail, 0, n - 1)
     return out
 
 
@@ -570,8 +572,9 @@ def residual_profile(t: Operator, k: Operator):
         n_cols = max(t.column_count_listed(), k.column_count_listed())
         n_dense = max(t.n_explicit, k.n_explicit)
         dense = [_l1_column_residual(t, k, j) for j in range(1, n_dense + 1)]
-        single = np.abs(_tail_weights(t, n_dense, n_cols) - _tail_weights(k, n_dense, n_cols))
-        residuals = _readonly(np.concatenate([dense, single]))  # column by column
+        single = [_slots(op.tail_weights, op.tail, n_dense - op.n_explicit, n_cols - op.n_explicit)
+                  for op in (t, k)]
+        residuals = _readonly(np.concatenate([dense, np.abs(single[0] - single[1])]))
         tail_res = abs(t.tail.limit - k.tail.limit)
         return residuals, tail_res, max(_max_abs(residuals), tail_res)
     if t.shape is Shape.FINITE_MATRIX or k.shape is Shape.FINITE_MATRIX:
@@ -588,16 +591,9 @@ def residual_profile(t: Operator, k: Operator):
         raise ValidationError("residuals require operators of the same shape")
     m = max(len(t.explicit), len(k.explicit))
     tail_res = _tail_residual_sup(t.tail, k.tail, m - len(t.explicit) + 1)
-    residuals = _readonly(np.abs(_leading_entries(t, m) - _leading_entries(k, m)))
+    entries = [_slots(op.explicit, op.tail, 0, m) for op in (t, k)]
+    residuals = _readonly(np.abs(entries[0] - entries[1]))
     return residuals, tail_res, max(_max_abs(residuals), tail_res)
-
-
-def _tail_weights(op: L1Operator, skip: int, last: int) -> np.ndarray:
-    """Weights of tail columns ``skip+1..last`` (``skip >= op.n_explicit``)."""
-    w = op.tail_weights[skip - op.n_explicit : last - op.n_explicit]
-    if len(w) == last - skip:
-        return w
-    return np.concatenate([w, np.full(last - skip - len(w), op.tail.limit)])
 
 
 def _l1_column_residual(t: L1Operator, k: L1Operator, j: int) -> float:

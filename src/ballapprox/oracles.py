@@ -45,14 +45,15 @@ from .models import (
     Shape,
     TailRule,
     ValidationError,
-    _leading_entries,
     _require_finite,
+    _slots,
     ball_distance,
     ess_norm,
     finite_section,
     make_result,
     op_norm,
     residual_norm,
+    scale,
 )
 
 __all__ = [
@@ -87,10 +88,10 @@ class SearchReport:
     best_candidate: Optional[Operator]
 
 
-def _sv_clip(t: HilbertOperator) -> np.ndarray:
-    """The matrix of ``t`` with its singular values clipped at 1."""
+def _sv_map(t: HilbertOperator, f) -> np.ndarray:
+    """``u @ diag(f(s)) @ vt`` from the memoised SVD of the matrix of ``t``."""
     u, sv, vt = t.matrix_svd
-    return u @ np.diag(np.minimum(sv, 1.0)) @ vt
+    return u @ np.diag(f(sv)) @ vt
 
 
 def _soft_threshold_approx(t: HilbertOperator) -> BallApproxResult:
@@ -104,8 +105,7 @@ def _soft_threshold_approx(t: HilbertOperator) -> BallApproxResult:
     d = ball_distance(t)
     branch = Branch.COMPACT_INPUT if d == 0.0 else Branch.SMALL_NORM
     if t.shape is Shape.FINITE_MATRIX:
-        u, sv, vt = t.matrix_svd
-        approx = HilbertOperator.finite_matrix(u @ np.diag(np.maximum(sv - d, 0.0)) @ vt)
+        approx = HilbertOperator.finite_matrix(_sv_map(t, lambda s: np.maximum(s - d, 0.0)))
     else:
         # every tail entry sits within d of 0 by the distance formula
         approx = HilbertOperator(t.shape, _soft(t.explicit, d), TailRule.const(0.0))
@@ -115,6 +115,7 @@ def _soft_threshold_approx(t: HilbertOperator) -> BallApproxResult:
 def _deterministic_candidates(t: Operator) -> list:
     """Named in-ball candidates ``(kind, operator, residual norm)``; the
     first is the construction itself."""
+    zero = ("zero", scale(t, 0.0), op_norm(t))
     if isinstance(t, L1Operator):
         built = best_ball_approx_l1(t)
         scaled_cols = tuple(
@@ -124,33 +125,24 @@ def _deterministic_candidates(t: Operator) -> list:
         clipped = L1Operator(
             scaled_cols, np.clip(t.tail_weights, -1.0, 1.0), TailRule.const(0.0)
         )
-        zero = L1Operator(
-            tuple(np.zeros(len(col)) for col in t.columns),
-            np.zeros(len(t.tail_weights)),
-            TailRule.const(0.0),
-        )
         return [
             ("construction", built.approximant, built.distance),
             ("column_scaling", clipped, residual_norm(t, clipped)),
-            ("zero", zero, op_norm(t)),
+            zero,
         ]
     built = best_ball_approx_h(t)
     soft = _soft_threshold_approx(t)
     if t.shape is Shape.FINITE_MATRIX:
-        clip_kind, clipped = "sv_clip", HilbertOperator.finite_matrix(_sv_clip(t))
-        zero = HilbertOperator.finite_matrix(np.zeros((len(t.entries),) * 2))
+        clip_kind = "sv_clip"
+        clipped = HilbertOperator.finite_matrix(_sv_map(t, lambda s: np.minimum(s, 1.0)))
     else:
         clip_kind = "entry_clip"
-        x = t.explicit
-        clipped = HilbertOperator(
-            t.shape, np.sign(x) * np.minimum(np.abs(x), 1.0), TailRule.const(0.0)
-        )
-        zero = HilbertOperator(t.shape, np.zeros(len(x)), TailRule.const(0.0))
+        clipped = HilbertOperator(t.shape, np.clip(t.explicit, -1.0, 1.0), TailRule.const(0.0))
     return [
         ("construction", built.approximant, built.distance),
         ("soft_threshold", soft.approximant, soft.distance),
         (clip_kind, clipped, residual_norm(t, clipped)),
-        ("zero", zero, op_norm(t)),
+        zero,
     ]
 
 
@@ -162,7 +154,7 @@ def _random_entry_competitors(t: HilbertOperator, best: HilbertOperator, trials:
     tail; half of them perturb the construction ``best``.
     """
     width = len(t.explicit) + 4
-    target = _leading_entries(t, width)
+    target = _slots(t.explicit, t.tail, 0, width)
     tail_rem = ess_norm(t)  # residual supremum beyond the sampled window
 
     n_free = trials // 2
@@ -209,34 +201,27 @@ def _random_l1_competitors(t: L1Operator, trials: int, rng):
     """Batched residuals of random column-model competitors.
 
     Explicit columns are sampled on the input's support; single-entry
-    tail columns over the listed window plus two extra slots.
+    tail columns over the listed window plus two extra slots, drawn last
+    as one ``(n_tail, trials)`` array.  Returns (residuals, column
+    samples, tail weight samples).
     """
-    n_listed = t.column_count_listed() + 2
     residuals = np.full(trials, ess_norm(t))  # tail beyond the window
     col_samples = []
-    for j in range(1, n_listed + 1):
-        if j <= t.n_explicit:
-            col = t.columns[j - 1]
-            width = max(len(col), 1)
-            target = np.zeros(width)
-            target[: len(col)] = col
-            cand = rng.uniform(-0.9, 0.9, (trials, width))
-            mass = np.sum(np.abs(cand), axis=1)
-            cand /= np.maximum(mass, 1.0)[:, None]
-            col_res = np.sum(np.abs(target[None, :] - cand), axis=1)
-        else:
-            target = t.tail_weight(j)
-            cand = rng.uniform(-1.0, 1.0, (trials, 1))
-            col_res = np.abs(target - cand[:, 0])
+    for col in t.columns:
+        width = max(len(col), 1)
+        target = np.zeros(width)
+        target[: len(col)] = col
+        cand = rng.uniform(-0.9, 0.9, (trials, width))
+        mass = np.sum(np.abs(cand), axis=1)
+        cand /= np.maximum(mass, 1.0)[:, None]
+        col_res = np.sum(np.abs(target[None, :] - cand), axis=1)
         residuals = np.maximum(residuals, col_res)
         col_samples.append(cand)
-    return residuals, col_samples
-
-
-def _l1_from_samples(t: L1Operator, col_samples, row: int) -> L1Operator:
-    picked = [samples[row] for samples in col_samples]
-    weights = np.array([w[0] for w in picked[t.n_explicit :]], dtype=float)
-    return L1Operator(tuple(picked[: t.n_explicit]), weights, TailRule.const(0.0))
+    n_tail = len(t.tail_weights) + 2
+    tail = rng.uniform(-1.0, 1.0, (n_tail, trials))
+    diff = _slots(t.tail_weights, t.tail, 0, n_tail)[:, None] - tail
+    residuals = np.maximum(residuals, np.max(np.abs(diff, out=diff), axis=0))
+    return residuals, col_samples, tail
 
 
 def competitor_search(
@@ -274,8 +259,10 @@ def competitor_search(
             best_found, best_kind, best_candidate = r, kind, cand
 
     if isinstance(t, L1Operator):
-        residuals, col_samples = _random_l1_competitors(t, trials, rng)
-        build = lambda i: _l1_from_samples(t, col_samples, i)
+        residuals, col_samples, tail = _random_l1_competitors(t, trials, rng)
+        build = lambda i: L1Operator(
+            tuple(c[i] for c in col_samples), tail[:, i], TailRule.const(0.0)
+        )
     elif t.shape is Shape.FINITE_MATRIX:
         residuals, mats = _random_matrix_competitors(t, construction, trials, rng)
         build = lambda i: HilbertOperator.finite_matrix(mats[i])
@@ -315,7 +302,7 @@ def svd_clip_oracle(matrix, tol: float = DEFAULT_TOL):
     iteration fails to converge.
     """
     t = HilbertOperator.finite_matrix(matrix)
-    k = _sv_clip(t)
+    k = _sv_map(t, lambda s: np.minimum(s, 1.0))
     distance = float(max(t.matrix_svd[1][0] - 1.0, 0.0))
 
     achieved = float(jacobi_singular_values(t.matrix_array() - k)[0])

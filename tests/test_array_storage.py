@@ -79,7 +79,7 @@ class TestWideValidation:
             (lambda: L1Operator((), _wide(99_999, float("nan"))),
              "tail_weights[99999] must be finite, got nan"),
             (lambda: HilbertOperator.finite_matrix([[1.0, 2.0], [float("nan"), 3.0]]),
-             "entries[1][0] must be finite, got np.float64(nan)"),
+             "entries[1][0] must be finite, got nan"),
             (lambda: operator_from_doc(
                 {"space": "l2", "model": "matrix", "entries": [[1, 2], [3, float("nan")]]}),
              "entries[1][1] must be finite, got nan"),
