@@ -2,8 +2,8 @@
 
 Reads an operator document (JSON) from a file or stdin, runs one of the
 calculations, and writes a JSON report to stdout.  Exit codes: 0 on
-success, 1 on malformed input, 2 when a verification fails or an
-internal certification check is contradicted.
+success, 1 on malformed input or arguments, 2 when a verification fails
+or an internal certification check is contradicted.
 """
 
 from __future__ import annotations
@@ -12,7 +12,8 @@ import argparse
 import json
 import sys
 
-from .extreme import NormedSpacePoint, Space, project_scalar_multiple, verify_unique_projection
+from .extreme import PROJECTION_TOL, NormedSpacePoint, Space
+from .extreme import project_scalar_multiple, verify_unique_projection
 from .hilbert import best_ball_approx_h
 from .jacobi import NumericError
 from .l1 import best_ball_approx_l1
@@ -134,8 +135,16 @@ def run_command(args) -> tuple:
     raise ValidationError(f"unknown command {cmd!r}")  # pragma: no cover
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise :class:`ValidationError`, which :func:`main`
+    reports as a JSON error document with exit code 1."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ballapprox",
         description="Distance and best approximation from the compact-operator unit ball",
     )
@@ -168,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=None,
                    help="if set, run sampled uniqueness verification")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-3,
+    p.add_argument("--tol", type=float, default=PROJECTION_TOL,
                    help="near-minimizer band for verification")
     return parser
 
@@ -177,17 +186,19 @@ _PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    command = None  # until the arguments parse
     try:
+        args = _PARSER.parse_args(argv)
+        command = args.command
         doc, code = run_command(args)
     except ValidationError as exc:
-        doc, code = {"command": args.command, "error": str(exc)}, 1
+        doc, code = {"command": command, "error": str(exc)}, 1
     except (CertificationError, NumericError) as exc:
-        doc, code = {"command": args.command, "error": str(exc)}, 2
+        doc, code = {"command": command, "error": str(exc)}, 2
     try:
         text = json.dumps(doc, allow_nan=False)
     except ValueError as exc:  # a NaN or an infinity in the result
-        text = json.dumps({"command": args.command, "error": f"non-finite result: {exc}"})
+        text = json.dumps({"command": command, "error": f"non-finite result: {exc}"})
         code = 2
     print(text)
     return code

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ValidationError, _finite_array, _require_finite
+from .models import ValidationError, _finite_array, _require_finite, _require_int
 
 __all__ = [
     "Space",
@@ -29,6 +29,9 @@ __all__ = [
 ]
 
 EXTREME_TOL = 1e-12
+
+#: Default near-minimizer band of :func:`verify_unique_projection`.
+PROJECTION_TOL = 1e-3
 
 
 class Space(enum.Enum):
@@ -180,7 +183,7 @@ def verify_unique_projection(
     point: NormedSpacePoint,
     samples: int = 10_000,
     seed: int = 0,
-    tol: float = 1e-3,
+    tol: float = PROJECTION_TOL,
 ) -> ProjectionReport:
     """Probe optimality and uniqueness of the radial projection by sampling.
 
@@ -199,9 +202,9 @@ def verify_unique_projection(
     if abs(alpha) <= 1.0:
         raise ValidationError(f"verification requires |alpha| > 1, got {alpha}")
     extreme_input = is_extreme(point)  # also rejects a point outside the ball
-    if samples < 1:
-        raise ValidationError("samples must be >= 1")
-    tol = float(tol)
+    samples = _require_int(samples, "samples", 1)
+    seed = _require_int(seed, "seed", 0)
+    tol = _require_finite(tol, "tol")
     if not 0.0 < tol < 1.0:
         raise ValidationError("tol must lie in (0, 1)")
 
@@ -229,7 +232,7 @@ def verify_unique_projection(
 
     dists = space.norm_rows(target[None, :] - pts)
     min_distance = float(dists.min())
-    lower_ok = min_distance >= lower - 1e-12
+    lower_ok = min_distance >= lower - EXTREME_TOL
 
     near = pts[dists <= lower + tol]
     offsets = space.norm_rows(near - proj[None, :])

@@ -2,9 +2,10 @@
 
 Self-contained SVD for the dense square blocks used by the finite
 matrix model (dimension at most 64).  The routine rotates column pairs
-until all columns are mutually orthogonal relative to tolerance; column
-norms are then the singular values.  It is intentionally independent of
-``numpy.linalg.svd`` so the two can cross-check each other.
+until all columns are mutually orthogonal to the fixed relative target
+``ORTHOGONALITY_TOL``; callers choose only the sweep budget.  Column
+norms are then the singular values.  The routine is intentionally
+independent of ``numpy.linalg.svd`` so the two can cross-check each other.
 
 Pairs are visited in the round-robin ("parallel") ordering of Brent and
 Luk (1985): a sweep of n columns is n - 1 rounds, and each round pairs
@@ -29,7 +30,9 @@ import numpy as np
 
 __all__ = ["NumericError", "jacobi_svd", "jacobi_singular_values"]
 
-DEFAULT_TOL = 1e-12
+#: Relative orthogonality target for column pairs: iteration stops once
+#: every pair's cosine is at most this.
+ORTHOGONALITY_TOL = 1e-12
 DEFAULT_MAX_SWEEPS = 60
 
 
@@ -110,8 +113,9 @@ def _round_rotation(g, read, write, eye, tol: float, zero_sq: float):
     return rot
 
 
-def _orthogonalize_columns(w: np.ndarray, v, tol: float, max_sweeps: int):
-    """Round-robin Jacobi sweeps on the columns of ``w``, mirrored on ``v``.
+def _orthogonalize_columns(w: np.ndarray, v, max_sweeps: int):
+    """Round-robin Jacobi sweeps on the columns of ``w``, mirrored on ``v``,
+    until every pair is orthogonal to :data:`ORTHOGONALITY_TOL`.
 
     Returns the rotated ``(w, v)``; ``v`` may be None.  A column whose
     norm is at most ``n * eps * ||w||_F`` is rounding error of a
@@ -140,14 +144,14 @@ def _orthogonalize_columns(w: np.ndarray, v, tol: float, max_sweeps: int):
     # its t is overwritten with 0
     with np.errstate(divide="ignore", invalid="ignore"):
         for sweep in range(max_sweeps + 1):
-            if _max_pair_correlation(g, zero_norm) <= tol:
+            if _max_pair_correlation(g, zero_norm) <= ORTHOGONALITY_TOL:
                 return a[:n], (None if v is None else a[n:])
             if sweep == max_sweeps:
                 raise NumericError(
                     f"column orthogonalization did not converge in {max_sweeps} sweeps"
                 )
             for read, write in rounds:
-                rot = _round_rotation(g, read, write, eye, tol, zero_sq)
+                rot = _round_rotation(g, read, write, eye, ORTHOGONALITY_TOL, zero_sq)
                 if rot is not None:
                     a = a @ rot
                     g = a[:n].T @ a[:n]
@@ -162,15 +166,13 @@ def _checked_square(a) -> np.ndarray:
     return w
 
 
-def jacobi_svd(a, tol: float = DEFAULT_TOL, max_sweeps: int = DEFAULT_MAX_SWEEPS):
+def jacobi_svd(a, max_sweeps: int = DEFAULT_MAX_SWEEPS):
     """Full SVD ``a = u @ diag(s) @ vt`` of a square matrix.
 
     Parameters
     ----------
     a : array_like, shape (n, n)
         Square real matrix, n >= 1.
-    tol : float
-        Relative orthogonality target for column pairs.
     max_sweeps : int
         Sweep budget; exceeding it raises :class:`NumericError`, as does
         an input whose Gram matrix overflows.
@@ -183,7 +185,7 @@ def jacobi_svd(a, tol: float = DEFAULT_TOL, max_sweeps: int = DEFAULT_MAX_SWEEPS
     """
     w = _checked_square(a)
     n = w.shape[0]
-    w, v = _orthogonalize_columns(w, np.eye(n), tol, max_sweeps)
+    w, v = _orthogonalize_columns(w, np.eye(n), max_sweeps)
 
     sv = np.sqrt(np.sum(w * w, axis=0))
     order = np.argsort(-sv, kind="stable")
@@ -214,10 +216,9 @@ def _orthonormal_completion(basis: np.ndarray) -> np.ndarray:
     raise NumericError("failed to complete an orthonormal basis")
 
 
-def jacobi_singular_values(a, tol: float = DEFAULT_TOL,
-                           max_sweeps: int = DEFAULT_MAX_SWEEPS) -> np.ndarray:
+def jacobi_singular_values(a, max_sweeps: int = DEFAULT_MAX_SWEEPS) -> np.ndarray:
     """Descending singular values of a square matrix (no u/v assembly)."""
-    w, _ = _orthogonalize_columns(_checked_square(a), None, tol, max_sweeps)
+    w, _ = _orthogonalize_columns(_checked_square(a), None, max_sweeps)
     sv = np.sqrt(np.sum(w * w, axis=0))
     sv.sort()
     return sv[::-1]

@@ -89,6 +89,16 @@ def _require_finite(value, what: str, index: Optional[int] = None) -> float:
     raise ValidationError(f"{name} must be {problem}, got {value!r}")
 
 
+def _require_int(value, what: str, low: int) -> int:
+    """The one check for a count, size or seed from outside: an integer,
+    not a bool, of at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    if value < low:
+        raise ValidationError(f"{what} must be >= {low}, got {value}")
+    return int(value)
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -451,8 +461,7 @@ def finite_section(t: Operator, n: int) -> np.ndarray:
     ``n`` must cover the explicit part of the model so no explicit data
     is silently cut.
     """
-    if n < 1:
-        raise ValidationError(f"section size must be >= 1, got {n}")
+    n = _require_int(n, "section size", 1)
     if isinstance(t, L1Operator):
         longest = max((len(c) for c in t.columns), default=0)
         need = max(t.n_explicit, longest)

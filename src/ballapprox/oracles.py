@@ -46,6 +46,7 @@ from .models import (
     TailRule,
     ValidationError,
     _require_finite,
+    _require_int,
     _slots,
     ball_distance,
     ess_norm,
@@ -239,14 +240,12 @@ def competitor_search(
     well.  The report passes when nothing beats ``claimed`` by more
     than ``tol`` and some candidate attains it within ``tol``.
     """
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
+    trials = _require_int(trials, "trials", 1)
+    seed = _require_int(seed, "seed", 0)
     tol = _require_finite(tol, "tol")
     if tol < 0.0:
         raise ValidationError(f"tol must be nonnegative, got {tol}")
-    if claimed is None:
-        claimed = ball_distance(t)
-    claimed = float(claimed)
+    claimed = ball_distance(t) if claimed is None else _require_finite(claimed, "claimed")
     rng = np.random.default_rng(seed)
 
     best_found = np.inf
@@ -301,6 +300,7 @@ def svd_clip_oracle(matrix, tol: float = DEFAULT_TOL):
     :class:`~ballapprox.jacobi.NumericError` if the singular value
     iteration fails to converge.
     """
+    tol = _require_finite(tol, "tol")
     t = HilbertOperator.finite_matrix(matrix)
     k = _sv_map(t, lambda s: np.minimum(s, 1.0))
     distance = float(max(t.matrix_svd[1][0] - 1.0, 0.0))

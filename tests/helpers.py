@@ -196,6 +196,28 @@ def ref_residual_profile_l1(t, k):
     return residuals, tail_res, max(max(residuals, default=0.0), tail_res)
 
 
+def ref_l1_trial_residuals(t, trials: int, seed: int) -> np.ndarray:
+    """Residuals of the random l1 competitors of ``competitor_search``,
+    drawn column by column, each single-entry tail column as its own
+    ``(trials, 1)`` draw."""
+    rng = np.random.default_rng(seed)
+    residuals = np.full(trials, abs(t.tail.limit))
+    for j in range(1, len(t.columns) + len(t.tail_weights) + 3):
+        if j <= len(t.columns):
+            col = t.columns[j - 1]
+            width = max(len(col), 1)
+            target = np.zeros(width)
+            target[: len(col)] = col
+            cand = rng.uniform(-0.9, 0.9, (trials, width))
+            cand /= np.maximum(np.sum(np.abs(cand), axis=1), 1.0)[:, None]
+            col_res = np.sum(np.abs(target[None, :] - cand), axis=1)
+        else:
+            cand = rng.uniform(-1.0, 1.0, (trials, 1))
+            col_res = np.abs(t.tail_weight(j) - cand[:, 0])
+        residuals = np.maximum(residuals, col_res)
+    return residuals
+
+
 def same_bits(a, b) -> bool:
     """Equal as float64 bit patterns (so 0.0 and -0.0 differ)."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)

@@ -91,10 +91,24 @@ class TestWideValidation:
              "entries[1][0] must be a real number, got False"),
             (lambda: operator_from_doc(_l2("shift", [1.0, 10**400])),
              "explicit[1] must be finite, got " + str(10**400)),
+            (lambda: operator_from_doc(
+                {"space": "l2", "model": "matrix", "entries": [[1, 2], [3]]}),
+             "entries must be square, row 1 has length 1 != 2"),
+            (lambda: HilbertOperator.finite_matrix([[1, 2], [3]]),
+             "entries must be square, row 1 has length 1 != 2"),
+            (lambda: HilbertOperator.finite_matrix([["1", "2"], ["3", "4"]]),
+             "entries[0][0] must be a real number, got '1'"),
+            (lambda: HilbertOperator.finite_matrix([[True, False], [False, True]]),
+             "entries[0][0] must be a real number, got True"),
+            (lambda: HilbertOperator.finite_matrix(2.0),
+             "finite matrices require rows of entries, got 2.0"),
+            (lambda: HilbertOperator.finite_matrix(np.array(2.0)),
+             "finite matrices require rows of entries, got array(2.)"),
         ],
         ids=["nan", "bool", "inf_doc", "bool_array_ctor", "bool_array", "l1_nan", "l1_bool",
              "l1_bool_array", "weights_nan", "matrix_nan", "matrix_doc_nan", "matrix_doc_bool",
-             "matrix_bool_row", "huge_int"],
+             "matrix_bool_row", "huge_int", "matrix_doc_ragged", "matrix_ragged", "matrix_str",
+             "matrix_bool", "matrix_scalar", "matrix_0d"],
     )
     def test_message(self, build, message):
         with pytest.raises(ValidationError) as info:

@@ -273,6 +273,31 @@ class TestFailClosed:
         code, doc = run(argv, payload, monkeypatch, capsys)
         assert code == exit_code and "error" in doc and "pass" not in doc
 
+    @pytest.mark.parametrize(
+        "argv,command,message",
+        [
+            (["verify", "--seed", "-1"], "verify", "seed must be >= 0, got -1"),
+            (["project-extreme", "--space", "l2", "--alpha", "2", "--point", "[1, 0]",
+              "--samples", "10", "--seed", "-1"], "project-extreme", "seed must be >= 0, got -1"),
+            (["verify", "--samples", "abc"], None,
+             "ballapprox verify: argument --samples: invalid int value: 'abc'"),
+            (["project-extreme", "--space", "l2", "--alpha", "2"], None,
+             "ballapprox project-extreme: the following arguments are required: --point"),
+            (["nonsense"], None, "ballapprox: argument command: invalid choice: 'nonsense'"),
+        ],
+        ids=["verify_seed", "project_seed", "samples_not_int", "missing_point", "no_command"],
+    )
+    def test_bad_arguments_fail_with_json(self, argv, command, message, monkeypatch, capsys):
+        code, doc = run(argv, DIAG_DOC, monkeypatch, capsys)
+        assert code == 1 and doc["command"] == command and "pass" not in doc
+        assert doc["error"].startswith(message)
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--help"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: ballapprox verify")
+
     @pytest.mark.parametrize("command", ["norm", "distball", "approx", "verify"])
     def test_overflowing_l1_mass_is_invalid_input(self, command, monkeypatch, capsys):
         code, doc = run([command], self.L1_OVERFLOW, monkeypatch, capsys)

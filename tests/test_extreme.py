@@ -11,6 +11,7 @@ from ballapprox import (
     project_scalar_multiple,
     verify_unique_projection,
 )
+from ballapprox.extreme import _ball_samples, _boundary_samples
 
 
 def pt(space, *coords):
@@ -112,9 +113,28 @@ class TestVerification:
         with pytest.raises(ValidationError):
             verify_unique_projection(2.0, pt(Space.L2, 1, 0), tol=0.0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"tol": "0.5"}, {"tol": float("nan")}, {"samples": True}, {"samples": 2.5},
+         {"seed": 1.5}, {"seed": -1}],
+        ids=["tol_str", "tol_nan", "samples_bool", "samples_float", "seed_float", "seed_negative"],
+    )
+    def test_arguments_validated(self, kwargs):
+        with pytest.raises(ValidationError):
+            verify_unique_projection(2.0, pt(Space.L2, 1, 0), **{"samples": 10, **kwargs})
+
     def test_negative_alpha_projection_checked(self):
         report = verify_unique_projection(
             -3.0, pt(Space.LINF, 1.0, 1.0), samples=3000, seed=1, tol=1e-3
         )
         assert report.passed
         assert report.lower_bound == 2.0
+
+
+@pytest.mark.parametrize("space", list(Space))
+@pytest.mark.parametrize("sampler", [_ball_samples, _boundary_samples])
+def test_no_samples_draw_nothing(space, sampler):
+    rng = np.random.default_rng(4)
+    state = rng.bit_generator.state
+    assert sampler(space, 3, 0, rng).shape == (0, 3)
+    assert rng.bit_generator.state == state

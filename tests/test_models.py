@@ -19,6 +19,8 @@ from ballapprox import (
     scale,
 )
 
+from ballapprox import models
+from ballapprox.models import Branch, make_result
 from helpers import random_hilbert, random_l1
 
 
@@ -220,6 +222,20 @@ class TestFiniteSection:
         np.testing.assert_array_equal(sec[:, 0], [0.6, 0.9, 0.9, 0.0])
         assert sec[2, 1] == 1.0 and sec[3, 2] == 1.0  # column j feeds row j+1
 
+    def test_l1_section_places_listed_weights(self):
+        t = L1Operator(((0.5,), (0.25, 0.75)), (2.0, -3.0), TailRule.const(1))
+        expected = np.zeros((6, 6))
+        expected[0, 0], expected[:2, 1] = 0.5, [0.25, 0.75]
+        expected[3, 2], expected[4, 3], expected[5, 4] = 2.0, -3.0, 1.0
+        np.testing.assert_array_equal(finite_section(t, 6), expected)
+        np.testing.assert_array_equal(finite_section(t, 2), expected[:2, :2])
+
+    @pytest.mark.parametrize("n", [2.5, True, "3"])
+    def test_size_must_be_an_integer(self, n):
+        t = HilbertOperator.diagonal([1], TailRule.const(0))
+        with pytest.raises(ValidationError, match="^section size must be an integer"):
+            finite_section(t, n)
+
     def test_too_small_rejected(self):
         t = HilbertOperator.diagonal([1, 2, 3], TailRule.const(0))
         with pytest.raises(ValidationError):
@@ -319,3 +335,84 @@ class TestResidualNorm:
         for _ in range(30):
             t = random_hilbert(rng)
             assert ball_distance(t) == max(op_norm(t) - 1.0, ess_norm(t), 0.0)
+
+
+def _make_result_instances(top):
+    """``(t, approximant)`` of each model class: ``t`` has norm ``top`` > 1
+    and a compact approximant, an entry ``top`` and a residual ``top - 1``."""
+    low = 0.5
+    return {
+        "diagonal": (HilbertOperator.diagonal([top, low], TailRule.const(0)),
+                     lambda a, b: HilbertOperator.diagonal([a, b], TailRule.const(0))),
+        "matrix": (HilbertOperator.finite_matrix([[top, 0.0], [0.0, low]]),
+                   lambda a, b: HilbertOperator.finite_matrix([[a, 0.0], [0.0, b]])),
+        "l1": (L1Operator(((top,), (low,))),
+               lambda a, b: L1Operator(((a,), (b,)))),
+    }
+
+
+MODEL_KINDS = ["diagonal", "matrix", "l1"]
+
+
+class TestMakeResultRejects:
+    """Each certification check of ``make_result`` rejects, with its message."""
+
+    @pytest.mark.parametrize("top", [3.0, 1.5])
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_unperturbed_approximant_passes(self, kind, top):
+        t, build = _make_result_instances(top)[kind]
+        assert make_result(t, build(1.0, 0.5 / top), Branch.COMPACT_INPUT).distance == top - 1.0
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_approximant_outside_the_ball(self, kind):
+        t, build = _make_result_instances(3.0)[kind]
+        k = scale(build(1.0, 0.5 / 3.0), 1.0 + 1e-11)
+        with pytest.raises(ValidationError, match="exceeds the unit ball$") as info:
+            make_result(t, k, Branch.COMPACT_INPUT)
+        assert float(str(info.value).split()[2]) == pytest.approx(1.0 + 1e-11, rel=1e-14)
+
+    @pytest.mark.parametrize("top", [3.0, 1.5])
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_residual_off_the_formula(self, kind, top):
+        t, build = _make_result_instances(top)[kind]
+        d = top - 1.0
+        k = build(1.0 - 1e-11 * max(1.0, d), 0.5 / top)  # in the ball
+        with pytest.raises(ValidationError) as info:
+            make_result(t, k, Branch.COMPACT_INPUT)
+        message = str(info.value)
+        assert message.startswith("residual norm ")
+        assert message.endswith(f" disagrees with the distance formula {d}")
+        assert float(message.split()[2]) == pytest.approx(d + 1e-11 * max(1.0, d), rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "kind,k",
+        [("diagonal", HilbertOperator.diagonal([1.0], TailRule.const(0.5))),
+         ("diagonal", HilbertOperator.diagonal([1.0], TailRule.geometric(0.5, 0.5))),
+         ("matrix", HilbertOperator.weighted_shift([], TailRule.const(-0.25))),
+         ("l1", L1Operator(((1.0,), (0.0,)), (), TailRule.const(0.5)))],
+        ids=["diagonal_const", "diagonal_geometric", "matrix", "l1"],
+    )
+    def test_non_compact_approximant(self, kind, k):
+        t, _ = _make_result_instances(3.0)[kind]
+        with pytest.raises(ValidationError,
+                           match=r"^approximant must be compact \(const 0 tail or finite\)$"):
+            make_result(t, k, Branch.COMPACT_INPUT)
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_nan_norm(self, kind, monkeypatch):
+        t, build = _make_result_instances(3.0)[kind]
+        k = build(1.0, 0.5 / 3.0)
+        monkeypatch.setattr(models, "op_norm", lambda op: float("nan"))
+        with pytest.raises(ValidationError, match="^approximant norm nan exceeds the unit ball$"):
+            make_result(t, k, Branch.COMPACT_INPUT)
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_nan_residual(self, kind, monkeypatch):
+        t, build = _make_result_instances(3.0)[kind]
+        k = build(1.0, 0.5 / 3.0)
+        profile = models.residual_profile
+        monkeypatch.setattr(models, "residual_profile",
+                            lambda a, b: profile(a, b)[:2] + (float("nan"),))
+        with pytest.raises(ValidationError,
+                           match="^residual norm nan disagrees with the distance formula 2.0$"):
+            make_result(t, k, Branch.COMPACT_INPUT)

@@ -18,7 +18,7 @@ from ballapprox import (
 
 from ballapprox import hilbert, l1, oracles
 from ballapprox.models import make_result, residual_norm
-from helpers import random_hilbert, random_l1
+from helpers import random_hilbert, random_l1, ref_l1_trial_residuals, same_bits
 
 
 class TestCompetitorSearch:
@@ -79,6 +79,18 @@ class TestCompetitorSearch:
         t = HilbertOperator.diagonal([1], TailRule.const(0))
         with pytest.raises(ValidationError):
             competitor_search(t, trials=10, tol=tol)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"claimed": "2"}, {"claimed": float("nan")}, {"trials": 2.5}, {"trials": True},
+         {"seed": 1.5}, {"seed": -1}, {"seed": True}],
+        ids=["claimed_str", "claimed_nan", "trials_float", "trials_bool", "seed_float",
+             "seed_negative", "seed_bool"],
+    )
+    def test_arguments_validated(self, kwargs):
+        t = HilbertOperator.diagonal([3], TailRule.const(0))
+        with pytest.raises(ValidationError):
+            competitor_search(t, **{"trials": 10, **kwargs})
 
     @pytest.mark.parametrize(
         "t",
@@ -157,7 +169,25 @@ class TestMatrixTrials:
         assert peak < 1.5 * trials_bytes, peak / trials_bytes
 
 
+class TestL1Trials:
+    @pytest.mark.parametrize("n_weights", [0, 1, 50])
+    def test_one_draw_equals_a_draw_per_column(self, n_weights):
+        rng = np.random.default_rng(n_weights)
+        cols = (tuple(rng.uniform(-1.5, 1.5, 4)), (), tuple(rng.uniform(-1.5, 1.5, 2)))
+        t = L1Operator(cols, tuple(rng.uniform(-2.0, 2.0, n_weights)), TailRule.const(0.7))
+        residuals, col_samples, tail = oracles._random_l1_competitors(
+            t, 40, np.random.default_rng(9))
+        assert same_bits(residuals, ref_l1_trial_residuals(t, 40, 9))
+        assert len(col_samples) == 3 and tail.shape == (n_weights + 2, 40)
+
+
 class TestSvdClip:
+    def test_arguments_validated(self):
+        with pytest.raises(ValidationError):
+            svd_clip_oracle(np.diag([2.0, 0.5]), tol=float("nan"))
+        with pytest.raises(ValidationError):
+            svd_clip_oracle([["2", "0"], ["0", "0.5"]])
+
     def test_diagonal_matrix(self):
         k, d = svd_clip_oracle(np.diag([2.0, 0.5]))
         assert d == pytest.approx(1.0, abs=1e-12)
