@@ -196,12 +196,14 @@ def ref_residual_profile_l1(t, k):
     return residuals, tail_res, max(max(residuals, default=0.0), tail_res)
 
 
-def ref_l1_trial_residuals(t, trials: int, seed: int) -> np.ndarray:
-    """Residuals of the random l1 competitors of ``competitor_search``,
-    drawn column by column, each single-entry tail column as its own
-    ``(trials, 1)`` draw."""
+def ref_l1_trials(t, trials: int, seed: int):
+    """``(residuals, tail samples)`` of the random l1 competitors of
+    ``competitor_search``, drawn column by column, each single-entry tail
+    column as its own ``(trials, 1)`` draw; row ``i`` of the tail samples
+    holds the draws of the ``i``-th tail column."""
     rng = np.random.default_rng(seed)
     residuals = np.full(trials, abs(t.tail.limit))
+    tail = []
     for j in range(1, len(t.columns) + len(t.tail_weights) + 3):
         if j <= len(t.columns):
             col = t.columns[j - 1]
@@ -214,8 +216,9 @@ def ref_l1_trial_residuals(t, trials: int, seed: int) -> np.ndarray:
         else:
             cand = rng.uniform(-1.0, 1.0, (trials, 1))
             col_res = np.abs(t.tail_weight(j) - cand[:, 0])
+            tail.append(cand[:, 0])
         residuals = np.maximum(residuals, col_res)
-    return residuals
+    return residuals, np.array(tail)
 
 
 def same_bits(a, b) -> bool:

@@ -338,8 +338,10 @@ class TestResidualNorm:
 
 
 def _make_result_instances(top):
-    """``(t, approximant)`` of each model class: ``t`` has norm ``top`` > 1
-    and a compact approximant, an entry ``top`` and a residual ``top - 1``."""
+    """``(t, build)`` per model class: ``t`` carries the entries ``top`` > 1
+    and 0.5, and ``build(a, b)`` is the compact operator of the same class
+    with ``a`` and ``b`` in their places. ``build(1.0, 0.5 / top)`` is
+    ``t / top``, whose residual is the distance ``top - 1``."""
     low = 0.5
     return {
         "diagonal": (HilbertOperator.diagonal([top, low], TailRule.const(0)),
