@@ -189,9 +189,11 @@ def verify_unique_projection(
 
     Draws ``samples`` ball points (generic, boundary, and local clusters
     near the radial projection, plus the projection itself), confirms no
-    sample beats the distance ``|alpha| - 1`` beyond 1e-12, and measures
-    how far near-minimizers (within ``tol`` of optimal) stray from the
-    projection.  For an extreme input that radius is provably small
+    sample beats the distance ``|alpha| - 1`` beyond 1e-12 plus the
+    proven rounding of the distances, and measures how far
+    near-minimizers (within ``tol`` of optimal) stray from the
+    projection.  An ``|alpha|`` whose rounding leaves no such band is
+    rejected.  For an extreme input that radius is provably small
     (order ``tol``, order ``sqrt(tol)`` for l2); for a non-extreme input
     the report fails and ``spread`` exhibits far-apart minimizers.
 
@@ -215,6 +217,19 @@ def verify_unique_projection(
     proj = s * e
     lower = abs(alpha) - 1.0
     bound = _radius_bound(space, tol)
+    # r bounds the rounding of each computed distance and of lower.  With
+    # u = eps / 2, coordinate i of fl(fl(alpha * e) - p) is off by at most
+    # u * ((2 + u) |alpha e_i| + |p_i|); the norms are absolute and e, p lie
+    # in the ball, so that error vector has norm <= eps * (|alpha| + 1).
+    # The norm of a vector of norm <= |alpha| + 1 then rounds by a relative
+    # (dim - 1) u (l1), (dim / 2 + 1) u (l2) or 0 (sup), and fl(|alpha| - 1)
+    # by u |alpha|: (dim + 4) eps (|alpha| + 1) covers all, second order too.
+    r = (dim + 4) * np.finfo(float).eps * (abs(alpha) + 1.0)
+    if 4.0 * r >= tol:  # the projection's own distance may miss the band
+        raise ValidationError(
+            f"|alpha| = {abs(alpha):g} is too large for tol {tol:g}: distance "
+            f"rounding {r:.3g} leaves no near-minimizer band"
+        )
 
     rng = np.random.default_rng(seed)
     n_generic = (6 * samples) // 10
@@ -232,9 +247,9 @@ def verify_unique_projection(
 
     dists = space.norm_rows(target[None, :] - pts)
     min_distance = float(dists.min())
-    lower_ok = min_distance >= lower - EXTREME_TOL
+    lower_ok = min_distance >= lower - EXTREME_TOL - 2.0 * r
 
-    near = pts[dists <= lower + tol]
+    near = pts[dists <= lower + tol - 2.0 * r]
     offsets = space.norm_rows(near - proj[None, :])
     radius = float(offsets.max()) if len(offsets) else 0.0
     if len(offsets):

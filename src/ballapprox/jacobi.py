@@ -2,10 +2,13 @@
 
 Self-contained SVD for the dense square blocks used by the finite
 matrix model (dimension at most 64).  The routine rotates column pairs
-until all columns are mutually orthogonal to the fixed relative target
-``ORTHOGONALITY_TOL``; callers choose only the sweep budget.  Column
-norms are then the singular values.  The routine is intentionally
-independent of ``numpy.linalg.svd`` so the two can cross-check each other.
+until a sweep rotates none: each pair is then orthogonal to the fixed
+relative target ``ORTHOGONALITY_TOL`` or holds a column that counts as
+zero, by the one test of :func:`_round_rotation`.  Column norms are the
+singular values; the columns of ``u`` that belong to zero columns come
+from one QR factorization.  Callers choose only the sweep budget.  The
+routine is independent of ``numpy.linalg.svd`` (QR is not an SVD), so the
+two can cross-check each other.
 
 Pairs are visited in the round-robin ("parallel") ordering of Brent and
 Luk (1985): a sweep of n columns is n - 1 rounds, and each round pairs
@@ -30,8 +33,8 @@ import numpy as np
 
 __all__ = ["NumericError", "jacobi_svd", "jacobi_singular_values"]
 
-#: Relative orthogonality target for column pairs: iteration stops once
-#: every pair's cosine is at most this.
+#: Relative orthogonality target for column pairs: iteration stops after
+#: a sweep in which every pair's cosine is at most this (or a column is zero).
 ORTHOGONALITY_TOL = 1e-12
 DEFAULT_MAX_SWEEPS = 60
 
@@ -74,20 +77,6 @@ def _round_indices(n: int) -> tuple:
     return tuple(out)
 
 
-def _max_pair_correlation(g: np.ndarray, zero_norm: float) -> float:
-    # max_{p<q} |<w_p, w_q>| / (|w_p| |w_q|) from the Gram matrix g,
-    # treating columns of norm at most zero_norm as zero and zero columns
-    # as orthogonal
-    d = np.sqrt(np.diag(g))
-    d[d <= zero_norm] = 0.0
-    denom = np.outer(d, d)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        c = np.abs(g) / denom
-    c[denom == 0.0] = 0.0
-    np.fill_diagonal(c, 0.0)
-    return float(c.max()) if c.size else 0.0
-
-
 def _round_rotation(g, read, write, eye, tol: float, zero_sq: float):
     """The rotation of one round as an ``n x n`` matrix, or None if no pair
     of the round needs rotating.
@@ -115,15 +104,18 @@ def _round_rotation(g, read, write, eye, tol: float, zero_sq: float):
 
 def _orthogonalize_columns(w: np.ndarray, v, max_sweeps: int):
     """Round-robin Jacobi sweeps on the columns of ``w``, mirrored on ``v``,
-    until every pair is orthogonal to :data:`ORTHOGONALITY_TOL`.
+    until a sweep in which no round rotates.
 
-    Returns the rotated ``(w, v)``; ``v`` may be None.  A column whose
-    norm is at most ``n * eps * ||w||_F`` is rounding error of a
-    rank-deficient input: it counts as zero and is never rotated (the
-    zero-column test of Drmac and Veselic's one-sided Jacobi).  Rotations
-    keep ``||w||_F``, so the threshold is fixed; it is summed with
-    ``hypot`` so that it cannot overflow.  An input whose Gram matrix
-    overflows raises :class:`NumericError` before any sweep.
+    Returns the rotated ``(w, v)`` and the zero-column threshold
+    ``zero_norm``; ``v`` may be None.  A sweep meets every pair once, so
+    a sweep without a rotation leaves each pair orthogonal to
+    :data:`ORTHOGONALITY_TOL` or with a zero column (the stopping and
+    zero-column rules of Drmac and Veselic's one-sided Jacobi).  A column
+    of norm at most ``zero_norm = n * eps * ||w||_F`` is rounding error
+    of a rank-deficient input.  Rotations keep ``||w||_F``, so the
+    threshold is fixed; ``hypot`` sums it without overflow.  More than
+    ``max_sweeps`` rotating sweeps raise :class:`NumericError`, as does
+    an input whose Gram matrix overflows, before any sweep.
     """
     n = w.shape[1]
     fro = float(np.hypot.reduce(w.ravel()))
@@ -144,17 +136,20 @@ def _orthogonalize_columns(w: np.ndarray, v, max_sweeps: int):
     # its t is overwritten with 0
     with np.errstate(divide="ignore", invalid="ignore"):
         for sweep in range(max_sweeps + 1):
-            if _max_pair_correlation(g, zero_norm) <= ORTHOGONALITY_TOL:
-                return a[:n], (None if v is None else a[n:])
-            if sweep == max_sweeps:
-                raise NumericError(
-                    f"column orthogonalization did not converge in {max_sweeps} sweeps"
-                )
+            rotated = False
             for read, write in rounds:
                 rot = _round_rotation(g, read, write, eye, ORTHOGONALITY_TOL, zero_sq)
-                if rot is not None:
-                    a = a @ rot
-                    g = a[:n].T @ a[:n]
+                if rot is None:
+                    continue
+                if sweep == max_sweeps:
+                    raise NumericError(
+                        f"column orthogonalization did not converge in {max_sweeps} sweeps"
+                    )
+                rotated = True
+                a = a @ rot
+                g = a[:n].T @ a[:n]
+            if not rotated:
+                return a[:n], (None if v is None else a[n:]), zero_norm
 
 
 def _checked_square(a) -> np.ndarray:
@@ -174,51 +169,36 @@ def jacobi_svd(a, max_sweeps: int = DEFAULT_MAX_SWEEPS):
     a : array_like, shape (n, n)
         Square real matrix, n >= 1.
     max_sweeps : int
-        Sweep budget; exceeding it raises :class:`NumericError`, as does
-        an input whose Gram matrix overflows.
+        Budget of rotating sweeps; exceeding it raises
+        :class:`NumericError`, as does an input whose Gram matrix
+        overflows.
 
     Returns
     -------
     u, s, vt : ndarray
         Orthogonal ``u``, singular values ``s`` in descending order,
-        orthogonal ``vt``.
+        orthogonal ``vt``.  A column of ``u`` is ``w / s`` unless the
+        rotations counted ``w`` as zero; those columns complete the
+        others to an orthonormal basis, from one QR factorization.
     """
     w = _checked_square(a)
     n = w.shape[0]
-    w, v = _orthogonalize_columns(w, np.eye(n), max_sweeps)
+    w, v, zero_norm = _orthogonalize_columns(w, np.eye(n), max_sweeps)
 
     sv = np.sqrt(np.sum(w * w, axis=0))
     order = np.argsort(-sv, kind="stable")
     sv = sv[order]
-    w = w[:, order]
-    v = v[:, order]
-
-    u = np.zeros((n, n))
-    live = sv > 0.0
-    u[:, live] = w[:, live] / sv[live]
-    for i in np.flatnonzero(~live):  # zero values sort last
-        u[:, i] = _orthonormal_completion(u[:, :i])
-    return u, sv, v.T
-
-
-def _orthonormal_completion(basis: np.ndarray) -> np.ndarray:
-    """A unit vector orthogonal to the given orthonormal columns."""
-    n = basis.shape[0]
-    for k in range(n):
-        cand = np.zeros(n)
-        cand[k] = 1.0
-        cand -= basis @ (basis.T @ cand)
-        nrm = np.sqrt(cand @ cand)
-        if nrm > 1e-6:
-            cand /= nrm
-            cand -= basis @ (basis.T @ cand)  # one reorthogonalization pass
-            return cand / np.sqrt(cand @ cand)
-    raise NumericError("failed to complete an orthonormal basis")
+    u = w[:, order]
+    k = int(np.count_nonzero(sv > zero_norm))  # zero columns sort last
+    u[:, :k] /= sv[:k]
+    if k < n:
+        u[:, k:] = np.linalg.qr(u[:, :k], mode="complete")[0][:, k:]
+    return u, sv, v[:, order].T
 
 
 def jacobi_singular_values(a, max_sweeps: int = DEFAULT_MAX_SWEEPS) -> np.ndarray:
     """Descending singular values of a square matrix (no u/v assembly)."""
-    w, _ = _orthogonalize_columns(_checked_square(a), None, max_sweeps)
+    w, _, _ = _orthogonalize_columns(_checked_square(a), None, max_sweeps)
     sv = np.sqrt(np.sum(w * w, axis=0))
     sv.sort()
     return sv[::-1]

@@ -495,6 +495,8 @@ def finite_section(t: Operator, n: int) -> np.ndarray:
 def scale(t: Operator, c: float) -> Operator:
     """The operator ``c * t``, staying inside the same model class."""
     c = _require_finite(c, "scale factor")
+    if c == 1.0:  # t is frozen: its memoised norm and SVD carry over
+        return t
     if isinstance(t, L1Operator):
         return L1Operator(
             tuple(c * col for col in t.columns), c * t.tail_weights, t.tail.scaled(c)

@@ -216,6 +216,20 @@ class TestCommands:
         assert doc["pass"] is False
         assert doc["report"]["spread"] > 0.1
 
+    def test_project_extreme_large_alpha_passes(self, capsys):
+        argv = ["project-extreme", "--space", "l2", "--alpha", "56234.13251903491",
+                "--point", "[0.6,0.8]", "--samples", "1000"]
+        code, doc = run(argv, capsys=capsys)
+        assert code == 0 and doc["pass"] is True
+
+    def test_project_extreme_huge_alpha_rejected_quietly(self, capsys):
+        # the l2 squares would overflow; the band check rejects |alpha| first
+        argv = ["project-extreme", "--space", "l2", "--alpha", "1e200",
+                "--point", "[0.6,0.8]", "--samples", "1000"]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert "too large" in json.loads(out)["error"] and err == ""
+
     def test_project_extreme_rejects_non_extreme_without_samples(self, capsys):
         code, doc = run(
             ["project-extreme", "--space", "linf", "--alpha", "2", "--point", "[1,0]"],

@@ -130,6 +130,33 @@ class TestVerification:
         assert report.passed
         assert report.lower_bound == 2.0
 
+    def test_large_alpha_within_rounding_passes(self):
+        # distances round at about |alpha| * eps, here 7e-12 below lower - 1e-12
+        report = verify_unique_projection(
+            56234.13251903491, pt(Space.L2, 0.6, 0.8), samples=1000, seed=0
+        )
+        assert report.passed and report.lower_ok and report.radius_ok
+        assert report.radius_bound == verify_unique_projection(
+            2.0, pt(Space.L2, 0.6, 0.8), samples=10
+        ).radius_bound
+
+    @pytest.mark.parametrize(
+        "space,coords,alpha",
+        [
+            (Space.L1, (0.0, 1.0), 2e11),
+            (Space.L2, (1.0, 0.0), -2e11),
+            (Space.LINF, (1.0, -1.0), 2e11),
+        ],
+    )
+    def test_alpha_too_large_for_the_band_rejected(self, space, coords, alpha):
+        # (dim + 4) eps (|alpha| + 1) >= tol / 4 leaves no provable near band
+        with pytest.raises(ValidationError, match="too large"):
+            verify_unique_projection(alpha, NormedSpacePoint(space, coords), samples=10)
+        report = verify_unique_projection(
+            alpha / 10, NormedSpacePoint(space, coords), samples=1000, seed=1
+        )
+        assert report.passed
+
 
 @pytest.mark.parametrize("space", list(Space))
 @pytest.mark.parametrize("sampler", [_ball_samples, _boundary_samples])

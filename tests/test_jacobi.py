@@ -55,6 +55,18 @@ def test_rank_deficient():
     assert s[0] == pytest.approx(14.0, abs=1e-10)
     assert s[1] == pytest.approx(0.0, abs=1e-10)
     np.testing.assert_allclose(u @ np.diag(s) @ vt, m, atol=1e-10)
+    assert np.abs(u.T @ u - np.eye(3)).max() <= 1e-11
+    # the zero columns of u come from the rotations' zero-column rule, so u
+    # stays orthogonal however many there are
+    rng = np.random.default_rng(11)
+    for rank, n in [(1, 8), (3, 16), (10, 64), (63, 64)]:
+        m = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, n))
+        u, s, vt = jacobi_svd(m)
+        ref = np.linalg.svd(m, compute_uv=False)
+        np.testing.assert_allclose(s, ref, rtol=0, atol=1e-10 * ref[0])
+        np.testing.assert_allclose(u @ np.diag(s) @ vt, m, rtol=0, atol=1e-10 * ref[0])
+        assert np.abs(u.T @ u - np.eye(n)).max() <= 1e-11
+        assert np.abs(vt @ vt.T - np.eye(n)).max() <= 1e-11
 
 
 def test_diagonal_converges_without_sweeps():
@@ -68,6 +80,30 @@ def test_sweep_budget_exhaustion_raises():
         jacobi_svd(m, max_sweeps=0)
     with pytest.raises(NumericError):
         jacobi_singular_values(m, max_sweeps=0)
+
+
+def test_sweep_budget_counts_rotating_sweeps():
+    # this input takes 5 rotating sweeps; the rotation-free sweep that ends
+    # the iteration is not charged to the budget
+    m = np.random.default_rng(2).standard_normal((8, 8))
+    for decompose in (jacobi_svd, jacobi_singular_values):
+        decompose(m, max_sweeps=5)
+        with pytest.raises(NumericError, match="in 4 sweeps"):
+            decompose(m, max_sweeps=4)
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [[1.913713202815748, 9.666447654128652e-13], [0.0, 0.9666447654128651]],
+        [[1.4248850833773121, 1.3190105796632436e-12], [0.0, 1.3190105796632436]],
+    ],
+)
+@pytest.mark.parametrize("argv", [["norm"], ["approx"], ["verify", "--samples", "50"]])
+def test_nearly_orthogonal_columns_converge(entries, argv, monkeypatch, capsys):
+    # the cosine of these columns sits at the orthogonality target, where a
+    # stopping test apart from the rotations' skip test never passed
+    assert _matrix_run(argv, np.array(entries), monkeypatch, capsys) == 0
 
 
 def test_rejects_nonsquare_and_nonfinite():
@@ -171,4 +207,13 @@ def test_approx_makes_three_jacobi_calls(jacobi_inputs, monkeypatch, capsys):
     assert _matrix_run(["approx"], m, monkeypatch, capsys) == 0
     # T once (memoised), then the approximant's norm and the residual T - K
     assert len(jacobi_inputs) == 3
+    assert sum(np.array_equal(a, m) for _, a in jacobi_inputs) == 1
+
+
+def test_approx_of_norm_at_most_one_makes_two_jacobi_calls(jacobi_inputs, monkeypatch, capsys):
+    m = np.random.default_rng(5).standard_normal((16, 16))
+    m *= 0.6 / np.linalg.svd(m, compute_uv=False)[0]
+    assert _matrix_run(["approx"], m, monkeypatch, capsys) == 0
+    # T once (memoised, and T is its own approximant), then the residual T - K
+    assert len(jacobi_inputs) == 2
     assert sum(np.array_equal(a, m) for _, a in jacobi_inputs) == 1
