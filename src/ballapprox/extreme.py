@@ -189,9 +189,10 @@ def verify_unique_projection(
 
     Draws ``samples`` ball points (generic, boundary, and local clusters
     near the radial projection, plus the projection itself), confirms no
-    sample beats the distance ``|alpha| - 1`` beyond 1e-12 plus the
-    proven rounding of the distances, and measures how far
-    near-minimizers (within ``tol`` of optimal) stray from the
+    sample beats the projection's own distance (``|alpha| - 1`` for a
+    unit ``e``) beyond 1e-12 plus the proven rounding of the distances,
+    and measures how far near-minimizers (within ``tol`` of optimal,
+    measured from ``|alpha| - 1``) stray from the
     projection.  An ``|alpha|`` whose rounding leaves no such band is
     rejected.  For an extreme input that radius is provably small
     (order ``tol``, order ``sqrt(tol)`` for l2); for a non-extreme input
@@ -224,6 +225,12 @@ def verify_unique_projection(
     # The norm of a vector of norm <= |alpha| + 1 then rounds by a relative
     # (dim - 1) u (l1), (dim / 2 + 1) u (l2) or 0 (sup), and fl(|alpha| - 1)
     # by u |alpha|: (dim + 4) eps (|alpha| + 1) covers all, second order too.
+    # The lower check compares with the projection's own computed distance
+    # (the last sample).  Its true distance (|alpha| - 1) ||e|| exceeds the
+    # true minimum, at least |alpha| ||e|| - 1 by the triangle inequality,
+    # by at most 1 - ||e||, and an accepted extreme point has
+    # |1 - ||e||| <= EXTREME_TOL in all three norms; with r on each side,
+    # no sample may come out below it by more than EXTREME_TOL + 2 r.
     r = (dim + 4) * np.finfo(float).eps * (abs(alpha) + 1.0)
     if 4.0 * r >= tol:  # the projection's own distance may miss the band
         raise ValidationError(
@@ -247,7 +254,7 @@ def verify_unique_projection(
 
     dists = space.norm_rows(target[None, :] - pts)
     min_distance = float(dists.min())
-    lower_ok = min_distance >= lower - EXTREME_TOL - 2.0 * r
+    lower_ok = min_distance >= dists[-1] - EXTREME_TOL - 2.0 * r
 
     near = pts[dists <= lower + tol - 2.0 * r]
     offsets = space.norm_rows(near - proj[None, :])

@@ -238,7 +238,10 @@ def competitor_search(
     class of ``t`` (half unconstrained, half perturbations of the
     optimal approximant) and evaluates the deterministic candidates as
     well.  The report passes when nothing beats ``claimed`` by more
-    than ``tol`` and some candidate attains it within ``tol``.
+    than ``band`` and some candidate attains it within ``band``, where
+    ``band = max(tol, IDENTITY_TOL * |claimed|)`` is no finer than the
+    resolution at which :func:`~ballapprox.models.make_result`
+    certifies a distance; the report keeps ``tol`` as given.
     """
     trials = _require_int(trials, "trials", 1)
     seed = _require_int(seed, "seed", 0)
@@ -272,8 +275,9 @@ def competitor_search(
     if residuals[idx] < best_found:
         best_found, best_kind, best_candidate = float(residuals[idx]), "random", build(idx)
 
-    beaten = best_found < claimed - tol
-    attained = best_found <= claimed + tol
+    band = max(tol, IDENTITY_TOL * abs(claimed))
+    beaten = best_found < claimed - band
+    attained = best_found <= claimed + band
     return SearchReport(
         claimed=claimed,
         best_found=float(best_found),

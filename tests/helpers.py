@@ -142,20 +142,22 @@ def ref_residual_profile_h(t, k):
     return residuals, tail_res, max(max(residuals, default=0.0), tail_res)
 
 
-def ref_truncate(col, d: float) -> list:
-    """Remove ``d`` of mass from the bottom of a column."""
+def ref_truncate(col, d: float, cap: float = math.inf) -> list:
+    """Keep ``min((mass - d)+, cap)`` of a column from the top, cutting on
+    its left-to-right prefix sums; a removed entry is ``+0.0``."""
     col = [float(v) for v in col]
-    if d == 0.0:
-        return col
-    n = len(col)
-    suffix = [0.0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + abs(col[i])
-    if suffix[0] <= d:
-        return [0.0] * n
-    cut = max(i for i in range(n) if suffix[i] > d)
-    a = (d - suffix[cut + 1]) / abs(col[cut])
-    return col[:cut] + [(1.0 - a) * col[cut]] + [0.0] * (n - cut - 1)
+    keep = min(max(lr_sum(abs(v) for v in col) - d, 0.0), cap)
+    out, above = [], 0.0
+    for v in col:
+        prefix = above + abs(v)
+        if prefix <= keep:
+            out.append(v)
+        elif above <= keep:  # the split entry
+            out.append(math.copysign(keep - above, v) + 0.0)
+        else:
+            out.append(0.0)
+        above = prefix
+    return out
 
 
 def ref_norm_l1(t) -> float:
@@ -170,8 +172,8 @@ def ref_norm_l1(t) -> float:
 def ref_construction_l1(t):
     """``(columns, tail_weights)`` of ``best_ball_approx_l1(t).approximant``."""
     d = max(ref_norm_l1(t) - 1.0, abs(t.tail.limit), 0.0)
-    cols = [ref_truncate(c, d) for c in t.columns]
-    return cols, [ref_truncate([w], d)[0] for w in t.tail_weights]
+    cols = [ref_truncate(c, d, 1.0) for c in t.columns]
+    return cols, [ref_truncate([w], d, 1.0)[0] for w in t.tail_weights]
 
 
 def _ref_column(op, j: int) -> list:

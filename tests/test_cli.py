@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -222,6 +223,24 @@ class TestCommands:
         code, doc = run(argv, capsys=capsys)
         assert code == 0 and doc["pass"] is True
 
+    @pytest.mark.parametrize("space,point", [("l2", "[0.6,0.79999999999995]"),
+                                             ("l1", "[0.9999999999995,0]")])
+    def test_project_extreme_point_extreme_to_tolerance_passes(self, space, point, capsys):
+        # the projection's distance lies |alpha| (1 - ||e||) = 5e-7 below |alpha| - 1;
+        # the lower check compares with that distance, not with |alpha| - 1
+        argv = ["project-extreme", "--space", space, "--alpha", "1e6", "--point", point,
+                "--samples", "1000"]
+        code, doc = run(argv, capsys=capsys)
+        assert code == 0 and doc["pass"] is True and doc["report"]["extreme_input"] is True
+
+    @pytest.mark.parametrize("space,point", [("linf", "[1,0]"), ("l1", "[0.5,0.5]"),
+                                             ("l2", "[0.6,0.7]")])
+    def test_project_extreme_non_extreme_demo_fails_at_large_alpha(self, space, point, capsys):
+        argv = ["project-extreme", "--space", space, "--alpha", "1e6", "--point", point,
+                "--samples", "3000"]
+        code, doc = run(argv, capsys=capsys)
+        assert code == 2 and doc["pass"] is False and doc["report"]["spread"] > 0.1
+
     def test_project_extreme_huge_alpha_rejected_quietly(self, capsys):
         # the l2 squares would overflow; the band check rejects |alpha| first
         argv = ["project-extreme", "--space", "l2", "--alpha", "1e200",
@@ -358,7 +377,7 @@ class TestRankDeficientResiduals:
 class TestTruncationCut:
     def test_tail_equal_to_the_bottom_up_mass_is_certified(self, monkeypatch, capsys):
         # a seeded column whose mass summed from the top exceeds the same
-        # mass summed from the bottom, the order the truncation cuts in
+        # mass summed from the bottom: the cut keeps the difference at the top
         col = np.random.default_rng(0).uniform(-0.05, 0.05, 25).tolist()
         top = below = 0.0
         for v in col:
@@ -372,4 +391,30 @@ class TestTruncationCut:
         assert code == 0 and out["pass"] is True
         assert out["certificate"]["formula_distance"] == below
         assert out["value"] == pytest.approx(below, abs=1e-12)
-        assert out["approximant"]["columns"] == [[0.0] * 25]
+        assert out["approximant"]["columns"] == [[math.copysign(top - below, col[0])] + [0.0] * 24]
+
+
+class TestLargeMagnitudes:
+    """Inputs whose rounding exceeds the absolute tolerances: each is
+    certified and verified at the resolution ``make_result`` certifies."""
+
+    COLUMN = {"space": "l1", "model": "columns", "tail": {"kind": "const", "value": 0},
+              "columns": [[-587.72015880958, -162.24640304241598, -537.8035394780557,
+                           -879.5771203486308, 306.6500286800822, -926.0833963342138,
+                           829.3512592090988]]}
+    MATRIX = {"space": "l2", "model": "matrix", "entries": [
+        [200123118.18026617, -30520792.36753877, -53976285.79464583],
+        [141363079.410976, -70570064.40785898, 171988947.5677248],
+        [-19419780.62119582, 7383951.804426881, 73362828.11408713]]}
+
+    @pytest.mark.parametrize("argv", [["approx"], ["verify", "--samples", "200"]])
+    def test_seven_entry_column(self, argv, monkeypatch, capsys):
+        # its mass summed bottom up lies 1.8e-12 above the mass summed top down
+        code, doc = run(argv, json.dumps(self.COLUMN), monkeypatch, capsys)
+        assert code == 0 and doc["pass"] is True
+
+    def test_matrix_of_norm_3e8_verifies(self, monkeypatch, capsys):
+        code, doc = run(["verify", "--samples", "200"], json.dumps(self.MATRIX), monkeypatch,
+                        capsys)
+        assert code == 0 and doc["pass"] is True and doc["attained"] is True
+        assert doc["tol"] == 1e-10  # the report keeps the tolerance as given

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from ballapprox import (
     ValidationError,
     ball_distance,
     best_ball_approx_l1,
+    competitor_search,
     ess_norm,
     finite_section_bounds,
     op_norm,
@@ -17,7 +20,7 @@ from ballapprox import (
     truncate_column,
 )
 
-from helpers import random_l1
+from helpers import random_l1, ref_truncate, same_bits
 
 
 class TestDistance:
@@ -65,6 +68,12 @@ class TestTruncateColumn:
         with pytest.raises(ValidationError):
             truncate_column((0.5,), -0.1)
 
+    @pytest.mark.parametrize("d", [0.0, 1.0])
+    def test_overflowing_mass_rejected(self, d):
+        # as for L1Operator columns: (mass - d)+ has no finite meaning
+        with pytest.raises(ValidationError, match="finite mass"):
+            truncate_column((1e308, 1e308, 1.0), d)
+
     @given(
         st.lists(st.floats(-2, 2, allow_nan=False, allow_infinity=False), max_size=8),
         st.floats(0, 5, allow_nan=False, allow_infinity=False),
@@ -86,17 +95,72 @@ class TestTruncateColumn:
 
     @given(st.lists(st.floats(-2, 2, allow_nan=False, allow_infinity=False), max_size=40))
     @settings(max_examples=300, deadline=None)
-    def test_removing_the_bottom_up_mass_clears_the_column(self, col):
-        # the mass summed from the bottom, the order the cut sums in, can lie
-        # an ulp either side of the top-down mass
+    def test_removing_the_left_to_right_mass_clears_the_column(self, col):
+        # the mass summed from the top, the order the cut and the column's
+        # mass sum in: nothing is left to keep
         d = 0.0
-        for v in reversed(col):
+        for v in col:
             d += abs(v)
         assert truncate_column(col, d) == tuple(0.0 for _ in col)
         t = L1Operator((col,), (), TailRule.const(d))
         r = best_ball_approx_l1(t)
         assert r.distance == pytest.approx(d, abs=1e-12)
         assert all(v == 0.0 for v in r.approximant.columns[0])
+
+
+# entries over many magnitudes, signed zeros included
+_wide = st.floats(-1e12, 1e12, allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 1e-300, -5e-324]
+)
+
+
+class TestLeftToRightCut:
+    """The cut sums each column left to right, the order of its mass."""
+
+    @given(st.lists(_wide, max_size=12), st.floats(0.0, 1.25), st.floats(0.0, 1e13))
+    @settings(max_examples=400, deadline=None)
+    def test_properties_of_the_cut(self, col, frac, d_abs):
+        mass = 0.0
+        for v in col:
+            mass += abs(v)
+        for d in (frac * mass, d_abs):
+            out = truncate_column(col, d)
+            assert same_bits(out, ref_truncate(col, d))
+            assert all(abs(o) <= abs(c) for o, c in zip(out, col))
+            # a -0.0 in the output is an input -0.0 kept whole, never a removed entry
+            negative_zeros = [i for i, o in enumerate(out) if o == 0.0 and math.copysign(1.0, o) < 0]
+            assert all(same_bits(out[i], col[i]) for i in negative_zeros)
+        assert same_bits(truncate_column(col, 0.0), [float(v) for v in col])
+
+    def test_removed_entries_and_weights_are_positive_zero(self):
+        t = L1Operator(((-0.0, -0.5, -0.0, -0.9),), (-0.3, -1.7), TailRule.const(1.2))
+        k = best_ball_approx_l1(t).approximant
+        # d = 1.2: the -0.0 above the cut is kept whole, -0.5 keeps what is left
+        assert same_bits(k.columns[0], [-0.0, -(1.4 - 1.2), 0.0, 0.0])
+        assert same_bits(k.tail_weights, [0.0, -(1.7 - 1.2)])
+
+    def test_mass_between_2_53_and_2_54_is_capped_at_one(self):
+        # fl(m - 1) rounds to even, 2 below m, so m - d would keep 2 of the column
+        m = 2.0**53 + 2.0
+        assert m - 1.0 == m - 2.0
+        r = best_ball_approx_l1(L1Operator(((m,),), (m,), TailRule.const(0.0)))
+        assert r.approximant.columns[0].tolist() == [1.0]
+        assert r.approximant.tail_weights.tolist() == [1.0]
+        assert r.distance == m - 2.0
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e1, 1e3, 1e5, 1e7, 1e10, 1e12, 1e16, 1e100])
+    def test_seeded_models_certify_at_every_scale(self, scale):
+        rng = np.random.default_rng(7)
+        for i in range(200):
+            cols = tuple(rng.uniform(-1, 1, int(rng.integers(1, 9))) * scale
+                         for _ in range(int(rng.integers(1, 4))))
+            weights = rng.uniform(-1, 1, int(rng.integers(0, 3))) * scale
+            tail = 0.0 if rng.random() < 0.5 else float(rng.uniform(-1, 1) * scale)
+            t = L1Operator(cols, weights, TailRule.const(tail))
+            r = best_ball_approx_l1(t)  # raises unless make_result certifies
+            assert r.distance == pytest.approx(ball_distance(t), rel=1e-12, abs=1e-12)
+            if i < 40 and scale <= 1e12:
+                assert competitor_search(t, trials=20, seed=i).passed, i
 
 
 class TestBestApprox:

@@ -69,6 +69,25 @@ class TestCompetitorSearch:
             report = competitor_search(t, trials=500, seed=13)
             assert report.passed
 
+    @pytest.mark.parametrize("scale", [1e2, 1e5, 1e6, 1e8])
+    def test_large_claims_compared_at_the_certified_resolution(self, scale):
+        # an absolute 1e-10 is finer than the rounding of a claim above about
+        # 1e5; the band widens to IDENTITY_TOL * |claimed|, as make_result's
+        rng = np.random.default_rng(3)
+        for i in range(40):
+            n = int(rng.integers(2, 7))
+            t = HilbertOperator.finite_matrix(rng.standard_normal((n, n)) * scale)
+            report = competitor_search(t, trials=20, seed=i)
+            assert report.passed, i
+            assert report.tol == 1e-10
+
+    def test_band_still_catches_a_claim_off_at_large_scale(self):
+        t = HilbertOperator.diagonal([3e8], TailRule.const(0))
+        d = ball_distance(t)
+        assert competitor_search(t, claimed=d * (1 + 1e-11), trials=20).beaten
+        assert not competitor_search(t, claimed=d * (1 - 1e-11), trials=20).attained
+        assert competitor_search(t, claimed=d * (1 + 5e-13), trials=20, tol=0.0).passed
+
     def test_trials_validated(self):
         t = HilbertOperator.diagonal([1], TailRule.const(0))
         with pytest.raises(ValidationError):
