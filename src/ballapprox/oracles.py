@@ -12,17 +12,11 @@ constructions they certify:
   certified lower bounds, which can approach ``op_norm - 1`` but never
   certify the essential-norm part of the distance.
 
-The deterministic candidates, each scored once: the construction and,
-on l2, the soft-threshold approximant (shrink every entry, or singular
-value, by the distance) come with the residual norm that their
-:func:`~ballapprox.models.make_result` certified; the zero operator's
-residual is ``op_norm(t)``; only the clipped candidate (singular values
-or entries clipped at 1 on l2, columns scaled to mass 1 on l1) goes
-through :func:`~ballapprox.models.residual_norm`.
-
-Random-trial residual norms for matrices and section norms use
-``numpy.linalg`` so they stay independent of the package's own Jacobi
-routine.
+Every candidate of the search, the construction included, is scored
+by one numpy function per model class, apart from the library's own
+residual code: LAPACK's largest singular value for matrices, the
+window of entry or column residuals for the other models.  Section
+norms use ``numpy.linalg`` too.
 """
 
 from __future__ import annotations
@@ -52,8 +46,6 @@ from .models import (
     ess_norm,
     finite_section,
     make_result,
-    op_norm,
-    residual_norm,
     scale,
 )
 
@@ -95,85 +87,116 @@ def _sv_map(t: HilbertOperator, f) -> np.ndarray:
     return u @ np.diag(f(sv)) @ vt
 
 
-def _soft_threshold_approx(t: HilbertOperator) -> BallApproxResult:
-    """Alternative optimal approximant by uniform shrinkage.
-
-    Shrinks every entry toward zero by ``d = ball_distance(t)`` (singular
-    values, for a finite matrix).  The residual norm equals ``d``
-    exactly, matching :func:`best_ball_approx_h` in distance though the
-    approximants may differ entrywise.
-    """
+def _soft_threshold(t: HilbertOperator) -> HilbertOperator:
+    """Every entry (singular value, for a finite matrix) shrunk toward
+    zero by ``d = ball_distance(t)``, with a const 0 tail."""
     d = ball_distance(t)
-    branch = Branch.COMPACT_INPUT if d == 0.0 else Branch.SMALL_NORM
     if t.shape is Shape.FINITE_MATRIX:
-        approx = HilbertOperator.finite_matrix(_sv_map(t, lambda s: np.maximum(s - d, 0.0)))
-    else:
-        # every tail entry sits within d of 0 by the distance formula
-        approx = HilbertOperator(t.shape, _soft(t.explicit, d), TailRule.const(0.0))
-    return make_result(t, approx, branch)
+        return HilbertOperator.finite_matrix(_sv_map(t, lambda s: np.maximum(s - d, 0.0)))
+    # every tail entry sits within d of 0 by the distance formula
+    return HilbertOperator(t.shape, _soft(t.explicit, d), TailRule.const(0.0))
+
+
+def _soft_threshold_approx(t: HilbertOperator) -> BallApproxResult:
+    """:func:`_soft_threshold` certified: an optimal approximant other
+    than :func:`best_ball_approx_h`'s, at the same distance."""
+    branch = Branch.COMPACT_INPUT if ball_distance(t) == 0.0 else Branch.SMALL_NORM
+    return make_result(t, _soft_threshold(t), branch)
 
 
 def _deterministic_candidates(t: Operator) -> list:
-    """Named in-ball candidates ``(kind, operator, residual norm)``; the
-    first is the construction itself."""
-    zero = ("zero", scale(t, 0.0), op_norm(t))
+    """Named in-ball candidates ``(kind, operator)``; the first is the
+    construction itself, the last the zero operator."""
+    zero = ("zero", scale(t, 0.0))
     if isinstance(t, L1Operator):
-        built = best_ball_approx_l1(t)
-        scaled_cols = tuple(
-            col * min(1.0, 1.0 / max(mass, 1e-300))
-            for col, mass in zip(t.columns, t.column_masses.tolist())
-        )
-        clipped = L1Operator(
-            scaled_cols, np.clip(t.tail_weights, -1.0, 1.0), TailRule.const(0.0)
-        )
-        return [
-            ("construction", built.approximant, built.distance),
-            ("column_scaling", clipped, residual_norm(t, clipped)),
-            zero,
-        ]
-    built = best_ball_approx_h(t)
-    soft = _soft_threshold_approx(t)
+        scaled_cols = tuple(col * min(1.0, 1.0 / max(mass, 1e-300))
+                            for col, mass in zip(t.columns, t.column_masses.tolist()))
+        clipped = L1Operator(scaled_cols, np.clip(t.tail_weights, -1.0, 1.0), TailRule.const(0.0))
+        return [("construction", best_ball_approx_l1(t).approximant),
+                ("column_scaling", clipped), zero]
     if t.shape is Shape.FINITE_MATRIX:
         clip_kind = "sv_clip"
         clipped = HilbertOperator.finite_matrix(_sv_map(t, lambda s: np.minimum(s, 1.0)))
     else:
         clip_kind = "entry_clip"
         clipped = HilbertOperator(t.shape, np.clip(t.explicit, -1.0, 1.0), TailRule.const(0.0))
-    return [
-        ("construction", built.approximant, built.distance),
-        ("soft_threshold", soft.approximant, soft.distance),
-        (clip_kind, clipped, residual_norm(t, clipped)),
-        zero,
-    ]
+    return [("construction", best_ball_approx_h(t).approximant),
+            ("soft_threshold", _soft_threshold(t)), (clip_kind, clipped), zero]
+
+
+def _as_trials(t: Operator, ops):
+    """Candidates ``ops`` on the support of ``t``, in the array form of its trials."""
+    if isinstance(t, L1Operator):
+        cols = [np.array([k.columns[j] for k in ops]) for j in range(len(t.columns))]
+        n_tail = len(t.tail_weights) + 2
+        return cols, np.array([_slots(k.tail_weights, k.tail, 0, n_tail) for k in ops]).T
+    if t.shape is Shape.FINITE_MATRIX:
+        return np.array([k.matrix_array() for k in ops])
+    width = len(t.explicit) + 4
+    return np.array([_slots(k.explicit, k.tail, 0, width) for k in ops])
+
+
+def _score(t: Operator, trials) -> np.ndarray:
+    """Residual norms ``||t - k||`` of a batch of candidates ``k`` in the
+    array form of the random trials of the model class of ``t``."""
+    if isinstance(t, L1Operator):
+        return _score_l1(t, *trials)
+    if t.shape is Shape.FINITE_MATRIX:
+        return _score_matrices(t, trials)
+    return _score_entries(t, trials)
+
+
+def _score_entries(t: HilbertOperator, rows: np.ndarray) -> np.ndarray:
+    """Diagonal and shift models: ``max |t - k|`` over the window of
+    ``rows``, then ``ess_norm(t)``, which bounds ``|t|`` beyond it."""
+    diff = _slots(t.explicit, t.tail, 0, rows.shape[1]) - rows
+    return np.maximum(np.max(np.abs(diff, out=diff), axis=1), ess_norm(t))
+
+
+def _score_matrices(t: HilbertOperator, mats: np.ndarray) -> np.ndarray:
+    """Finite matrices: LAPACK's ``sigma_1(T - K)``, in chunks of fixed
+    size, so no second array as large as ``mats`` is alive (LAPACK
+    decomposes each matrix alone: same values as one call)."""
+    m = t.matrix_array()
+    chunk = max(1, SVD_CHUNK_ENTRIES // m.size)
+    buf = np.empty((min(chunk, len(mats)),) + m.shape)
+    scores = np.empty(len(mats))
+    for s in range(0, len(mats), chunk):
+        e = min(s + chunk, len(mats))
+        diff = np.subtract(m, mats[s:e], out=buf[: e - s])
+        scores[s:e] = np.linalg.svd(diff, compute_uv=False)[:, 0]
+    return scores
+
+
+def _score_l1(t: L1Operator, col_samples: list, tail: np.ndarray) -> np.ndarray:
+    """L1 models: the largest of the residual column masses (numpy sums),
+    ``|t - k|`` over the tail columns of the ``(n_tail, batch)`` window,
+    and ``ess_norm(t)`` beyond it."""
+    scores = np.full(tail.shape[1], ess_norm(t))
+    for col, cand in zip(t.columns, col_samples):
+        diff = np.concatenate([col, np.zeros(cand.shape[1] - len(col))]) - cand
+        scores = np.maximum(scores, np.sum(np.abs(diff, out=diff), axis=1))
+    diff = _slots(t.tail_weights, t.tail, 0, len(tail))[:, None] - tail
+    return np.maximum(scores, np.max(np.abs(diff, out=diff), axis=0))
 
 
 def _random_entry_competitors(t: HilbertOperator, best: HilbertOperator, trials: int, rng):
-    """Batched residual norms of random diagonal/shift competitors.
-
-    Returns (residuals, entry_rows): each row of entry_rows is an in-ball
+    """Random diagonal/shift competitors: each row is an in-ball
     competitor on the first ``len(t.explicit) + 4`` slots with const 0
-    tail; half of them perturb the construction ``best``.
-    """
+    tail; half of them perturb the construction ``best``."""
     width = len(t.explicit) + 4
-    target = _slots(t.explicit, t.tail, 0, width)
-    tail_rem = ess_norm(t)  # residual supremum beyond the sampled window
-
     n_free = trials // 2
-    opt = np.zeros(width)
-    opt[: len(best.explicit)] = best.explicit
+    opt = _slots(best.explicit, best.tail, 0, width)  # best has a const 0 tail
     rows = np.empty((trials, width))
     rows[:n_free] = rng.uniform(-1.1, 1.1, (n_free, width))
     np.add(opt, rng.uniform(-0.6, 0.6, (trials - n_free, width)), out=rows[n_free:])
-    rowmax = np.max(np.abs(rows), axis=1)
-    rows /= np.maximum(rowmax, 1.0)[:, None]
-
-    residuals = np.maximum(np.max(np.abs(target[None, :] - rows), axis=1), tail_rem)
-    return residuals, rows
+    rows /= np.maximum(np.max(np.abs(rows), axis=1), 1.0)[:, None]
+    return rows
 
 
 def _random_matrix_competitors(t: HilbertOperator, best: HilbertOperator, trials: int, rng):
-    m = t.matrix_array()
-    n = m.shape[0]
+    """Random in-ball ``n x n`` competitors; half of them perturb ``best``."""
+    n = t.matrix_array().shape[0]
     n_free = trials // 2
     # both halves drawn into one trials x n x n array and scaled in place, so no
     # second copy of the trials is alive during the batched SVDs
@@ -186,43 +209,20 @@ def _random_matrix_competitors(t: HilbertOperator, best: HilbertOperator, trials
     near += best.matrix_array()
     top = np.linalg.svd(mats, compute_uv=False)[:, 0]
     mats /= np.maximum(top, 1.0)[:, None, None]
-    # residuals in chunks of fixed size, so no second trials x n x n array is
-    # alive (LAPACK decomposes each matrix alone: same values as one call)
-    chunk = max(1, SVD_CHUNK_ENTRIES // (n * n))
-    buf = np.empty((min(chunk, trials), n, n))
-    residuals = np.empty(trials)
-    for s in range(0, trials, chunk):
-        e = min(s + chunk, trials)
-        diff = np.subtract(m, mats[s:e], out=buf[: e - s])
-        residuals[s:e] = np.linalg.svd(diff, compute_uv=False)[:, 0]
-    return residuals, mats
+    return mats
 
 
 def _random_l1_competitors(t: L1Operator, trials: int, rng):
-    """Batched residuals of random column-model competitors.
-
-    Explicit columns are sampled on the input's support; single-entry
-    tail columns over the listed window plus two extra slots, drawn last
-    as one ``(n_tail, trials)`` array.  Returns (residuals, column
-    samples, tail weight samples).
-    """
-    residuals = np.full(trials, ess_norm(t))  # tail beyond the window
+    """Random column-model competitors ``(column samples, tail samples)``:
+    explicit columns on the input's support, then single-entry tail
+    columns over the listed window plus two slots, one ``(n_tail, trials)``
+    draw."""
     col_samples = []
     for col in t.columns:
-        width = max(len(col), 1)
-        target = np.zeros(width)
-        target[: len(col)] = col
-        cand = rng.uniform(-0.9, 0.9, (trials, width))
-        mass = np.sum(np.abs(cand), axis=1)
-        cand /= np.maximum(mass, 1.0)[:, None]
-        col_res = np.sum(np.abs(target[None, :] - cand), axis=1)
-        residuals = np.maximum(residuals, col_res)
+        cand = rng.uniform(-0.9, 0.9, (trials, max(len(col), 1)))
+        cand /= np.maximum(np.sum(np.abs(cand), axis=1), 1.0)[:, None]
         col_samples.append(cand)
-    n_tail = len(t.tail_weights) + 2
-    tail = rng.uniform(-1.0, 1.0, (n_tail, trials))
-    diff = _slots(t.tail_weights, t.tail, 0, n_tail)[:, None] - tail
-    residuals = np.maximum(residuals, np.max(np.abs(diff, out=diff), axis=0))
-    return residuals, col_samples, tail
+    return col_samples, rng.uniform(-1.0, 1.0, (len(t.tail_weights) + 2, trials))
 
 
 def competitor_search(
@@ -236,11 +236,13 @@ def competitor_search(
 
     Samples ``trials`` random compact in-ball operators from the model
     class of ``t`` (half unconstrained, half perturbations of the
-    optimal approximant) and evaluates the deterministic candidates as
-    well.  The report passes when nothing beats ``claimed`` by more
-    than ``band`` and some candidate attains it within ``band``, where
-    ``band = max(tol, IDENTITY_TOL * |claimed|)`` is no finer than the
-    resolution at which :func:`~ballapprox.models.make_result`
+    optimal approximant).  These and the deterministic candidates, the
+    construction included, are scored by the same numpy function, apart
+    from the library's residual code; ``best_found`` is the first minimum
+    of those scores.  The report passes when nothing beats ``claimed`` by
+    more than ``band`` and some candidate attains it within ``band``,
+    where ``band = max(tol, IDENTITY_TOL * |claimed|)`` is no finer than
+    the resolution at which :func:`~ballapprox.models.make_result`
     certifies a distance; the report keeps ``tol`` as given.
     """
     trials = _require_int(trials, "trials", 1)
@@ -251,29 +253,27 @@ def competitor_search(
     claimed = ball_distance(t) if claimed is None else _require_finite(claimed, "claimed")
     rng = np.random.default_rng(seed)
 
-    best_found = np.inf
-    best_kind = ""
-    best_candidate: Optional[Operator] = None
     candidates = _deterministic_candidates(t)
     construction = candidates[0][1]
-    for kind, cand, r in candidates:
-        if r < best_found:
-            best_found, best_kind, best_candidate = r, kind, cand
-
     if isinstance(t, L1Operator):
-        residuals, col_samples, tail = _random_l1_competitors(t, trials, rng)
+        col_samples, tail = drawn = _random_l1_competitors(t, trials, rng)
         build = lambda i: L1Operator(
-            tuple(c[i] for c in col_samples), tail[:, i], TailRule.const(0.0)
-        )
+            tuple(c[i] for c in col_samples), tail[:, i], TailRule.const(0.0))
     elif t.shape is Shape.FINITE_MATRIX:
-        residuals, mats = _random_matrix_competitors(t, construction, trials, rng)
-        build = lambda i: HilbertOperator.finite_matrix(mats[i])
+        drawn = _random_matrix_competitors(t, construction, trials, rng)
+        build = lambda i: HilbertOperator.finite_matrix(drawn[i])
     else:
-        residuals, rows = _random_entry_competitors(t, construction, trials, rng)
-        build = lambda i: HilbertOperator(t.shape, rows[i], TailRule.const(0.0))
-    idx = int(np.argmin(residuals))
-    if residuals[idx] < best_found:
-        best_found, best_kind, best_candidate = float(residuals[idx]), "random", build(idx)
+        drawn = _random_entry_competitors(t, construction, trials, rng)
+        build = lambda i: HilbertOperator(t.shape, drawn[i], TailRule.const(0.0))
+    # the few fixed candidates as a batch of their own: stacked onto the
+    # trials, they would grow every trial-sized temporary
+    scores = _score(t, _as_trials(t, [k for _, k in candidates]))
+    idx = int(np.argmin(scores))
+    best_found, (best_kind, best_candidate) = float(scores[idx]), candidates[idx]
+    scores = _score(t, drawn)
+    idx = int(np.argmin(scores))
+    if scores[idx] < best_found:
+        best_found, best_kind, best_candidate = float(scores[idx]), "random", build(idx)
 
     band = max(tol, IDENTITY_TOL * abs(claimed))
     beaten = best_found < claimed - band

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ballapprox import HilbertOperator, L1Operator, TailRule, best_ball_approx_h
+from ballapprox import HilbertOperator, L1Operator, TailRule, best_ball_approx_h, models
 from ballapprox.cli import main
 from ballapprox.serialize import operator_from_doc, operator_to_doc
 
@@ -418,3 +418,67 @@ class TestLargeMagnitudes:
                         capsys)
         assert code == 0 and doc["pass"] is True and doc["attained"] is True
         assert doc["tol"] == 1e-10  # the report keeps the tolerance as given
+
+
+class TestVerifyScoresApartFromTheLibrary:
+    # Jacobi on a rounding-error residual T - u f(s) v^T need not converge;
+    # the candidates used to be scored that way
+    TINY = [
+        [8.321108511296944e-143, 1.1334639388528051e-142, -1.840537984875089e-142,
+         -9.874809467375065e-143],
+        [1.428977674432502e-143, -1.2999626879288784e-142, 1.1137291596882995e-143,
+         -2.9415334964984324e-143],
+        [3.3816436932439676e-143, -2.0162181741302263e-142, 1.1539849388350143e-142,
+         1.0344021827323738e-142],
+        [4.0081229732535424e-144, -3.0325577507145187e-144, 5.896475364449248e-143,
+         4.957773245397118e-143],
+    ]
+
+    @staticmethod
+    def run_matrix(argv, mat, monkeypatch, capsys):
+        payload = json.dumps({"space": "l2", "model": "matrix", "entries": np.asarray(mat).tolist()})
+        return run(argv, payload, monkeypatch, capsys)
+
+    def test_tiny_matrix_verifies(self, monkeypatch, capsys):
+        assert self.run_matrix(["approx"], self.TINY, monkeypatch, capsys)[0] == 0
+        code, doc = self.run_matrix(["verify"], self.TINY, monkeypatch, capsys)
+        assert code == 0 and doc["pass"] is True, doc
+
+    def test_tiny_matrices_verify_wherever_they_approx(self, monkeypatch, capsys):
+        # T's own SVD may still fail on these (Gram underflow), and then
+        # approx fails too; verify must fail nowhere else
+        rng = np.random.default_rng(11)
+        verify_only = []
+        for i in range(200):
+            n = int(rng.integers(2, 7))
+            m = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-160, -130)
+            if self.run_matrix(["verify"], m, monkeypatch, capsys)[0] != 0:
+                if self.run_matrix(["approx"], m, monkeypatch, capsys)[0] == 0:
+                    verify_only.append(i)
+        assert verify_only == []
+
+    @pytest.mark.parametrize("bias", [1 + 1e-9, 1 - 1e-9])
+    def test_biased_library_arithmetic_fails_verify(self, bias, monkeypatch, capsys):
+        # a consistent bias in the library's singular values still lets
+        # make_result certify the construction; verify's own scores see it
+        def biased(fn):
+            def wrapper(a, *args, **kwargs):
+                out = fn(a, *args, **kwargs)
+                if isinstance(out, tuple):
+                    u, sv, vt = out
+                    return u, sv * bias, vt
+                return out * bias
+            return wrapper
+
+        for name in ("jacobi_svd", "jacobi_singular_values"):
+            monkeypatch.setattr(models, name, biased(getattr(models, name)))
+        rng = np.random.default_rng(23)
+        for n in (2, 3, 5, 8):
+            m = rng.standard_normal((n, n))
+            m *= 1.8 / np.linalg.svd(m, compute_uv=False)[0]
+            code, doc = self.run_matrix(["verify", "--samples", "50"], m, monkeypatch, capsys)
+            assert code == 2 and doc["pass"] is False, doc
+            if bias > 1.0:
+                assert doc["beaten"], doc
+            else:
+                assert not doc["attained"], doc

@@ -187,11 +187,11 @@ def _matrix_run(argv, m, monkeypatch, capsys):
 def test_verify_takes_one_svd_of_its_input(jacobi_inputs, monkeypatch, capsys):
     m = np.random.default_rng(4).standard_normal((16, 16)) * 0.5
     assert _matrix_run(["verify", "--samples", "50"], m, monkeypatch, capsys) == 0
-    # one SVD of T, memoised on the operator; the zero candidate is scored by
-    # op_norm(T), so no other run sees T's numbers
+    # one SVD of T, memoised on the operator; every candidate is scored by
+    # LAPACK, so no other run sees T's numbers
     assert [name for name, a in jacobi_inputs if np.array_equal(a, m)] == ["jacobi_svd"]
-    # two constructions (norm of K, residual T - K each), one scored clip candidate
-    assert len(jacobi_inputs) == 6
+    # T, then the construction's certificate: the norm of K and the residual T - K
+    assert len(jacobi_inputs) == 3
 
 
 def test_svd_clip_oracle_decomposes_its_input_once(jacobi_inputs):

@@ -17,7 +17,7 @@ from ballapprox import (
 )
 
 from ballapprox import hilbert, l1, oracles
-from ballapprox.models import make_result, residual_norm
+from ballapprox.models import IDENTITY_TOL, Shape, make_result, residual_norm
 from helpers import random_hilbert, random_l1, ref_l1_trials, same_bits
 
 
@@ -130,23 +130,34 @@ class TestCompetitorSearch:
         assert len(calls) == 1
 
     def test_candidate_scores_are_their_residual_norms(self):
-        # certified distances and op_norm(t) stand in for recomputed residuals
+        # scored by the trials' numpy arithmetic: the same max of exact
+        # |t - k| on diagonal and shift models, LAPACK or pairwise sums
+        # against Jacobi and left-to-right sums on matrix and l1 models
         rng = np.random.default_rng(17)
         for t in [random_hilbert(rng, max_len=6, max_dim=6) for _ in range(30)] + [
             random_l1(rng) for _ in range(30)
         ]:
-            for kind, cand, score in oracles._deterministic_candidates(t):
-                assert score == residual_norm(t, cand), kind
+            candidates = oracles._deterministic_candidates(t)
+            scores = oracles._score(t, oracles._as_trials(t, [k for _, k in candidates]))
+            exact = isinstance(t, HilbertOperator) and t.shape is not Shape.FINITE_MATRIX
+            for (kind, cand), score in zip(candidates, scores.tolist()):
+                r = residual_norm(t, cand)
+                if exact:
+                    assert score == r, kind
+                else:
+                    assert abs(score - r) <= IDENTITY_TOL * max(1.0, r), kind
 
     @pytest.mark.parametrize(
-        "t,built",
+        "t",
         [
-            (HilbertOperator.diagonal([3, 2, 0.5], TailRule.const(1)), 2),
-            (HilbertOperator.finite_matrix([[1.2, 0.4], [-0.3, 0.9]]), 2),
-            (L1Operator(((0.6, 0.9, 0.9),), (), TailRule.const(1)), 1),
+            HilbertOperator.diagonal([3, 2, 0.5], TailRule.const(1)),
+            HilbertOperator.finite_matrix([[1.2, 0.4], [-0.3, 0.9]]),
+            L1Operator(((0.6, 0.9, 0.9),), (), TailRule.const(1)),
         ],
     )
-    def test_every_scored_approximant_is_certified(self, t, built, monkeypatch):
+    def test_every_scored_approximant_is_certified(self, t, monkeypatch):
+        # the construction's make_result is the only one: no candidate is
+        # scored by the library's residual code
         calls = []
 
         def counting(op, k, branch):
@@ -155,8 +166,9 @@ class TestCompetitorSearch:
 
         for module in (hilbert, l1, oracles):
             monkeypatch.setattr(module, "make_result", counting)
-        candidates = oracles._deterministic_candidates(t)
-        assert [k for _, k, _ in candidates[:built]] == calls
+        assert competitor_search(t, trials=50, seed=1).passed
+        (certified,) = calls
+        assert certified == oracles._deterministic_candidates(t)[0][1]
 
 
 class TestMatrixTrials:
@@ -170,8 +182,8 @@ class TestMatrixTrials:
         rng = np.random.default_rng(n)
         t = HilbertOperator.finite_matrix(rng.standard_normal((n, n)))
         best = best_ball_approx_h(t).approximant
-        residuals, mats = oracles._random_matrix_competitors(
-            t, best, trials, np.random.default_rng(1))
+        mats = oracles._random_matrix_competitors(t, best, trials, np.random.default_rng(1))
+        residuals = oracles._score(t, mats)
         one_batch = np.linalg.svd(t.matrix_array()[None] - mats, compute_uv=False)[:, 0]
         assert np.array_equal(residuals, one_batch)
 
@@ -188,6 +200,21 @@ class TestMatrixTrials:
         assert peak < 1.5 * trials_bytes, peak / trials_bytes
 
 
+class TestEntryTrials:
+    def test_wide_search_holds_about_two_trials_arrays(self):
+        # the trial rows and one |t - k| array, taken in place
+        rng = np.random.default_rng(5)
+        t = HilbertOperator.diagonal(rng.uniform(-3.0, 3.0, 10**5), TailRule.const(1.0))
+        trials_bytes = 200 * (10**5 + 4) * 8
+        tracemalloc.start()
+        try:
+            assert competitor_search(t, trials=200, seed=0).passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * trials_bytes, peak / trials_bytes
+
+
 class TestL1Trials:
     @pytest.mark.parametrize("n_weights", [0, 1, 50])
     def test_one_draw_equals_a_draw_per_column(self, n_weights):
@@ -195,8 +222,8 @@ class TestL1Trials:
         # small explicit columns, so that the tail columns decide most residuals
         cols = (tuple(rng.uniform(-0.1, 0.1, 4)), (), tuple(rng.uniform(-0.1, 0.1, 2)))
         t = L1Operator(cols, tuple(rng.uniform(-2.0, 2.0, n_weights)), TailRule.const(0.7))
-        residuals, col_samples, tail = oracles._random_l1_competitors(
-            t, 40, np.random.default_rng(9))
+        col_samples, tail = oracles._random_l1_competitors(t, 40, np.random.default_rng(9))
+        residuals = oracles._score(t, (col_samples, tail))
         ref_residuals, ref_tail = ref_l1_trials(t, 40, 9)
         assert same_bits(residuals, ref_residuals) and same_bits(tail, ref_tail)
         assert len(col_samples) == 3
