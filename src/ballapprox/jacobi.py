@@ -18,10 +18,10 @@ so their rotations commute: one round reads the norms and inner products
 of all its pairs from the current columns, then rotates them all at once
 with a few array operations, instead of one pair at a time in Python.
 
-Callers that need the decomposition of a model matrix more than once
-read the SVD memoised on the operator
-(:attr:`ballapprox.models.HilbertOperator.matrix_svd`) rather than call
-this module again.
+The library reads only singular values: a model matrix's norm, once per
+operator, and the residual norms its certificates check.  The oracles of
+:mod:`ballapprox.oracles` build and score their candidates with
+``numpy.linalg``.  :func:`jacobi_svd` is public, for singular vectors.
 """
 
 from __future__ import annotations
@@ -153,9 +153,10 @@ def _orthogonalize_columns(w: np.ndarray, v, max_sweeps: int):
 
 
 def _checked_square(a) -> np.ndarray:
-    w = np.array(a, dtype=float)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {w.shape}")
+    w = np.asarray(a)  # bools, strings and objects are not read as numbers
+    if w.dtype.kind not in "iuf" or w.ndim != 2 or w.shape[0] != w.shape[1]:
+        raise ValueError(f"expected a square real matrix, got {w.dtype} of shape {w.shape}")
+    w = w.astype(float)
     if not np.all(np.isfinite(w)):
         raise ValueError("expected finite entries")
     return w

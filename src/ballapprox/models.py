@@ -20,10 +20,10 @@ whole-array numpy, and :mod:`ballapprox.serialize` emits ``.tolist()``.
 Because the families are closed under differences against compact
 members of the same family, residual norms are exact maxima over a
 finite list of candidates; no iterative norm estimation is involved for
-diagonal, shift, or l1 models.  Finite matrices use the one-sided
-Jacobi singular value routine from :mod:`ballapprox.jacobi`, run at most
-once per operator: the SVD is kept on the operator
-(:attr:`HilbertOperator.matrix_svd`).
+diagonal, shift, or l1 models.  Finite matrices take their singular
+values from the one-sided Jacobi routine of :mod:`ballapprox.jacobi`,
+run at most once per operator (the norm is kept on the operator); no
+code here reads singular vectors.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .jacobi import jacobi_singular_values, jacobi_svd
+from .jacobi import jacobi_singular_values
 
 __all__ = [
     "ValidationError",
@@ -317,17 +317,8 @@ class HilbertOperator(_ByValue):
     @functools.cached_property
     def _norm(self) -> float:  # op_norm, computed on first use
         if self.shape is Shape.FINITE_MATRIX:
-            return float(self.matrix_svd[1][0])
+            return float(jacobi_singular_values(self.entries)[0])
         return max(self.tail.sup_abs, _max_abs(self.explicit))
-
-    @functools.cached_property
-    def matrix_svd(self) -> tuple:
-        """``(u, s, vt)`` of the matrix block from :func:`jacobi_svd`.
-
-        Computed on first use and kept on the instance (the operator is
-        frozen, so it cannot go stale); the arrays are read-only.
-        """
-        return tuple(map(_readonly, jacobi_svd(self.matrix_array())))
 
 
 def _slots(listed: np.ndarray, tail: TailRule, start: int, stop: int) -> np.ndarray:
@@ -420,8 +411,8 @@ def op_norm(t: Operator) -> float:
 
     Diagonal and shift models: sup of entry magnitudes (the tail
     contributes ``|limit|`` whether or not it is attained).  Finite
-    matrices: largest singular value, read from the memoised SVD.  L1
-    models: sup of column masses.  Computed once per operator.
+    matrices: largest Jacobi singular value.  L1 models: sup of column
+    masses.  Computed once per operator.
     """
     return t._norm
 
@@ -495,7 +486,7 @@ def finite_section(t: Operator, n: int) -> np.ndarray:
 def scale(t: Operator, c: float) -> Operator:
     """The operator ``c * t``, staying inside the same model class."""
     c = _require_finite(c, "scale factor")
-    if c == 1.0:  # t is frozen: its memoised norm and SVD carry over
+    if c == 1.0:  # t is frozen: its memoised norm carries over
         return t
     if isinstance(t, L1Operator):
         return L1Operator(

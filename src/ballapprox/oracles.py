@@ -12,11 +12,14 @@ constructions they certify:
   certified lower bounds, which can approach ``op_norm - 1`` but never
   certify the essential-norm part of the distance.
 
-Every candidate of the search, the construction included, is scored
-by one numpy function per model class, apart from the library's own
-residual code: LAPACK's largest singular value for matrices, the
-window of entry or column residuals for the other models.  Section
-norms use ``numpy.linalg`` too.
+Apart from the construction, every candidate is built here from the
+input's data with numpy, the matrix ones from one LAPACK SVD; Jacobi
+serves only the library's own norms and certificates.  Every candidate
+of the search, the construction included, is scored by one numpy
+function per model class, apart from the library's own residual code:
+LAPACK's largest singular value for matrices, the window of entry or
+column residuals for the other models.  Section norms use
+``numpy.linalg`` too.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from typing import Optional
 import numpy as np
 
 from .hilbert import _soft, best_ball_approx_h
-from .jacobi import jacobi_singular_values
 from .l1 import best_ball_approx_l1
 from .models import (
     IDENTITY_TOL,
@@ -46,7 +48,6 @@ from .models import (
     ess_norm,
     finite_section,
     make_result,
-    scale,
 )
 
 __all__ = [
@@ -67,6 +68,14 @@ class CertificationError(RuntimeError):
     """An oracle contradicted a closed-form claim."""
 
 
+def _require_tol(tol) -> float:
+    """The one check for a comparison tolerance from outside: a finite real >= 0."""
+    tol = _require_finite(tol, "tol")
+    if tol < 0.0:
+        raise ValidationError(f"tol must be nonnegative, got {tol}")
+    return tol
+
+
 @dataclass(frozen=True)
 class SearchReport:
     claimed: float
@@ -81,59 +90,57 @@ class SearchReport:
     best_candidate: Optional[Operator]
 
 
-def _sv_map(t: HilbertOperator, f) -> np.ndarray:
-    """``u @ diag(f(s)) @ vt`` from the memoised SVD of the matrix of ``t``."""
-    u, sv, vt = t.matrix_svd
-    return u @ np.diag(f(sv)) @ vt
-
-
-def _soft_threshold(t: HilbertOperator) -> HilbertOperator:
-    """Every entry (singular value, for a finite matrix) shrunk toward
-    zero by ``d = ball_distance(t)``, with a const 0 tail."""
-    d = ball_distance(t)
-    if t.shape is Shape.FINITE_MATRIX:
-        return HilbertOperator.finite_matrix(_sv_map(t, lambda s: np.maximum(s - d, 0.0)))
-    # every tail entry sits within d of 0 by the distance formula
-    return HilbertOperator(t.shape, _soft(t.explicit, d), TailRule.const(0.0))
+def _sv_map(m: np.ndarray):
+    """``(sigma_1, soft, clip)`` from one LAPACK SVD of ``m``: the singular
+    values of ``u @ diag(.) @ vt`` are those of ``m`` shrunk toward zero
+    by ``max(sigma_1 - 1, 0)`` and clipped at 1, both at most 1."""
+    u, sv, vt = np.linalg.svd(m)
+    soft = _soft(sv, max(sv[0] - 1.0, 0.0))
+    return float(sv[0]), (u * soft) @ vt, (u * np.minimum(sv, 1.0)) @ vt
 
 
 def _soft_threshold_approx(t: HilbertOperator) -> BallApproxResult:
-    """:func:`_soft_threshold` certified: an optimal approximant other
-    than :func:`best_ball_approx_h`'s, at the same distance."""
-    branch = Branch.COMPACT_INPUT if ball_distance(t) == 0.0 else Branch.SMALL_NORM
-    return make_result(t, _soft_threshold(t), branch)
-
-
-def _deterministic_candidates(t: Operator) -> list:
-    """Named in-ball candidates ``(kind, operator)``; the first is the
-    construction itself, the last the zero operator."""
-    zero = ("zero", scale(t, 0.0))
-    if isinstance(t, L1Operator):
-        scaled_cols = tuple(col * min(1.0, 1.0 / max(mass, 1e-300))
-                            for col, mass in zip(t.columns, t.column_masses.tolist()))
-        clipped = L1Operator(scaled_cols, np.clip(t.tail_weights, -1.0, 1.0), TailRule.const(0.0))
-        return [("construction", best_ball_approx_l1(t).approximant),
-                ("column_scaling", clipped), zero]
+    """Every entry shrunk toward zero by ``d = ball_distance(t)``, with a
+    const 0 tail (for a finite matrix: the soft map of :func:`_sv_map`),
+    certified: an optimal approximant other than :func:`best_ball_approx_h`'s."""
+    d = ball_distance(t)
     if t.shape is Shape.FINITE_MATRIX:
-        clip_kind = "sv_clip"
-        clipped = HilbertOperator.finite_matrix(_sv_map(t, lambda s: np.minimum(s, 1.0)))
-    else:
-        clip_kind = "entry_clip"
-        clipped = HilbertOperator(t.shape, np.clip(t.explicit, -1.0, 1.0), TailRule.const(0.0))
-    return [("construction", best_ball_approx_h(t).approximant),
-            ("soft_threshold", _soft_threshold(t)), (clip_kind, clipped), zero]
+        k = HilbertOperator.finite_matrix(_sv_map(t.matrix_array())[1])
+    else:  # every tail entry sits within d of 0 by the distance formula
+        k = HilbertOperator(t.shape, _soft(t.explicit, d), TailRule.const(0.0))
+    return make_result(t, k, Branch.COMPACT_INPUT if d == 0.0 else Branch.SMALL_NORM)
 
 
-def _as_trials(t: Operator, ops):
-    """Candidates ``ops`` on the support of ``t``, in the array form of its trials."""
+def _fixed_candidates(t: Operator, construction: Operator):
+    """The named fixed candidates ``(kinds, batch)`` of a search, in the
+    array form of its random trials: the construction, in-ball maps of
+    the data of ``t`` built here with numpy, and the zero operator."""
     if isinstance(t, L1Operator):
-        cols = [np.array([k.columns[j] for k in ops]) for j in range(len(t.columns))]
-        n_tail = len(t.tail_weights) + 2
-        return cols, np.array([_slots(k.tail_weights, k.tail, 0, n_tail) for k in ops]).T
+        cols = [np.array([k, col * min(1.0, 1.0 / max(mass, 1e-300)), np.zeros(len(col))])
+                for k, col, mass in zip(construction.columns, t.columns, t.column_masses.tolist())]
+        n_listed, tail = len(t.tail_weights), np.zeros((len(t.tail_weights) + 2, 3))
+        tail[:, 0] = _slots(construction.tail_weights, construction.tail, 0, n_listed + 2)
+        tail[:n_listed, 1] = np.clip(t.tail_weights, -1.0, 1.0)
+        return ["construction", "column_scaling", "zero"], (cols, tail)
     if t.shape is Shape.FINITE_MATRIX:
-        return np.array([k.matrix_array() for k in ops])
-    width = len(t.explicit) + 4
-    return np.array([_slots(k.explicit, k.tail, 0, width) for k in ops])
+        m = t.matrix_array()
+        batch = np.array([construction.matrix_array(), *_sv_map(m)[1:], np.zeros_like(m)])
+        return ["construction", "soft_threshold", "sv_clip", "zero"], batch
+    x = t.explicit
+    rows = np.zeros((4, len(x) + 4))
+    rows[0] = _slots(construction.explicit, construction.tail, 0, len(x) + 4)
+    rows[1, : len(x)], rows[2, : len(x)] = _soft(x, ball_distance(t)), np.clip(x, -1.0, 1.0)
+    return ["construction", "soft_threshold", "entry_clip", "zero"], rows
+
+
+def _build(t: Operator, batch, i: int) -> Operator:
+    """Candidate ``i`` of a batch in the array form of the trials of
+    ``t``, as an operator with a const 0 tail."""
+    if isinstance(t, L1Operator):
+        return L1Operator(tuple(c[i] for c in batch[0]), batch[1][:, i], TailRule.const(0.0))
+    if t.shape is Shape.FINITE_MATRIX:
+        return HilbertOperator.finite_matrix(batch[i])
+    return HilbertOperator(t.shape, batch[i], TailRule.const(0.0))
 
 
 def _score(t: Operator, trials) -> np.ndarray:
@@ -247,33 +254,28 @@ def competitor_search(
     """
     trials = _require_int(trials, "trials", 1)
     seed = _require_int(seed, "seed", 0)
-    tol = _require_finite(tol, "tol")
-    if tol < 0.0:
-        raise ValidationError(f"tol must be nonnegative, got {tol}")
+    tol = _require_tol(tol)
     claimed = ball_distance(t) if claimed is None else _require_finite(claimed, "claimed")
     rng = np.random.default_rng(seed)
 
-    candidates = _deterministic_candidates(t)
-    construction = candidates[0][1]
     if isinstance(t, L1Operator):
-        col_samples, tail = drawn = _random_l1_competitors(t, trials, rng)
-        build = lambda i: L1Operator(
-            tuple(c[i] for c in col_samples), tail[:, i], TailRule.const(0.0))
-    elif t.shape is Shape.FINITE_MATRIX:
-        drawn = _random_matrix_competitors(t, construction, trials, rng)
-        build = lambda i: HilbertOperator.finite_matrix(drawn[i])
+        construction = best_ball_approx_l1(t).approximant
+        drawn = _random_l1_competitors(t, trials, rng)
     else:
-        drawn = _random_entry_competitors(t, construction, trials, rng)
-        build = lambda i: HilbertOperator(t.shape, drawn[i], TailRule.const(0.0))
+        construction = best_ball_approx_h(t).approximant
+        matrix = t.shape is Shape.FINITE_MATRIX
+        draw = _random_matrix_competitors if matrix else _random_entry_competitors
+        drawn = draw(t, construction, trials, rng)
     # the few fixed candidates as a batch of their own: stacked onto the
     # trials, they would grow every trial-sized temporary
-    scores = _score(t, _as_trials(t, [k for _, k in candidates]))
+    kinds, fixed = _fixed_candidates(t, construction)
+    scores = _score(t, fixed)
     idx = int(np.argmin(scores))
-    best_found, (best_kind, best_candidate) = float(scores[idx]), candidates[idx]
+    best_found, best_kind, best = float(scores[idx]), kinds[idx], (fixed, idx)
     scores = _score(t, drawn)
     idx = int(np.argmin(scores))
     if scores[idx] < best_found:
-        best_found, best_kind, best_candidate = float(scores[idx]), "random", build(idx)
+        best_found, best_kind, best = float(scores[idx]), "random", (drawn, idx)
 
     band = max(tol, IDENTITY_TOL * abs(claimed))
     beaten = best_found < claimed - band
@@ -288,7 +290,7 @@ def competitor_search(
         seed=seed,
         tol=tol,
         best_kind=best_kind,
-        best_candidate=best_candidate,
+        best_candidate=_build(t, *best),
     )
 
 
@@ -296,26 +298,28 @@ def svd_clip_oracle(matrix, tol: float = DEFAULT_TOL):
     """Solve the finite matrix case by singular value clipping.
 
     Returns ``(k, distance)`` where ``k`` clips the singular values of
-    ``matrix`` at 1 and ``distance = max(sigma_1 - 1, 0)``.  ``matrix``
-    is read as a finite matrix model (:class:`ValidationError` if it is
-    not one), whose memoised SVD both this clip and the construction use.
-    Raises :class:`CertificationError` if the reconstruction or the main
-    construction disagrees beyond ``tol``; raises
-    :class:`~ballapprox.jacobi.NumericError` if the singular value
-    iteration fails to converge.
+    ``matrix`` at 1 and ``distance = max(sigma_1 - 1, 0)``, both from
+    LAPACK's SVD.  ``matrix`` is read as a finite matrix model
+    (:class:`ValidationError` if it is not one).  Raises
+    :class:`CertificationError` if LAPACK's ``sigma_1(T - k)`` or the
+    construction's (Jacobi) distance is off ``distance`` by more than
+    ``max(tol, IDENTITY_TOL * distance)``, the band of
+    :func:`competitor_search`; raises :class:`~ballapprox.jacobi.NumericError`
+    if the construction's singular value iteration fails to converge.
     """
-    tol = _require_finite(tol, "tol")
+    tol = _require_tol(tol)
     t = HilbertOperator.finite_matrix(matrix)
-    k = _sv_map(t, lambda s: np.minimum(s, 1.0))
-    distance = float(max(t.matrix_svd[1][0] - 1.0, 0.0))
+    sigma_1, _, k = _sv_map(t.matrix_array())
+    distance = max(sigma_1 - 1.0, 0.0)
+    band = max(tol, IDENTITY_TOL * distance)
 
-    achieved = float(jacobi_singular_values(t.matrix_array() - k)[0])
-    if abs(achieved - distance) > tol:
+    achieved = float(_score_matrices(t, k[None])[0])
+    if not abs(achieved - distance) <= band:
         raise CertificationError(
             f"clip reconstruction achieves {achieved}, expected {distance}"
         )
     built = best_ball_approx_h(t).distance
-    if abs(built - distance) > tol:
+    if not abs(built - distance) <= band:
         raise CertificationError(
             f"construction distance {built} disagrees with clipped SVD {distance}"
         )

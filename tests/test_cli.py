@@ -6,7 +6,17 @@ import math
 import numpy as np
 import pytest
 
-from ballapprox import HilbertOperator, L1Operator, TailRule, best_ball_approx_h, models
+from ballapprox import (
+    CertificationError,
+    HilbertOperator,
+    L1Operator,
+    NumericError,
+    TailRule,
+    ValidationError,
+    best_ball_approx_h,
+    models,
+    svd_clip_oracle,
+)
 from ballapprox.cli import main
 from ballapprox.serialize import operator_from_doc, operator_to_doc
 
@@ -457,21 +467,33 @@ class TestVerifyScoresApartFromTheLibrary:
                     verify_only.append(i)
         assert verify_only == []
 
+    def test_svd_clip_oracle_on_tiny_matrix(self):
+        # the clip used to be scored by Jacobi on its residual T - k
+        k, d = svd_clip_oracle(self.TINY)
+        assert d == 0.0
+        np.testing.assert_allclose(k, self.TINY, rtol=0, atol=1e-12 * np.abs(self.TINY).max())
+
+    def test_svd_clip_oracle_fails_only_where_approx_fails(self, monkeypatch, capsys):
+        rng = np.random.default_rng(11)
+        clip_only = []
+        for i in range(600):
+            n = int(rng.integers(2, 7))
+            m = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-160, -130)
+            try:
+                svd_clip_oracle(m)
+            except (CertificationError, NumericError, ValidationError):
+                if self.run_matrix(["approx"], m, monkeypatch, capsys)[0] == 0:
+                    clip_only.append(i)
+        assert clip_only == []
+
     @pytest.mark.parametrize("bias", [1 + 1e-9, 1 - 1e-9])
     def test_biased_library_arithmetic_fails_verify(self, bias, monkeypatch, capsys):
         # a consistent bias in the library's singular values still lets
         # make_result certify the construction; verify's own scores see it
-        def biased(fn):
-            def wrapper(a, *args, **kwargs):
-                out = fn(a, *args, **kwargs)
-                if isinstance(out, tuple):
-                    u, sv, vt = out
-                    return u, sv * bias, vt
-                return out * bias
-            return wrapper
-
-        for name in ("jacobi_svd", "jacobi_singular_values"):
-            monkeypatch.setattr(models, name, biased(getattr(models, name)))
+        # the library's one Jacobi entry point
+        singular_values = models.jacobi_singular_values
+        monkeypatch.setattr(models, "jacobi_singular_values",
+                            lambda a, *args, **kwargs: singular_values(a, *args, **kwargs) * bias)
         rng = np.random.default_rng(23)
         for n in (2, 3, 5, 8):
             m = rng.standard_normal((n, n))

@@ -1,6 +1,9 @@
+import ast
+import inspect
 import io
 import itertools
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +12,6 @@ from ballapprox import (
     NumericError,
     jacobi_singular_values,
     jacobi_svd,
-    models,
     oracles,
     svd_clip_oracle,
 )
@@ -113,6 +115,19 @@ def test_rejects_nonsquare_and_nonfinite():
         jacobi_svd(np.array([[np.nan]]))
 
 
+@pytest.mark.parametrize(
+    "a",
+    [[["1", "2"], ["3", "4"]], [[True, False], [False, True]], np.eye(2, dtype=bool),
+     np.array([[1.0, 2.0], [3.0, 4.0]], dtype=object)],
+    ids=["strings", "bools", "bool_array", "objects"],
+)
+def test_rejects_non_numeric_entries(a):
+    # converting to float would read "1" and True as 1.0
+    for decompose in (jacobi_svd, jacobi_singular_values):
+        with pytest.raises(ValueError, match="square real matrix"):
+            decompose(a)
+
+
 def test_overflow_is_named_before_any_sweep():
     m = np.array([[1e200, 0.0], [0.0, 1.0]])  # finite, but its Gram matrix is not
     for decompose in (jacobi_svd, jacobi_singular_values):
@@ -160,7 +175,7 @@ def test_one_round_equals_its_rotations_one_pair_at_a_time():
 
 @pytest.fixture
 def jacobi_inputs(monkeypatch):
-    """Record the input of every Jacobi call made by the model and oracle layers."""
+    """Record the input of every Jacobi call made by any module of the package."""
     inputs = []
 
     def counting(fn):
@@ -169,7 +184,8 @@ def jacobi_inputs(monkeypatch):
             return fn(a, *args, **kwargs)
         return wrapper
 
-    for module in (models, oracles):
+    package = [m for name, m in list(sys.modules.items()) if name.split(".")[0] == "ballapprox"]
+    for module in package:
         for name in ("jacobi_svd", "jacobi_singular_values"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting(getattr(module, name)))
@@ -187,19 +203,33 @@ def _matrix_run(argv, m, monkeypatch, capsys):
 def test_verify_takes_one_svd_of_its_input(jacobi_inputs, monkeypatch, capsys):
     m = np.random.default_rng(4).standard_normal((16, 16)) * 0.5
     assert _matrix_run(["verify", "--samples", "50"], m, monkeypatch, capsys) == 0
-    # one SVD of T, memoised on the operator; every candidate is scored by
-    # LAPACK, so no other run sees T's numbers
-    assert [name for name, a in jacobi_inputs if np.array_equal(a, m)] == ["jacobi_svd"]
+    # T's singular values once, for its norm (memoised on the operator); every
+    # candidate is built and scored by LAPACK, so no other run sees T's numbers
+    assert [name for name, a in jacobi_inputs if np.array_equal(a, m)] == [
+        "jacobi_singular_values"]
     # T, then the construction's certificate: the norm of K and the residual T - K
     assert len(jacobi_inputs) == 3
+    assert all(name == "jacobi_singular_values" for name, _ in jacobi_inputs)
+
+
+def test_oracles_import_nothing_from_jacobi():
+    # the oracles build and score their candidates with numpy.linalg
+    tree = ast.parse(inspect.getsource(oracles))
+    names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for alias in node.names]
+    names += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert names and not [name for name in names if "jacobi" in name]
 
 
 def test_svd_clip_oracle_decomposes_its_input_once(jacobi_inputs):
     m = np.random.default_rng(6).standard_normal((16, 16)) * 0.5
     svd_clip_oracle(m)
-    assert [name for name, a in jacobi_inputs if np.array_equal(a, m)] == ["jacobi_svd"]
-    # T once, the clip residual T - K, the construction's norm of K and T - K
-    assert len(jacobi_inputs) == 4
+    assert [name for name, a in jacobi_inputs if np.array_equal(a, m)] == [
+        "jacobi_singular_values"]
+    # T's norm once, then the construction's norm of K and T - K; the clip
+    # is built and scored by LAPACK
+    assert len(jacobi_inputs) == 3
+    assert all(name == "jacobi_singular_values" for name, _ in jacobi_inputs)
 
 
 def test_approx_makes_three_jacobi_calls(jacobi_inputs, monkeypatch, capsys):
@@ -208,6 +238,7 @@ def test_approx_makes_three_jacobi_calls(jacobi_inputs, monkeypatch, capsys):
     # T once (memoised), then the approximant's norm and the residual T - K
     assert len(jacobi_inputs) == 3
     assert sum(np.array_equal(a, m) for _, a in jacobi_inputs) == 1
+    assert all(name == "jacobi_singular_values" for name, _ in jacobi_inputs)
 
 
 def test_approx_of_norm_at_most_one_makes_two_jacobi_calls(jacobi_inputs, monkeypatch, capsys):
@@ -217,3 +248,4 @@ def test_approx_of_norm_at_most_one_makes_two_jacobi_calls(jacobi_inputs, monkey
     # T once (memoised, and T is its own approximant), then the residual T - K
     assert len(jacobi_inputs) == 2
     assert sum(np.array_equal(a, m) for _, a in jacobi_inputs) == 1
+    assert all(name == "jacobi_singular_values" for name, _ in jacobi_inputs)

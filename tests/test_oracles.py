@@ -11,6 +11,7 @@ from ballapprox import (
     ValidationError,
     ball_distance,
     best_ball_approx_h,
+    best_ball_approx_l1,
     competitor_search,
     finite_section_bounds,
     svd_clip_oracle,
@@ -137,15 +138,28 @@ class TestCompetitorSearch:
         for t in [random_hilbert(rng, max_len=6, max_dim=6) for _ in range(30)] + [
             random_l1(rng) for _ in range(30)
         ]:
-            candidates = oracles._deterministic_candidates(t)
-            scores = oracles._score(t, oracles._as_trials(t, [k for _, k in candidates]))
+            construct = best_ball_approx_l1 if isinstance(t, L1Operator) else best_ball_approx_h
+            kinds, batch = oracles._fixed_candidates(t, construct(t).approximant)
+            scores = oracles._score(t, batch)
             exact = isinstance(t, HilbertOperator) and t.shape is not Shape.FINITE_MATRIX
-            for (kind, cand), score in zip(candidates, scores.tolist()):
-                r = residual_norm(t, cand)
+            for i, (kind, score) in enumerate(zip(kinds, scores.tolist())):
+                r = residual_norm(t, oracles._build(t, batch, i))
                 if exact:
                     assert score == r, kind
                 else:
                     assert abs(score - r) <= IDENTITY_TOL * max(1.0, r), kind
+
+    def test_best_candidate_is_the_scored_one(self):
+        # the reported operator is the candidate behind best_found, built
+        # back from its row of the fixed or random batch
+        rng = np.random.default_rng(19)
+        for t in [random_hilbert(rng, max_len=6, max_dim=6) for _ in range(20)] + [
+            random_l1(rng) for _ in range(20)
+        ]:
+            report = competitor_search(t, trials=100, seed=3)
+            r = residual_norm(t, report.best_candidate)
+            d = ball_distance(t)
+            assert abs(r - report.best_found) <= IDENTITY_TOL * max(1.0, d), report.best_kind
 
     @pytest.mark.parametrize(
         "t",
@@ -168,7 +182,8 @@ class TestCompetitorSearch:
             monkeypatch.setattr(module, "make_result", counting)
         assert competitor_search(t, trials=50, seed=1).passed
         (certified,) = calls
-        assert certified == oracles._deterministic_candidates(t)[0][1]
+        construct = best_ball_approx_l1 if isinstance(t, L1Operator) else best_ball_approx_h
+        assert certified == construct(t).approximant
 
 
 class TestMatrixTrials:
@@ -235,6 +250,36 @@ class TestSvdClip:
             svd_clip_oracle(np.diag([2.0, 0.5]), tol=float("nan"))
         with pytest.raises(ValidationError):
             svd_clip_oracle([["2", "0"], ["0", "0.5"]])
+
+    def test_negative_tol_rejected(self):
+        with pytest.raises(ValidationError):
+            svd_clip_oracle(np.diag([2.0, 0.5]), tol=-1e-10)
+
+    @pytest.mark.parametrize("scale", [1e3, 1e4, 1e5, 1e6, 1e8, 1e10, 1e12])
+    def test_large_matrices_compared_at_the_search_band(self, scale):
+        # an absolute 1e-10 is finer than the rounding of a distance above
+        # about 1e5; the band widens to IDENTITY_TOL * distance
+        rng = np.random.default_rng(29)
+        for i in range(40):
+            m = rng.standard_normal((5, 5)) * scale
+            k, d = svd_clip_oracle(m)
+            sigma_1 = np.linalg.svd(m, compute_uv=False)[0]
+            assert d == pytest.approx(sigma_1 - 1.0, rel=1e-14), i
+
+    @pytest.mark.parametrize("scale", [1e3, 1e6, 1e12])
+    def test_clip_off_by_1e_11_relative_is_rejected(self, scale, monkeypatch):
+        # k + 1e-11 T leaves the residual (1 - 1e-11) T - k: sigma_1 is off
+        # the distance by 1e-11 sigma_1, ten times the band at large scale
+        sv_map = oracles._sv_map
+
+        def perturbed(m):
+            sigma_1, soft, clip = sv_map(m)
+            return sigma_1, soft, clip + 1e-11 * m
+
+        monkeypatch.setattr(oracles, "_sv_map", perturbed)
+        m = np.random.default_rng(31).standard_normal((5, 5)) * scale
+        with pytest.raises(CertificationError, match="clip reconstruction"):
+            svd_clip_oracle(m)
 
     def test_diagonal_matrix(self):
         k, d = svd_clip_oracle(np.diag([2.0, 0.5]))
