@@ -20,6 +20,7 @@ from .models import (
     BallApproxResult,
     Branch,
     Certificate,
+    CertificationError,
     HilbertOperator,
     L1Operator,
     Shape,
@@ -35,7 +36,6 @@ from .models import (
     scale,
 )
 from .oracles import (
-    CertificationError,
     SearchReport,
     competitor_search,
     finite_section_bounds,

@@ -17,9 +17,9 @@ from .extreme import project_scalar_multiple, verify_unique_projection
 from .hilbert import best_ball_approx_h
 from .jacobi import NumericError
 from .l1 import best_ball_approx_l1
-from .models import HilbertOperator, L1Operator, Shape, ValidationError
+from .models import CertificationError, HilbertOperator, L1Operator, Shape, ValidationError
 from .models import ball_distance, ess_norm, op_norm
-from .oracles import DEFAULT_TOL, CertificationError, competitor_search
+from .oracles import DEFAULT_TOL, competitor_search
 from .serialize import certificate_to_doc, operator_from_doc, operator_to_doc, point_to_doc
 
 __all__ = ["main", "run_command"]

@@ -272,8 +272,13 @@ def verify_unique_projection(
         stride = max(len(near) // 200, 1)
         subset = near[::stride][:201]
         subset = np.vstack([subset, near[int(np.argmax(offsets))]])
-        diffs = subset[:, None, :] - subset[None, :, :]
-        spread = float(space.norm_rows(diffs.reshape(-1, dim)).max())
+        if space is Space.LINF:
+            # fl(a - b) rises with a and falls with b, so each coordinate's
+            # largest pairwise difference is its max minus its min: same bits
+            spread = float(np.max(subset.max(axis=0) - subset.min(axis=0)))
+        else:
+            diffs = subset[:, None, :] - subset[None, :, :]
+            spread = float(space.norm_rows(diffs.reshape(-1, dim)).max())
 
     return ProjectionReport(
         space=space,

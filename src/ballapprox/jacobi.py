@@ -18,9 +18,11 @@ so their rotations commute: one round reads the norms and inner products
 of all its pairs from the current columns, then rotates them all at once
 with a few array operations, instead of one pair at a time in Python.
 
-The library reads only singular values: a model matrix's norm, once per
-operator, and the residual norms its certificates check.  The oracles of
-:mod:`ballapprox.oracles` build and score their candidates with
+The library runs this routine once per model matrix, for the singular
+values behind its norm (kept on the operator).  The certificates of
+:func:`ballapprox.models.make_result` check that norm against LAPACK's
+singular values of the approximant and of the residual, and the oracles
+of :mod:`ballapprox.oracles` build and score their candidates with
 ``numpy.linalg``.  :func:`jacobi_svd` is public, for singular vectors.
 """
 

@@ -20,10 +20,12 @@ whole-array numpy, and :mod:`ballapprox.serialize` emits ``.tolist()``.
 Because the families are closed under differences against compact
 members of the same family, residual norms are exact maxima over a
 finite list of candidates; no iterative norm estimation is involved for
-diagonal, shift, or l1 models.  Finite matrices take their singular
-values from the one-sided Jacobi routine of :mod:`ballapprox.jacobi`,
-run at most once per operator (the norm is kept on the operator); no
-code here reads singular vectors.
+diagonal, shift, or l1 models.  A finite matrix takes its norm from
+the one-sided Jacobi routine of :mod:`ballapprox.jacobi`, run at most
+once per operator (the norm is kept on the operator); the checks of
+:func:`make_result` read LAPACK's singular values instead, so they
+cross-check that norm in different arithmetic.  No code here reads
+singular vectors.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .jacobi import jacobi_singular_values
 
 __all__ = [
     "ValidationError",
+    "CertificationError",
     "TailKind",
     "TailRule",
     "Shape",
@@ -67,6 +70,10 @@ IDENTITY_TOL = 1e-12
 
 class ValidationError(ValueError):
     """An operator description violates a model-class invariant."""
+
+
+class CertificationError(RuntimeError):
+    """A certification check or an oracle contradicted a closed-form claim."""
 
 
 def _require_finite(value, what: str, index: Optional[int] = None) -> float:
@@ -524,10 +531,11 @@ class Certificate(_ByValue):
     """Record of the quantities certifying a best approximation.
 
     ``residuals`` (a read-only float64 array) holds per-entry residual
-    magnitudes for diagonal and shift models, per-singular-value
-    residuals for finite matrices, and per-column residual masses for l1
-    models; ``tail_residual`` is the supremum contributed by the region
-    beyond all explicit data.
+    magnitudes for diagonal and shift models, the LAPACK singular values
+    of ``T - K`` for finite matrices (whose ``op_norm`` is ``T``'s Jacobi
+    norm), and per-column residual masses for l1 models;
+    ``tail_residual`` is the supremum contributed by the region beyond
+    all explicit data.
     """
 
     op_norm: float
@@ -587,7 +595,7 @@ def residual_profile(t: Operator, k: Operator):
         pa, pb = np.zeros((m, m)), np.zeros((m, m))
         pa[: a.shape[0], : a.shape[1]] = a
         pb[: b.shape[0], : b.shape[1]] = b
-        sv = _readonly(jacobi_singular_values(pa - pb))
+        sv = _readonly(_singular_values(pa - pb))
         return sv, 0.0, float(sv[0])
     if t.shape is not k.shape:
         raise ValidationError("residuals require operators of the same shape")
@@ -618,6 +626,12 @@ def residual_norm(t: Operator, k: Operator) -> float:
     return residual_profile(t, k)[2]
 
 
+def _singular_values(a: np.ndarray) -> np.ndarray:
+    """LAPACK's singular values of a square block, descending: what the
+    certificate checks, apart from the Jacobi norm of ``T``."""
+    return np.linalg.svd(a, compute_uv=False)
+
+
 def _is_compact(k: Operator) -> bool:
     if isinstance(k, HilbertOperator) and k.shape is Shape.FINITE_MATRIX:
         return True
@@ -630,18 +644,24 @@ def make_result(t: Operator, approximant: Operator, branch: Branch) -> BallAppro
     Enforces the contract every construction promises: the approximant
     sits in the unit ball (within 1e-12), is compact by construction,
     and its residual norm reproduces the distance formula.  The checks
-    are written so that a NaN or an overflowed norm fails them.
+    are written so that a NaN or an overflowed norm fails them.  A
+    failed ball or residual check raises :class:`CertificationError`, a
+    non-compact approximant :class:`ValidationError`.  For a matrix both
+    checks read LAPACK singular values, against ``T``'s Jacobi norm.
     """
     nrm, ess = op_norm(t), ess_norm(t)
     formula = max(nrm - 1.0, ess, 0.0)
     if not _is_compact(approximant):
         raise ValidationError("approximant must be compact (const 0 tail or finite)")
-    a_norm = op_norm(approximant)
+    if isinstance(approximant, HilbertOperator) and approximant.shape is Shape.FINITE_MATRIX:
+        a_norm = float(_singular_values(approximant.entries)[0])
+    else:
+        a_norm = op_norm(approximant)
     if not a_norm <= 1.0 + IDENTITY_TOL:
-        raise ValidationError(f"approximant norm {a_norm} exceeds the unit ball")
+        raise CertificationError(f"approximant norm {a_norm} exceeds the unit ball")
     residuals, tail_res, res_norm = residual_profile(t, approximant)
     if not abs(res_norm - formula) <= IDENTITY_TOL * max(1.0, formula):
-        raise ValidationError(
+        raise CertificationError(
             f"residual norm {res_norm} disagrees with the distance formula {formula}"
         )
     cert = Certificate(nrm, ess, formula, residuals, tail_res, res_norm)

@@ -14,7 +14,7 @@ constructions they certify:
 
 Apart from the construction, every candidate is built here from the
 input's data with numpy, the matrix ones from one LAPACK SVD; Jacobi
-serves only the library's own norms and certificates.  Every candidate
+serves only the library's norm of a matrix ``T``.  Every candidate
 of the search, the construction included, is scored by one numpy
 function per model class, apart from the library's own residual code:
 LAPACK's largest singular value for matrices, the window of entry or
@@ -35,6 +35,7 @@ from .models import (
     IDENTITY_TOL,
     BallApproxResult,
     Branch,
+    CertificationError,
     HilbertOperator,
     L1Operator,
     Operator,
@@ -62,10 +63,6 @@ DEFAULT_TOL = 1e-10
 
 #: Matrix entries per chunk of random-trial residuals (1 MiB of float64).
 SVD_CHUNK_ENTRIES = 1 << 17
-
-
-class CertificationError(RuntimeError):
-    """An oracle contradicted a closed-form claim."""
 
 
 def _require_tol(tol) -> float:
@@ -302,10 +299,11 @@ def svd_clip_oracle(matrix, tol: float = DEFAULT_TOL):
     LAPACK's SVD.  ``matrix`` is read as a finite matrix model
     (:class:`ValidationError` if it is not one).  Raises
     :class:`CertificationError` if LAPACK's ``sigma_1(T - k)`` or the
-    construction's (Jacobi) distance is off ``distance`` by more than
+    construction's distance is off ``distance`` by more than
     ``max(tol, IDENTITY_TOL * distance)``, the band of
-    :func:`competitor_search`; raises :class:`~ballapprox.jacobi.NumericError`
-    if the construction's singular value iteration fails to converge.
+    :func:`competitor_search`, or if the construction's certificate fails;
+    raises :class:`~ballapprox.jacobi.NumericError` if the Jacobi iteration
+    behind ``T``'s norm fails to converge.
     """
     tol = _require_tol(tol)
     t = HilbertOperator.finite_matrix(matrix)

@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -488,19 +489,20 @@ class TestVerifyScoresApartFromTheLibrary:
 
     @pytest.mark.parametrize("bias", [1 + 1e-9, 1 - 1e-9])
     def test_biased_library_arithmetic_fails_verify(self, bias, monkeypatch, capsys):
-        # a consistent bias in the library's singular values still lets
-        # make_result certify the construction; verify's own scores see it
-        # the library's one Jacobi entry point
+        # a consistent bias in T's Jacobi norm, the library's one Jacobi entry
+        # point: make_result checks it against LAPACK's singular values of K
+        # and T - K, so approx and verify both fail as a certification error
         singular_values = models.jacobi_singular_values
         monkeypatch.setattr(models, "jacobi_singular_values",
                             lambda a, *args, **kwargs: singular_values(a, *args, **kwargs) * bias)
+        if bias > 1.0:  # K = T / ||T|| sits inside the ball, T - K is too large
+            message = r"^residual norm \S+ disagrees with the distance formula \S+$"
+        else:  # K = T / ||T|| sticks out of the ball
+            message = r"^approximant norm \S+ exceeds the unit ball$"
         rng = np.random.default_rng(23)
         for n in (2, 3, 5, 8):
             m = rng.standard_normal((n, n))
             m *= 1.8 / np.linalg.svd(m, compute_uv=False)[0]
-            code, doc = self.run_matrix(["verify", "--samples", "50"], m, monkeypatch, capsys)
-            assert code == 2 and doc["pass"] is False, doc
-            if bias > 1.0:
-                assert doc["beaten"], doc
-            else:
-                assert not doc["attained"], doc
+            for argv in (["approx"], ["verify", "--samples", "50"]):
+                code, doc = self.run_matrix(argv, m, monkeypatch, capsys)
+                assert code == 2 and re.match(message, doc["error"]), doc

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ballapprox import (
+    CertificationError,
     HilbertOperator,
     L1Operator,
     Shape,
@@ -20,6 +21,7 @@ from ballapprox import (
 )
 
 from ballapprox import models
+from ballapprox.hilbert import best_ball_approx_h
 from ballapprox.models import Branch, make_result
 from helpers import random_hilbert, random_l1
 
@@ -369,7 +371,7 @@ class TestMakeResultRejects:
     def test_approximant_outside_the_ball(self, kind):
         t, build = _make_result_instances(3.0)[kind]
         k = scale(build(1.0, 0.5 / 3.0), 1.0 + 1e-11)
-        with pytest.raises(ValidationError, match="exceeds the unit ball$") as info:
+        with pytest.raises(CertificationError, match="exceeds the unit ball$") as info:
             make_result(t, k, Branch.COMPACT_INPUT)
         assert float(str(info.value).split()[2]) == pytest.approx(1.0 + 1e-11, rel=1e-14)
 
@@ -379,7 +381,7 @@ class TestMakeResultRejects:
         t, build = _make_result_instances(top)[kind]
         d = top - 1.0
         k = build(1.0 - 1e-11 * max(1.0, d), 0.5 / top)  # in the ball
-        with pytest.raises(ValidationError) as info:
+        with pytest.raises(CertificationError) as info:
             make_result(t, k, Branch.COMPACT_INPUT)
         message = str(info.value)
         assert message.startswith("residual norm ")
@@ -404,8 +406,11 @@ class TestMakeResultRejects:
     def test_nan_norm(self, kind, monkeypatch):
         t, build = _make_result_instances(3.0)[kind]
         k = build(1.0, 0.5 / 3.0)
-        monkeypatch.setattr(models, "op_norm", lambda op: float("nan"))
-        with pytest.raises(ValidationError, match="^approximant norm nan exceeds the unit ball$"):
+        if kind == "matrix":  # the ball check reads LAPACK's singular values
+            monkeypatch.setattr(models, "_singular_values", lambda a: np.array([float("nan")]))
+        else:
+            monkeypatch.setattr(models, "op_norm", lambda op: float("nan"))
+        with pytest.raises(CertificationError, match="^approximant norm nan exceeds the unit ball$"):
             make_result(t, k, Branch.COMPACT_INPUT)
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -415,6 +420,64 @@ class TestMakeResultRejects:
         profile = models.residual_profile
         monkeypatch.setattr(models, "residual_profile",
                             lambda a, b: profile(a, b)[:2] + (float("nan"),))
-        with pytest.raises(ValidationError,
+        with pytest.raises(CertificationError,
                            match="^residual norm nan disagrees with the distance formula 2.0$"):
             make_result(t, k, Branch.COMPACT_INPUT)
+
+
+def _gaussian_matrix(n, seed, norm=1.8):
+    m = np.random.default_rng(seed).standard_normal((n, n))
+    return m * (norm / np.linalg.svd(m, compute_uv=False)[0])
+
+
+class TestMatrixCertificate:
+    """``make_result`` checks a matrix's Jacobi norm against LAPACK's
+    singular values of the approximant and of ``T - K``."""
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_scaled_up_approximant_leaves_the_ball(self, n):
+        t = HilbertOperator.finite_matrix(_gaussian_matrix(n, n))
+        k = scale(best_ball_approx_h(t).approximant, 1.0 + 1e-11)
+        with pytest.raises(CertificationError, match="exceeds the unit ball$"):
+            make_result(t, k, Branch.COMPACT_INPUT)
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_approximant_pushed_along_the_top_pair_leaves_the_ball(self, n):
+        a = _gaussian_matrix(n, n)
+        t = HilbertOperator.finite_matrix(a)
+        u, _, vt = np.linalg.svd(a)
+        bump = 1e-11 * op_norm(t) * np.outer(u[:, 0], vt[0])
+        k = HilbertOperator.finite_matrix(best_ball_approx_h(t).approximant.entries + bump)
+        with pytest.raises(CertificationError, match="exceeds the unit ball$"):
+            make_result(t, k, Branch.COMPACT_INPUT)
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_scaled_down_approximant_misses_the_formula(self, n):
+        t = HilbertOperator.finite_matrix(_gaussian_matrix(n, n))
+        k = scale(best_ball_approx_h(t).approximant, 1.0 - 1e-11)
+        with pytest.raises(CertificationError, match="^residual norm .* disagrees with"):
+            make_result(t, k, Branch.COMPACT_INPUT)
+
+    @pytest.mark.parametrize("bias,message", [
+        (1 + 1e-9, r"^residual norm \S+ disagrees with the distance formula \S+$"),
+        (1 - 1e-9, r"^approximant norm \S+ exceeds the unit ball$"),
+    ])
+    def test_biased_jacobi_norm_fails_the_construction(self, bias, message, monkeypatch):
+        # K = T / ||T||: a bias above 1 leaves T - K too large, one below
+        # pushes K out of the ball
+        singular_values = models.jacobi_singular_values
+        monkeypatch.setattr(models, "jacobi_singular_values",
+                            lambda a, *args, **kwargs: singular_values(a, *args, **kwargs) * bias)
+        t = HilbertOperator.finite_matrix(_gaussian_matrix(16, 3))
+        with pytest.raises(CertificationError, match=message):
+            best_ball_approx_h(t)
+
+    @pytest.mark.parametrize("n,norm", [(4, 1.8), (16, 1.8), (64, 1.8), (16, 0.6)])
+    def test_residuals_are_lapack_singular_values(self, n, norm):
+        a = _gaussian_matrix(n, n, norm)
+        result = best_ball_approx_h(HilbertOperator.finite_matrix(a))
+        expected = np.linalg.svd(a - result.approximant.entries, compute_uv=False)
+        cert = result.certificate
+        assert cert.residuals.tobytes() == expected.tobytes()
+        assert cert.residual_norm == result.distance == float(expected[0])
+        assert cert.op_norm == op_norm(HilbertOperator.finite_matrix(a))
