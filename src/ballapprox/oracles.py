@@ -14,12 +14,16 @@ constructions they certify:
 
 Apart from the construction, every candidate is built here from the
 input's data with numpy, the matrix ones from one LAPACK SVD; Jacobi
-serves only the library's norm of a matrix ``T``.  Every candidate
-of the search, the construction included, is scored by one numpy
-function per model class, apart from the library's own residual code:
-LAPACK's largest singular value for matrices, the window of entry or
-column residuals for the other models.  Section norms use
-``numpy.linalg`` too.
+serves only the library's norm of a matrix ``T``.  The search scores
+its candidates, the construction included, by one numpy function per
+model class, apart from the library's own residual code: LAPACK's
+largest singular value for matrices, the window of entry or column
+residuals for the other models.  Random matrix trials are first bounded
+below with ``T``'s top right singular vector, without an SVD of their
+own, and only the ones that could beat the best fixed candidate are
+decomposed; the margin of ``IDENTITY_TOL * (1 + sigma_1(T))`` covers the
+rounding, so a dropped trial could never be the first minimum and no
+report changes.  Section norms use ``numpy.linalg`` too.
 """
 
 from __future__ import annotations
@@ -61,7 +65,8 @@ __all__ = [
 
 DEFAULT_TOL = 1e-10
 
-#: Matrix entries per chunk of random-trial residuals (1 MiB of float64).
+#: Matrix entries per chunk of random-trial residuals, and per chunk of
+#: the trials moved when the search compacts them (1 MiB of float64).
 SVD_CHUNK_ENTRIES = 1 << 17
 
 
@@ -88,12 +93,13 @@ class SearchReport:
 
 
 def _sv_map(m: np.ndarray):
-    """``(sigma_1, soft, clip)`` from one LAPACK SVD of ``m``: the singular
-    values of ``u @ diag(.) @ vt`` are those of ``m`` shrunk toward zero
-    by ``max(sigma_1 - 1, 0)`` and clipped at 1, both at most 1."""
+    """``(sigma_1, soft, clip, v_1)`` from one LAPACK SVD of ``m``: the
+    singular values of ``u @ diag(.) @ vt`` are those of ``m`` shrunk
+    toward zero by ``max(sigma_1 - 1, 0)`` and clipped at 1, both at most
+    1; ``v_1`` is the top right singular vector."""
     u, sv, vt = np.linalg.svd(m)
     soft = _soft(sv, max(sv[0] - 1.0, 0.0))
-    return float(sv[0]), (u * soft) @ vt, (u * np.minimum(sv, 1.0)) @ vt
+    return float(sv[0]), (u * soft) @ vt, (u * np.minimum(sv, 1.0)) @ vt, vt[0]
 
 
 def _soft_threshold_approx(t: HilbertOperator) -> BallApproxResult:
@@ -109,25 +115,28 @@ def _soft_threshold_approx(t: HilbertOperator) -> BallApproxResult:
 
 
 def _fixed_candidates(t: Operator, construction: Operator):
-    """The named fixed candidates ``(kinds, batch)`` of a search, in the
-    array form of its random trials: the construction, in-ball maps of
-    the data of ``t`` built here with numpy, and the zero operator."""
+    """The named fixed candidates ``(kinds, batch, top)`` of a search, in
+    the array form of its random trials: the construction, in-ball maps
+    of the data of ``t`` built here with numpy, and the zero operator;
+    for a matrix, ``top`` is ``(sigma_1, v_1)`` of ``t`` from the same
+    SVD (``None`` for the other models)."""
     if isinstance(t, L1Operator):
         cols = [np.array([k, col * min(1.0, 1.0 / max(mass, 1e-300)), np.zeros(len(col))])
                 for k, col, mass in zip(construction.columns, t.columns, t.column_masses.tolist())]
         n_listed, tail = len(t.tail_weights), np.zeros((len(t.tail_weights) + 2, 3))
         tail[:, 0] = _slots(construction.tail_weights, construction.tail, 0, n_listed + 2)
         tail[:n_listed, 1] = np.clip(t.tail_weights, -1.0, 1.0)
-        return ["construction", "column_scaling", "zero"], (cols, tail)
+        return ["construction", "column_scaling", "zero"], (cols, tail), None
     if t.shape is Shape.FINITE_MATRIX:
         m = t.matrix_array()
-        batch = np.array([construction.matrix_array(), *_sv_map(m)[1:], np.zeros_like(m)])
-        return ["construction", "soft_threshold", "sv_clip", "zero"], batch
+        sigma_1, soft, clip, v_1 = _sv_map(m)
+        batch = np.array([construction.matrix_array(), soft, clip, np.zeros_like(m)])
+        return ["construction", "soft_threshold", "sv_clip", "zero"], batch, (sigma_1, v_1)
     x = t.explicit
     rows = np.zeros((4, len(x) + 4))
     rows[0] = _slots(construction.explicit, construction.tail, 0, len(x) + 4)
     rows[1, : len(x)], rows[2, : len(x)] = _soft(x, ball_distance(t)), np.clip(x, -1.0, 1.0)
-    return ["construction", "soft_threshold", "entry_clip", "zero"], rows
+    return ["construction", "soft_threshold", "entry_clip", "zero"], rows, None
 
 
 def _build(t: Operator, batch, i: int) -> Operator:
@@ -198,12 +207,14 @@ def _random_entry_competitors(t: HilbertOperator, best: HilbertOperator, trials:
     return rows
 
 
-def _random_matrix_competitors(t: HilbertOperator, best: HilbertOperator, trials: int, rng):
-    """Random in-ball ``n x n`` competitors; half of them perturb ``best``."""
+def _random_matrix_draws(t: HilbertOperator, best: HilbertOperator, trials: int, rng):
+    """Raw ``n x n`` draws ``M``, half of them perturbing ``best``; the
+    competitor of ``M`` is ``M / max(sigma_1(M), 1)`` (:func:`_into_ball`)."""
     n = t.matrix_array().shape[0]
     n_free = trials // 2
-    # both halves drawn into one trials x n x n array and scaled in place, so no
-    # second copy of the trials is alive during the batched SVDs
+    # both halves drawn into one trials x n x n array, which the search
+    # compacts, scales and scores in place: no second copy of the trials
+    # is alive during the batched SVDs
     mats = np.empty((trials, n, n))
     free, near = mats[:n_free], mats[n_free:]
     rng.standard_normal(out=free)
@@ -211,9 +222,52 @@ def _random_matrix_competitors(t: HilbertOperator, best: HilbertOperator, trials
     rng.standard_normal(out=near)
     near *= 0.3 / np.sqrt(n)
     near += best.matrix_array()
+    return mats
+
+
+def _into_ball(mats: np.ndarray) -> np.ndarray:
+    """Each draw ``M`` divided in place by ``max(sigma_1(M), 1)``, with
+    LAPACK's ``sigma_1`` (each matrix decomposed alone)."""
     top = np.linalg.svd(mats, compute_uv=False)[:, 0]
     mats /= np.maximum(top, 1.0)[:, None, None]
     return mats
+
+
+def _trial_lower_bounds(t: HilbertOperator, mats: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Lower bounds on ``sigma_1(T - K)`` for the competitors ``K = M / s``,
+    ``s = max(sigma_1(M), 1)``, of raw draws ``M``, from one unit vector
+    ``v``: as ``s >= max(|Mv|, 1)`` and ``|T - K| >= |Tv - Mv / s|``, the
+    score is at least ``min |Tv - c Mv|`` over ``0 <= c <= 1 / max(|Mv|, 1)``.
+    The minimising ``c`` is ``<Tv, Mv> / |Mv|^2``, clipped to that interval;
+    the bound is the norm of the residual vector itself (``hypot``: no
+    overflow, and no cancellation of a difference of squares)."""
+    tv, mv = t.matrix_array() @ v, mats @ v
+    mv2 = np.einsum("ij,ij->i", mv, mv)
+    c = np.divide(mv @ tv, mv2, out=np.zeros(len(mats)), where=mv2 > 0.0)
+    np.clip(c, 0.0, 1.0 / np.maximum(np.sqrt(mv2), 1.0), out=c)
+    return np.hypot.reduce(tv - c[:, None] * mv, axis=1)
+
+
+def _possible_winners(t: HilbertOperator, mats: np.ndarray, top, best: float):
+    """The raw draws of ``mats`` whose competitors could score at most
+    ``best``, moved to the front of ``mats`` in trial order; returns that
+    view.  ``top`` is LAPACK's ``(sigma_1, v_1)`` of ``T``.
+
+    A draw is dropped when its lower bound exceeds ``best`` by more than
+    ``IDENTITY_TOL * (1 + sigma_1)``.  The rounding of the bound, of
+    LAPACK's ``sigma_1`` of the draw (so of ``s``) and of ``T - K``, and
+    the norm of ``v_1`` are each off by a few ``n * eps * (1 + ||T||)``
+    at most, below 1e-14 of it for ``n <= 64``: a dropped draw scores
+    above ``best`` and could not have been the first minimum below it."""
+    sigma_1, v_1 = top
+    lower = _trial_lower_bounds(t, mats, v_1)
+    # a NaN bound drops nothing
+    keep = np.flatnonzero(~(lower > best + IDENTITY_TOL * (1.0 + sigma_1)))
+    chunk = max(1, SVD_CHUNK_ENTRIES // mats[0].size)
+    for s in range(0, len(keep), chunk):  # keep[i] >= i: no row is read after it is overwritten
+        rows = keep[s : s + chunk]
+        mats[s : s + len(rows)] = mats[rows]
+    return mats[: len(keep)]
 
 
 def _random_l1_competitors(t: L1Operator, trials: int, rng):
@@ -243,11 +297,18 @@ def competitor_search(
     optimal approximant).  These and the deterministic candidates, the
     construction included, are scored by the same numpy function, apart
     from the library's residual code; ``best_found`` is the first minimum
-    of those scores.  The report passes when nothing beats ``claimed`` by
-    more than ``band`` and some candidate attains it within ``band``,
-    where ``band = max(tol, IDENTITY_TOL * |claimed|)`` is no finer than
-    the resolution at which :func:`~ballapprox.models.make_result`
-    certifies a distance; the report keeps ``tol`` as given.
+    of those scores.  A random matrix trial is scored only when its lower
+    bound (:func:`_trial_lower_bounds`) comes within
+    ``IDENTITY_TOL * (1 + sigma_1(t))`` of the best deterministic score:
+    that margin covers the rounding of the bound and of LAPACK, so a
+    trial left out scores above that candidate, could not be the first
+    minimum, and the report is the one of scoring every trial.
+
+    The report passes when nothing beats ``claimed`` by more than
+    ``band`` and some candidate attains it within ``band``, where
+    ``band = max(tol, IDENTITY_TOL * |claimed|)`` is no finer than the
+    resolution at which :func:`~ballapprox.models.make_result` certifies
+    a distance; the report keeps ``tol`` as given.
     """
     trials = _require_int(trials, "trials", 1)
     seed = _require_int(seed, "seed", 0)
@@ -261,17 +322,19 @@ def competitor_search(
     else:
         construction = best_ball_approx_h(t).approximant
         matrix = t.shape is Shape.FINITE_MATRIX
-        draw = _random_matrix_competitors if matrix else _random_entry_competitors
+        draw = _random_matrix_draws if matrix else _random_entry_competitors
         drawn = draw(t, construction, trials, rng)
     # the few fixed candidates as a batch of their own: stacked onto the
     # trials, they would grow every trial-sized temporary
-    kinds, fixed = _fixed_candidates(t, construction)
+    kinds, fixed, top = _fixed_candidates(t, construction)
     scores = _score(t, fixed)
     idx = int(np.argmin(scores))
     best_found, best_kind, best = float(scores[idx]), kinds[idx], (fixed, idx)
+    if top is not None:  # a matrix: decompose only the draws that could win
+        drawn = _into_ball(_possible_winners(t, drawn, top, best_found))
     scores = _score(t, drawn)
-    idx = int(np.argmin(scores))
-    if scores[idx] < best_found:
+    if len(scores) and scores.min() < best_found:
+        idx = int(np.argmin(scores))
         best_found, best_kind, best = float(scores[idx]), "random", (drawn, idx)
 
     band = max(tol, IDENTITY_TOL * abs(claimed))
@@ -307,7 +370,7 @@ def svd_clip_oracle(matrix, tol: float = DEFAULT_TOL):
     """
     tol = _require_tol(tol)
     t = HilbertOperator.finite_matrix(matrix)
-    sigma_1, _, k = _sv_map(t.matrix_array())
+    sigma_1, _, k, _ = _sv_map(t.matrix_array())
     distance = max(sigma_1 - 1.0, 0.0)
     band = max(tol, IDENTITY_TOL * distance)
 

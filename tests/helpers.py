@@ -227,3 +227,25 @@ def same_bits(a, b) -> bool:
     """Equal as float64 bit patterns (so 0.0 and -0.0 differ)."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def ref_matrix_search(t, trials: int, seed: int):
+    """``(best_found, best_kind, best candidate array)`` of an exhaustive
+    matrix ``competitor_search``: the same draws, every one scaled into
+    the ball by LAPACK's ``sigma_1`` and scored by LAPACK's ``sigma_1(T - K)``,
+    after the search's fixed candidates; the first minimum wins."""
+    from ballapprox import best_ball_approx_h, oracles
+
+    m = t.matrix_array()
+    n, n_free = len(m), trials // 2
+    construction = best_ball_approx_h(t).approximant
+    rng = np.random.default_rng(seed)
+    free = rng.standard_normal((n_free, n, n)) * (0.6 / np.sqrt(n))
+    near = rng.standard_normal((trials - n_free, n, n)) * (0.3 / np.sqrt(n))
+    mats = np.concatenate([free, near + construction.matrix_array()])
+    mats /= np.maximum(np.linalg.svd(mats, compute_uv=False)[:, 0], 1.0)[:, None, None]
+    kinds, fixed = oracles._fixed_candidates(t, construction)[:2]
+    candidates = np.concatenate([fixed, mats])
+    scores = np.linalg.svd(m - candidates, compute_uv=False)[:, 0]
+    i = int(np.argmin(scores))
+    return float(scores[i]), kinds[i] if i < len(kinds) else "random", candidates[i]

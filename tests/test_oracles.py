@@ -19,7 +19,7 @@ from ballapprox import (
 
 from ballapprox import hilbert, l1, oracles
 from ballapprox.models import IDENTITY_TOL, Shape, make_result, residual_norm
-from helpers import random_hilbert, random_l1, ref_l1_trials, same_bits
+from helpers import random_hilbert, random_l1, ref_l1_trials, ref_matrix_search, same_bits
 
 
 class TestCompetitorSearch:
@@ -139,7 +139,7 @@ class TestCompetitorSearch:
             random_l1(rng) for _ in range(30)
         ]:
             construct = best_ball_approx_l1 if isinstance(t, L1Operator) else best_ball_approx_h
-            kinds, batch = oracles._fixed_candidates(t, construct(t).approximant)
+            kinds, batch, _ = oracles._fixed_candidates(t, construct(t).approximant)
             scores = oracles._score(t, batch)
             exact = isinstance(t, HilbertOperator) and t.shape is not Shape.FINITE_MATRIX
             for i, (kind, score) in enumerate(zip(kinds, scores.tolist())):
@@ -197,7 +197,8 @@ class TestMatrixTrials:
         rng = np.random.default_rng(n)
         t = HilbertOperator.finite_matrix(rng.standard_normal((n, n)))
         best = best_ball_approx_h(t).approximant
-        mats = oracles._random_matrix_competitors(t, best, trials, np.random.default_rng(1))
+        mats = oracles._into_ball(
+            oracles._random_matrix_draws(t, best, trials, np.random.default_rng(1)))
         residuals = oracles._score(t, mats)
         one_batch = np.linalg.svd(t.matrix_array()[None] - mats, compute_uv=False)[:, 0]
         assert np.array_equal(residuals, one_batch)
@@ -213,6 +214,98 @@ class TestMatrixTrials:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * trials_bytes, peak / trials_bytes
+
+
+def _matrix_of_norm(rng, n, norm):
+    a = rng.standard_normal((n, n))
+    return HilbertOperator.finite_matrix(a * (norm / np.linalg.svd(a, compute_uv=False)[0]))
+
+
+# in the ball, at its edge, just above it (where the bound's residual
+# cancels) and far above it
+SEARCH_NORMS = [1e-3, 0.5, 1.0, 1.0 + 1e-6, 3.0, 1e3, 1e6]
+
+
+class TestMatrixPruning:
+    """Only the random matrix trials that could win are decomposed; the
+    report is the one of scoring every trial."""
+
+    def _same_as_exhaustive(self, n, trials):
+        rng = np.random.default_rng(100 + n)
+        kinds = []
+        for i, norm in enumerate(SEARCH_NORMS):
+            t = _matrix_of_norm(rng, n, norm)
+            report = competitor_search(t, trials=trials, seed=i)
+            found, kind, candidate = ref_matrix_search(t, trials, i)
+            assert repr(report.best_found) == repr(found), (norm, i)
+            assert report.best_kind == kind, (norm, i)
+            assert report.best_candidate.matrix_array().tobytes() == candidate.tobytes(), (norm, i)
+            kinds.append(kind)
+        return kinds
+
+    @pytest.mark.parametrize("trials", [7, 50, 200])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 9, 12, 16, 64])
+    def test_report_equals_exhaustive_search(self, n, trials):
+        self._same_as_exhaustive(n, trials)
+
+    @pytest.mark.parametrize("trials", [7, 50, 200])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 9, 12, 16, 64])
+    def test_report_equals_exhaustive_search_when_trials_win(self, n, trials, monkeypatch):
+        # the zero operator as the only fixed candidate: random trials win
+        fixed_candidates = oracles._fixed_candidates
+
+        def zero_only(t, construction):
+            kinds, batch, top = fixed_candidates(t, construction)
+            return kinds[-1:], batch[-1:], top
+
+        monkeypatch.setattr(oracles, "_fixed_candidates", zero_only)
+        assert "random" in self._same_as_exhaustive(n, trials)
+
+    @pytest.mark.parametrize("norm", SEARCH_NORMS)
+    @pytest.mark.parametrize("n", [1, 2, 5, 16, 64])
+    def test_lower_bounds_hold_for_any_unit_vector(self, n, norm):
+        rng = np.random.default_rng(n)
+        t = _matrix_of_norm(rng, n, norm)
+        raw = oracles._random_matrix_draws(t, best_ball_approx_h(t).approximant, 200, rng)
+        scores = np.linalg.svd(t.matrix_array() - oracles._into_ball(raw.copy()),
+                               compute_uv=False)[:, 0]
+        other = rng.standard_normal(n)
+        for v in (np.linalg.svd(t.matrix_array())[2][0], other / np.linalg.norm(other)):
+            lower = oracles._trial_lower_bounds(t, raw, v)
+            assert np.all(lower <= scores * (1 + 1e-12) + 1e-15)
+
+    @pytest.mark.parametrize("chunk_entries", [None, 16 * 16 * 7])
+    def test_possible_winners_keep_trial_order(self, chunk_entries, monkeypatch):
+        if chunk_entries is not None:
+            monkeypatch.setattr(oracles, "SVD_CHUNK_ENTRIES", chunk_entries)
+        rng = np.random.default_rng(8)
+        t = _matrix_of_norm(rng, 16, 1.5)
+        raw = oracles._random_matrix_draws(t, best_ball_approx_h(t).approximant, 100, rng)
+        sigma_1, _, _, v_1 = oracles._sv_map(t.matrix_array())
+        lower = oracles._trial_lower_bounds(t, raw, v_1)
+        margin = IDENTITY_TOL * (1.0 + sigma_1)
+        # the median draw's bound lies within the margin above best: it stays
+        best = float(np.sort(lower)[50]) - margin / 2
+        kept = oracles._possible_winners(t, raw.copy(), (sigma_1, v_1), best)
+        assert 0 < len(kept) < 100
+        assert same_bits(kept, raw[lower <= best + margin])
+
+    def test_search_decomposes_no_random_trial(self, monkeypatch):
+        m = np.random.default_rng(3).standard_normal((64, 64))
+        svd, seen = np.linalg.svd, []
+
+        def counting(a, full_matrices=True, compute_uv=True):
+            seen.extend((compute_uv, x) for x in np.reshape(a, (-1, 64, 64)))
+            return svd(a, full_matrices=full_matrices, compute_uv=compute_uv)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        assert competitor_search(HilbertOperator.finite_matrix(m), trials=200, seed=0).passed
+        # one decomposition of T, for the fixed candidates and the bound's
+        # vector; T - 0 is the zero candidate's residual
+        assert [uv for uv, a in seen if np.array_equal(a, m)] == [True, False]
+        # with the four fixed residuals and the construction's norm and
+        # residual, seven matrices: none of the 200 trials
+        assert len(seen) == 7
 
 
 class TestEntryTrials:
@@ -273,8 +366,8 @@ class TestSvdClip:
         sv_map = oracles._sv_map
 
         def perturbed(m):
-            sigma_1, soft, clip = sv_map(m)
-            return sigma_1, soft, clip + 1e-11 * m
+            sigma_1, soft, clip, v_1 = sv_map(m)
+            return sigma_1, soft, clip + 1e-11 * m, v_1
 
         monkeypatch.setattr(oracles, "_sv_map", perturbed)
         m = np.random.default_rng(31).standard_normal((5, 5)) * scale
