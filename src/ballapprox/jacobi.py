@@ -4,7 +4,7 @@ Self-contained SVD for the dense square blocks used by the finite
 matrix model (dimension at most 64).  The routine rotates column pairs
 until a sweep rotates none: each pair is then orthogonal to the fixed
 relative target ``ORTHOGONALITY_TOL`` or holds a column that counts as
-zero, by the one test of :func:`_round_rotation`.  Column norms are the
+zero, by the one test of :func:`_skips`.  Column norms are the
 singular values; the columns of ``u`` that belong to zero columns come
 from one QR factorization.  Callers choose only the sweep budget.  The
 routine is independent of ``numpy.linalg.svd`` (QR is not an SVD), so the
@@ -18,12 +18,16 @@ so their rotations commute: one round reads the norms and inner products
 of all its pairs from the current columns, then rotates them all at once
 with a few array operations, instead of one pair at a time in Python.
 
-The library runs this routine once per model matrix, for the singular
-values behind its norm (kept on the operator).  The certificates of
-:func:`ballapprox.models.make_result` check that norm against LAPACK's
-singular values of the approximant and of the residual, and the oracles
-of :mod:`ballapprox.oracles` build and score their candidates with
-``numpy.linalg``.  :func:`jacobi_svd` is public, for singular vectors.
+The library runs this routine once per model matrix ``T``, for the
+singular values behind its norm (kept on the operator), on ``T V`` with
+``V`` from the operator's memoised LAPACK SVD (Drmac and Veselic's
+preconditioning, with LAPACK's ``V`` in place of a QR factorization):
+the run is one rotation-free sweep, and it never reads LAPACK's singular
+values.  The certificates of :func:`ballapprox.models.make_result` check
+that norm against LAPACK's singular values of the approximant and of
+the residual, and the oracles of :mod:`ballapprox.oracles` build and
+score their candidates with ``numpy.linalg``.  :func:`jacobi_svd` is
+public, for singular vectors.
 """
 
 from __future__ import annotations
@@ -79,6 +83,25 @@ def _round_indices(n: int) -> tuple:
     return tuple(out)
 
 
+@lru_cache(maxsize=32)
+def _pair_indices(n: int) -> np.ndarray:
+    """Every pair ``p < q`` of ``n`` columns, as flat indices into an
+    ``n x n`` array: ``(pp, qq, pq)``, the reads of all rounds at once.
+    Cached per ``n``, hence read-only."""
+    p, q = np.triu_indices(n, 1)
+    read = np.concatenate((p * n + p, q * n + q, p * n + q))
+    read.flags.writeable = False
+    return read
+
+
+def _skips(alpha, beta, gamma, tol: float, zero_sq: float) -> np.ndarray:
+    """Per pair, whether it is rotated by the identity: one of its columns
+    counts as zero or the two are orthogonal to ``tol``."""
+    # sqrt of each factor: alpha * beta itself can overflow
+    scale = np.sqrt(alpha) * np.sqrt(beta)
+    return (np.minimum(alpha, beta) <= zero_sq) | (np.abs(gamma) <= tol * scale)
+
+
 def _round_rotation(g, read, write, eye, tol: float, zero_sq: float):
     """The rotation of one round as an ``n x n`` matrix, or None if no pair
     of the round needs rotating.
@@ -89,9 +112,7 @@ def _round_rotation(g, read, write, eye, tol: float, zero_sq: float):
     counts as zero or the two are already orthogonal to ``tol``.
     """
     alpha, beta, gamma = g.take(read).reshape(3, -1)
-    # sqrt of each factor: alpha * beta itself can overflow
-    scale = np.sqrt(alpha) * np.sqrt(beta)
-    skip = (np.minimum(alpha, beta) <= zero_sq) | (np.abs(gamma) <= tol * scale)
+    skip = _skips(alpha, beta, gamma, tol, zero_sq)
     if skip.all():
         return None
     zeta = (beta - alpha) / (2.0 * gamma)
@@ -106,7 +127,11 @@ def _round_rotation(g, read, write, eye, tol: float, zero_sq: float):
 
 def _orthogonalize_columns(w: np.ndarray, v, max_sweeps: int):
     """Round-robin Jacobi sweeps on the columns of ``w``, mirrored on ``v``,
-    until a sweep in which no round rotates.
+    until a sweep in which no round rotates: before each sweep, one
+    :func:`_skips` over every pair ``p < q`` of the Gram matrix, with the
+    round loop's upper-triangle reads, stops the iteration if no pair
+    would rotate (the rounds would leave ``g`` and so every decision as
+    it is: the same bits as walking them).
 
     Returns the rotated ``(w, v)`` and the zero-column threshold
     ``zero_norm``; ``v`` may be None.  A sweep meets every pair once, so
@@ -133,12 +158,13 @@ def _orthogonalize_columns(w: np.ndarray, v, max_sweeps: int):
     # v rides below w, so one product applies a round's rotations to both
     a = w if v is None else np.vstack((w, v))
     eye = np.eye(n)
-    rounds = _round_indices(n)
+    rounds, pairs = _round_indices(n), _pair_indices(n)
     # a skipped pair may have gamma = 0, and its zeta then divides by zero;
     # its t is overwritten with 0
     with np.errstate(divide="ignore", invalid="ignore"):
         for sweep in range(max_sweeps + 1):
-            rotated = False
+            if _skips(*g.take(pairs).reshape(3, -1), ORTHOGONALITY_TOL, zero_sq).all():
+                break
             for read, write in rounds:
                 rot = _round_rotation(g, read, write, eye, ORTHOGONALITY_TOL, zero_sq)
                 if rot is None:
@@ -147,11 +173,9 @@ def _orthogonalize_columns(w: np.ndarray, v, max_sweeps: int):
                     raise NumericError(
                         f"column orthogonalization did not converge in {max_sweeps} sweeps"
                     )
-                rotated = True
                 a = a @ rot
                 g = a[:n].T @ a[:n]
-            if not rotated:
-                return a[:n], (None if v is None else a[n:]), zero_norm
+    return a[:n], (None if v is None else a[n:]), zero_norm
 
 
 def _checked_square(a) -> np.ndarray:

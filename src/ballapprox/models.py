@@ -20,12 +20,13 @@ whole-array numpy, and :mod:`ballapprox.serialize` emits ``.tolist()``.
 Because the families are closed under differences against compact
 members of the same family, residual norms are exact maxima over a
 finite list of candidates; no iterative norm estimation is involved for
-diagonal, shift, or l1 models.  A finite matrix takes its norm from
-the one-sided Jacobi routine of :mod:`ballapprox.jacobi`, run at most
-once per operator (the norm is kept on the operator); the checks of
-:func:`make_result` read LAPACK's singular values instead, so they
-cross-check that norm in different arithmetic.  No code here reads
-singular vectors.
+diagonal, shift, or l1 models.  A finite matrix ``T`` keeps one
+read-only LAPACK SVD, computed on first use and shared with
+:mod:`ballapprox.oracles`; its norm comes from the one-sided Jacobi
+routine of :mod:`ballapprox.jacobi` on ``T V`` (:func:`op_norm`), run at
+most once per operator.  The checks of :func:`make_result` read LAPACK's
+singular values of the approximant and the residual, so they
+cross-check that norm in different arithmetic.
 """
 
 from __future__ import annotations
@@ -322,10 +323,27 @@ class HilbertOperator(_ByValue):
         return self.entries
 
     @functools.cached_property
+    def _svd(self) -> tuple:
+        """LAPACK's ``(u, s, vt)`` of a finite matrix, read-only, computed
+        once: it preconditions the Jacobi norm and feeds the oracles."""
+        return tuple(map(_readonly, np.linalg.svd(self.matrix_array())))
+
+    @functools.cached_property
     def _norm(self) -> float:  # op_norm, computed on first use
-        if self.shape is Shape.FINITE_MATRIX:
-            return float(jacobi_singular_values(self.entries)[0])
-        return max(self.tail.sup_abs, _max_abs(self.explicit))
+        if self.shape is not Shape.FINITE_MATRIX:
+            return max(self.tail.sup_abs, _max_abs(self.explicit))
+        # sigma(T V) = sigma(T) for orthogonal V, and LAPACK's V nearly
+        # orthogonalises T's columns, so Jacobi's first sweep rotates none.
+        # Error budget: a defect E = V^T V - I moves each sigma by at most
+        # ||E||_2 / 2 relative; ||E||_2 exceeds the computed defect by at
+        # most n^2 u (rounding V^T V), and forming T V adds at most
+        # n^2 u sigma_1, 4.5e-13 each at n = 64.  With the guard at
+        # IDENTITY_TOL / 10 the worst case is about 7e-13 relative, inside
+        # IDENTITY_TOL.  A V that fails the guard preconditions nothing.
+        vt = self._svd[2]
+        defect = np.linalg.norm(vt @ vt.T - np.eye(len(vt)))
+        a = self.entries @ vt.T if defect <= IDENTITY_TOL / 10 else self.entries
+        return float(jacobi_singular_values(a)[0])
 
 
 def _slots(listed: np.ndarray, tail: TailRule, start: int, stop: int) -> np.ndarray:
@@ -418,8 +436,10 @@ def op_norm(t: Operator) -> float:
 
     Diagonal and shift models: sup of entry magnitudes (the tail
     contributes ``|limit|`` whether or not it is attained).  Finite
-    matrices: largest Jacobi singular value.  L1 models: sup of column
-    masses.  Computed once per operator.
+    matrices: largest Jacobi singular value of ``T V``, with ``V`` from
+    the operator's memoised LAPACK SVD when ``V^T V`` is within
+    ``IDENTITY_TOL / 10`` of the identity (else of ``T``).  L1 models:
+    sup of column masses.  Computed once per operator.
     """
     return t._norm
 
@@ -532,8 +552,9 @@ class Certificate(_ByValue):
 
     ``residuals`` (a read-only float64 array) holds per-entry residual
     magnitudes for diagonal and shift models, the LAPACK singular values
-    of ``T - K`` for finite matrices (whose ``op_norm`` is ``T``'s Jacobi
-    norm), and per-column residual masses for l1 models;
+    of ``T - K`` for finite matrices (whose ``op_norm`` is the Jacobi
+    norm of ``T V``, preconditioned by LAPACK's ``V`` of ``T``), and
+    per-column residual masses for l1 models;
     ``tail_residual`` is the supremum contributed by the region beyond
     all explicit data.
     """

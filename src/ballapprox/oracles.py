@@ -13,10 +13,16 @@ constructions they certify:
   certify the essential-norm part of the distance.
 
 Apart from the construction, every candidate is built here from the
-input's data with numpy, the matrix ones from one LAPACK SVD; Jacobi
-serves only the library's norm of a matrix ``T``.  The search scores
-its candidates, the construction included, by one numpy function per
-model class, apart from the library's own residual code: LAPACK's
+input's data with numpy, the matrix ones from the LAPACK SVD ``(u, s,
+vt)`` memoised on ``T`` (one decomposition of ``T`` for the library and
+the oracles); Jacobi serves only the library's norm of ``T``,
+preconditioned by that SVD's ``V``.  Sharing it cannot make a wrong
+answer pass: a ``V`` that is not orthogonal is caught by the norm's
+guard, a wrong but orthogonal ``V`` only costs Jacobi rotations, and a
+wrong ``s`` or ``u`` only gives a worse candidate, because every
+candidate is scored by a fresh LAPACK ``sigma_1(T - K)``.  The search
+scores its candidates, the construction included, by one numpy function
+per model class, apart from the library's own residual code: LAPACK's
 largest singular value for matrices, the window of entry or column
 residuals for the other models.  Random matrix trials are first bounded
 below with ``T``'s top right singular vector, without an SVD of their
@@ -92,12 +98,13 @@ class SearchReport:
     best_candidate: Optional[Operator]
 
 
-def _sv_map(m: np.ndarray):
-    """``(sigma_1, soft, clip, v_1)`` from one LAPACK SVD of ``m``: the
-    singular values of ``u @ diag(.) @ vt`` are those of ``m`` shrunk
-    toward zero by ``max(sigma_1 - 1, 0)`` and clipped at 1, both at most
-    1; ``v_1`` is the top right singular vector."""
-    u, sv, vt = np.linalg.svd(m)
+def _sv_map(t: HilbertOperator):
+    """``(sigma_1, soft, clip, v_1)`` from LAPACK's SVD of the matrix of
+    ``t``, memoised on ``t``: the singular values of ``u @ diag(.) @ vt``
+    are those of ``t`` shrunk toward zero by ``max(sigma_1 - 1, 0)`` and
+    clipped at 1, both at most 1; ``v_1`` is the top right singular
+    vector."""
+    u, sv, vt = t._svd
     soft = _soft(sv, max(sv[0] - 1.0, 0.0))
     return float(sv[0]), (u * soft) @ vt, (u * np.minimum(sv, 1.0)) @ vt, vt[0]
 
@@ -108,7 +115,7 @@ def _soft_threshold_approx(t: HilbertOperator) -> BallApproxResult:
     certified: an optimal approximant other than :func:`best_ball_approx_h`'s."""
     d = ball_distance(t)
     if t.shape is Shape.FINITE_MATRIX:
-        k = HilbertOperator.finite_matrix(_sv_map(t.matrix_array())[1])
+        k = HilbertOperator.finite_matrix(_sv_map(t)[1])
     else:  # every tail entry sits within d of 0 by the distance formula
         k = HilbertOperator(t.shape, _soft(t.explicit, d), TailRule.const(0.0))
     return make_result(t, k, Branch.COMPACT_INPUT if d == 0.0 else Branch.SMALL_NORM)
@@ -128,9 +135,8 @@ def _fixed_candidates(t: Operator, construction: Operator):
         tail[:n_listed, 1] = np.clip(t.tail_weights, -1.0, 1.0)
         return ["construction", "column_scaling", "zero"], (cols, tail), None
     if t.shape is Shape.FINITE_MATRIX:
-        m = t.matrix_array()
-        sigma_1, soft, clip, v_1 = _sv_map(m)
-        batch = np.array([construction.matrix_array(), soft, clip, np.zeros_like(m)])
+        sigma_1, soft, clip, v_1 = _sv_map(t)
+        batch = np.array([construction.matrix_array(), soft, clip, np.zeros_like(clip)])
         return ["construction", "soft_threshold", "sv_clip", "zero"], batch, (sigma_1, v_1)
     x = t.explicit
     rows = np.zeros((4, len(x) + 4))
@@ -370,7 +376,7 @@ def svd_clip_oracle(matrix, tol: float = DEFAULT_TOL):
     """
     tol = _require_tol(tol)
     t = HilbertOperator.finite_matrix(matrix)
-    sigma_1, _, k, _ = _sv_map(t.matrix_array())
+    sigma_1, _, k, _ = _sv_map(t)
     distance = max(sigma_1 - 1.0, 0.0)
     band = max(tol, IDENTITY_TOL * distance)
 

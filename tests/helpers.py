@@ -249,3 +249,33 @@ def ref_matrix_search(t, trials: int, seed: int):
     scores = np.linalg.svd(m - candidates, compute_uv=False)[:, 0]
     i = int(np.argmin(scores))
     return float(scores[i]), kinds[i] if i < len(kinds) else "random", candidates[i]
+
+
+def ref_orthogonalize_columns(w, v, max_sweeps: int):
+    """``jacobi._orthogonalize_columns`` walked round by round: a sweep
+    ends the iteration only after every round found nothing to rotate.
+    Returns ``(w, v)``."""
+    from ballapprox.jacobi import (
+        ORTHOGONALITY_TOL,
+        NumericError,
+        _round_indices,
+        _round_rotation,
+    )
+
+    n = w.shape[1]
+    zero_norm = n * np.finfo(float).eps * float(np.hypot.reduce(w.ravel()))
+    zero_sq = zero_norm * zero_norm
+    a = w if v is None else np.vstack((w, v))
+    g, eye = w.T @ w, np.eye(n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(max_sweeps + 1):
+            rotated = False
+            for read, write in _round_indices(n):
+                rot = _round_rotation(g, read, write, eye, ORTHOGONALITY_TOL, zero_sq)
+                if rot is not None:
+                    rotated = True
+                    a = a @ rot
+                    g = a[:n].T @ a[:n]
+            if not rotated:
+                return a[:n], (None if v is None else a[n:])
+    raise NumericError(f"no rotation-free sweep in {max_sweeps + 1}")

@@ -342,6 +342,21 @@ class TestFailClosed:
         assert info.value.code == 0
         assert capsys.readouterr().out.startswith("usage: ballapprox verify")
 
+    def test_matrices_over_the_magnitude_range_are_certified(self, monkeypatch, capsys):
+        # magnitudes where T's Gram matrix neither underflows nor overflows:
+        # every answer is certified and equals LAPACK's max(sigma_1 - 1, 0)
+        rng = np.random.default_rng(19)
+        for i in range(300):
+            n = int(rng.integers(2, 17))
+            m = rng.standard_normal((n, n))
+            m *= 10.0 ** rng.uniform(-140, 150) / np.abs(m).max()
+            distance = max(np.linalg.svd(m, compute_uv=False)[0] - 1.0, 0.0)
+            payload = json.dumps({"space": "l2", "model": "matrix", "entries": m.tolist()})
+            for argv in (["approx"], ["verify", "--samples", "20"]):
+                code, doc = run(argv, payload, monkeypatch, capsys)
+                assert code == 0 and doc["pass"] is True, (i, argv, doc)
+                assert abs(doc["value"] - distance) <= 1e-10 * max(1.0, distance), (i, argv)
+
     @pytest.mark.parametrize("command", ["norm", "distball", "approx", "verify"])
     def test_overflowing_l1_mass_is_invalid_input(self, command, monkeypatch, capsys):
         code, doc = run([command], self.L1_OVERFLOW, monkeypatch, capsys)

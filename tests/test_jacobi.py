@@ -7,16 +7,30 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ballapprox import (
+    HilbertOperator,
     NumericError,
+    jacobi,
     jacobi_singular_values,
     jacobi_svd,
+    models,
+    op_norm,
     oracles,
     svd_clip_oracle,
 )
 from ballapprox.cli import main
-from ballapprox.jacobi import _round_indices, _round_robin, _round_rotation
+from ballapprox.jacobi import (
+    _orthogonalize_columns,
+    _round_indices,
+    _round_robin,
+    _round_rotation,
+)
+from ballapprox.models import IDENTITY_TOL
+
+from helpers import ref_orthogonalize_columns, same_bits
 
 
 @pytest.mark.parametrize(
@@ -200,12 +214,18 @@ def _matrix_run(argv, m, monkeypatch, capsys):
     return code
 
 
+def _preconditioned(m):
+    """T V, with V from LAPACK's SVD of T: the one Jacobi input of a matrix."""
+    return m @ np.linalg.svd(m)[2].T
+
+
 def test_verify_takes_one_svd_of_its_input(jacobi_inputs, monkeypatch, capsys):
     m = np.random.default_rng(4).standard_normal((16, 16)) * 0.5
     assert _matrix_run(["verify", "--samples", "50"], m, monkeypatch, capsys) == 0
-    # T's singular values once, for its norm (memoised on the operator); every
-    # candidate is built and scored by LAPACK, so no other run sees T's numbers
-    assert [name for name, a in jacobi_inputs if np.array_equal(a, m)] == [
+    # the singular values of T V once, for T's norm (memoised on the operator);
+    # every candidate is built and scored by LAPACK, so no other run sees T's
+    # numbers
+    assert [name for name, a in jacobi_inputs if same_bits(a, _preconditioned(m))] == [
         "jacobi_singular_values"]
     # the construction's certificate reads the norm of K and the residual
     # T - K from LAPACK: T's norm is the only Jacobi run
@@ -224,19 +244,19 @@ def test_oracles_import_nothing_from_jacobi():
 def test_svd_clip_oracle_decomposes_its_input_once(jacobi_inputs):
     m = np.random.default_rng(6).standard_normal((16, 16)) * 0.5
     svd_clip_oracle(m)
-    assert [name for name, a in jacobi_inputs if np.array_equal(a, m)] == [
+    assert [name for name, a in jacobi_inputs if same_bits(a, _preconditioned(m))] == [
         "jacobi_singular_values"]
-    # T's norm once; the clip is built and scored by LAPACK, and so is the
-    # construction's certificate
+    # T's norm once, from T V; the clip is built and scored by LAPACK, and so
+    # is the construction's certificate
     assert len(jacobi_inputs) == 1
 
 
 def test_approx_makes_one_jacobi_call(jacobi_inputs, monkeypatch, capsys):
     m = np.random.default_rng(5).standard_normal((16, 16)) * 0.5
     assert _matrix_run(["approx"], m, monkeypatch, capsys) == 0
-    # T's norm (memoised); the approximant's norm and the residual T - K
-    # come from LAPACK
-    assert [name for name, a in jacobi_inputs if np.array_equal(a, m)] == [
+    # T's norm (memoised), from T V; the approximant's norm and the residual
+    # T - K come from LAPACK
+    assert [name for name, a in jacobi_inputs if same_bits(a, _preconditioned(m))] == [
         "jacobi_singular_values"]
     assert len(jacobi_inputs) == 1
 
@@ -245,8 +265,89 @@ def test_approx_of_norm_at_most_one_makes_one_jacobi_call(jacobi_inputs, monkeyp
     m = np.random.default_rng(5).standard_normal((16, 16))
     m *= 0.6 / np.linalg.svd(m, compute_uv=False)[0]
     assert _matrix_run(["approx"], m, monkeypatch, capsys) == 0
-    # T's norm (memoised); T is its own approximant, but the ball check reads
-    # its norm from LAPACK, as the residual check does T - K
-    assert [name for name, a in jacobi_inputs if np.array_equal(a, m)] == [
+    # T's norm (memoised), from T V; T is its own approximant, but the ball
+    # check reads its norm from LAPACK, as the residual check does T - K
+    assert [name for name, a in jacobi_inputs if same_bits(a, _preconditioned(m))] == [
         "jacobi_singular_values"]
     assert len(jacobi_inputs) == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 12, 16, 31, 64])
+@pytest.mark.parametrize("preconditioned", [False, True])
+def test_whole_gram_test_equals_round_by_round(n, preconditioned):
+    # a sweep ends at once when no pair of the current Gram matrix would
+    # rotate: the rounds would all have skipped, so the bits are the same
+    rng = np.random.default_rng(n)
+    for zero_columns in (0, 1, n // 3):
+        m = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-5, 5)
+        m[:, rng.permutation(n)[:zero_columns]] = 0.0
+        if preconditioned:
+            m = _preconditioned(m)
+        w, v, _ = _orthogonalize_columns(m.copy(), np.eye(n), 60)
+        ref_w, ref_v = ref_orthogonalize_columns(m.copy(), np.eye(n), 60)
+        assert same_bits(w, ref_w) and same_bits(v, ref_v)
+        w, v, _ = _orthogonalize_columns(m.copy(), None, 60)
+        assert same_bits(w, ref_w) and v is None
+
+
+def test_nonorthogonal_v_preconditions_nothing(jacobi_inputs, monkeypatch, capsys):
+    # a V whose V^T V is off I by more than the guard is not used: Jacobi
+    # runs on T itself, and the answer is still certified
+    m = np.random.default_rng(12).standard_normal((16, 16)) * 0.5
+    svd = np.linalg.svd
+
+    def skewed(a, full_matrices=True, compute_uv=True):
+        out = svd(a, full_matrices=full_matrices, compute_uv=compute_uv)
+        return (out[0], out[1], out[2] * (1.0 + 1e-11)) if compute_uv else out
+
+    monkeypatch.setattr(np.linalg, "svd", skewed)
+    assert _matrix_run(["approx"], m, monkeypatch, capsys) == 0
+    assert len(jacobi_inputs) == 1 and same_bits(jacobi_inputs[0][1], m)
+
+
+@pytest.fixture
+def rotating_rounds(monkeypatch):
+    """Record, per call of ``_round_rotation``, whether it rotated."""
+    rounds, rotation = [], jacobi._round_rotation
+
+    def counting(*args):
+        rot = rotation(*args)
+        rounds.append(rot is not None)
+        return rot
+
+    monkeypatch.setattr(jacobi, "_round_rotation", counting)
+    return rounds
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_preconditioned_gaussian_norm_rotates_nothing(n, rotating_rounds):
+    for seed in range(4):
+        m = np.random.default_rng(seed).standard_normal((n, n))
+        assert op_norm(HilbertOperator.finite_matrix(m)) == pytest.approx(
+            np.linalg.svd(m, compute_uv=False)[0], rel=IDENTITY_TOL)
+    assert sum(rotating_rounds) == 0
+    jacobi_singular_values(m)  # T itself rotates
+    assert sum(rotating_rounds) > 0
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_preconditioned_graded_norm_takes_one_rotating_sweep(n, monkeypatch):
+    # singular values graded from 1 to 1e-10: V holds the small ones' columns
+    # only to eps / 1e-10, so their pairs rotate once more
+    rng = np.random.default_rng(n)
+    q1, q2 = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+    m = (q1 * np.logspace(0, -10, n)) @ q2.T
+    singular_values = models.jacobi_singular_values
+    monkeypatch.setattr(models, "jacobi_singular_values",
+                        lambda a: singular_values(a, max_sweeps=1))
+    assert op_norm(HilbertOperator.finite_matrix(m)) == pytest.approx(
+        np.linalg.svd(m, compute_uv=False)[0], rel=IDENTITY_TOL)
+
+
+@given(n=st.integers(1, 64), seed=st.integers(0, 2**32 - 1), exponent=st.floats(-140.0, 150.0))
+@settings(max_examples=60, deadline=None)
+def test_preconditioned_norm_matches_lapack(n, seed, exponent):
+    m = np.random.default_rng(seed).standard_normal((n, n))
+    m *= 10.0**exponent / np.abs(m).max()
+    sigma_1 = np.linalg.svd(m, compute_uv=False)[0]
+    assert abs(op_norm(HilbertOperator.finite_matrix(m)) - sigma_1) <= IDENTITY_TOL * sigma_1

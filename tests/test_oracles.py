@@ -281,7 +281,7 @@ class TestMatrixPruning:
         rng = np.random.default_rng(8)
         t = _matrix_of_norm(rng, 16, 1.5)
         raw = oracles._random_matrix_draws(t, best_ball_approx_h(t).approximant, 100, rng)
-        sigma_1, _, _, v_1 = oracles._sv_map(t.matrix_array())
+        sigma_1, _, _, v_1 = oracles._sv_map(t)
         lower = oracles._trial_lower_bounds(t, raw, v_1)
         margin = IDENTITY_TOL * (1.0 + sigma_1)
         # the median draw's bound lies within the margin above best: it stays
@@ -365,9 +365,9 @@ class TestSvdClip:
         # the distance by 1e-11 sigma_1, ten times the band at large scale
         sv_map = oracles._sv_map
 
-        def perturbed(m):
-            sigma_1, soft, clip, v_1 = sv_map(m)
-            return sigma_1, soft, clip + 1e-11 * m, v_1
+        def perturbed(t):
+            sigma_1, soft, clip, v_1 = sv_map(t)
+            return sigma_1, soft, clip + 1e-11 * t.matrix_array(), v_1
 
         monkeypatch.setattr(oracles, "_sv_map", perturbed)
         m = np.random.default_rng(31).standard_normal((5, 5)) * scale
