@@ -14,7 +14,7 @@ from .extreme import (
     verify_unique_projection,
 )
 from .hilbert import best_ball_approx_h
-from .jacobi import NumericError, jacobi_singular_values, jacobi_svd
+from .jacobi import NumericError, jacobi_singular_values
 from .l1 import best_ball_approx_l1, truncate_column
 from .models import (
     BallApproxResult,
@@ -70,7 +70,6 @@ __all__ = [
     "finite_section_bounds",
     "is_extreme",
     "jacobi_singular_values",
-    "jacobi_svd",
     "op_norm",
     "project_scalar_multiple",
     "residual_norm",

@@ -1,14 +1,14 @@
-"""One-sided Jacobi singular value decomposition.
+"""One-sided Jacobi singular values.
 
-Self-contained SVD for the dense square blocks used by the finite
-matrix model (dimension at most 64).  The routine rotates column pairs
-until a sweep rotates none: each pair is then orthogonal to the fixed
-relative target ``ORTHOGONALITY_TOL`` or holds a column that counts as
-zero, by the one test of :func:`_skips`.  Column norms are the
-singular values; the columns of ``u`` that belong to zero columns come
-from one QR factorization.  Callers choose only the sweep budget.  The
-routine is independent of ``numpy.linalg.svd`` (QR is not an SVD), so the
-two can cross-check each other.
+Self-contained singular values for the dense square blocks used by the
+finite matrix model (dimension at most 64).  The routine rotates column
+pairs until a sweep rotates none: each pair is then orthogonal to the
+fixed relative target ``ORTHOGONALITY_TOL`` or holds a column that
+counts as zero, by the one test of :func:`_skips`.  The column norms
+are the singular values; no singular vectors are formed.  The budget of
+rotating sweeps is fixed at :data:`MAX_SWEEPS`.  The routine is
+independent of ``numpy.linalg.svd``, so the two can cross-check each
+other.
 
 Pairs are visited in the round-robin ("parallel") ordering of Brent and
 Luk (1985): a sweep of n columns is n - 1 rounds, and each round pairs
@@ -26,8 +26,7 @@ the run is one rotation-free sweep, and it never reads LAPACK's singular
 values.  The certificates of :func:`ballapprox.models.make_result` check
 that norm against LAPACK's singular values of the approximant and of
 the residual, and the oracles of :mod:`ballapprox.oracles` build and
-score their candidates with ``numpy.linalg``.  :func:`jacobi_svd` is
-public, for singular vectors.
+score their candidates with ``numpy.linalg``.
 """
 
 from __future__ import annotations
@@ -37,12 +36,13 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["NumericError", "jacobi_svd", "jacobi_singular_values"]
+__all__ = ["NumericError", "jacobi_singular_values"]
 
 #: Relative orthogonality target for column pairs: iteration stops after
 #: a sweep in which every pair's cosine is at most this (or a column is zero).
 ORTHOGONALITY_TOL = 1e-12
-DEFAULT_MAX_SWEEPS = 60
+#: Budget of rotating sweeps; one more raises :class:`NumericError`.
+MAX_SWEEPS = 60
 
 
 class NumericError(ArithmeticError):
@@ -125,24 +125,23 @@ def _round_rotation(g, read, write, eye, tol: float, zero_sq: float):
     return rot
 
 
-def _orthogonalize_columns(w: np.ndarray, v, max_sweeps: int):
-    """Round-robin Jacobi sweeps on the columns of ``w``, mirrored on ``v``,
-    until a sweep in which no round rotates: before each sweep, one
-    :func:`_skips` over every pair ``p < q`` of the Gram matrix, with the
-    round loop's upper-triangle reads, stops the iteration if no pair
-    would rotate (the rounds would leave ``g`` and so every decision as
-    it is: the same bits as walking them).
+def _orthogonalize_columns(w: np.ndarray) -> np.ndarray:
+    """Round-robin Jacobi sweeps on the columns of ``w`` until a sweep in
+    which no round rotates: before each sweep, one :func:`_skips` over
+    every pair ``p < q`` of the Gram matrix, with the round loop's
+    upper-triangle reads, stops the iteration if no pair would rotate
+    (the rounds would leave ``g`` and so every decision as it is: the
+    same bits as walking them).
 
-    Returns the rotated ``(w, v)`` and the zero-column threshold
-    ``zero_norm``; ``v`` may be None.  A sweep meets every pair once, so
-    a sweep without a rotation leaves each pair orthogonal to
+    Returns the rotated columns.  A sweep meets every pair once, so a
+    sweep without a rotation leaves each pair orthogonal to
     :data:`ORTHOGONALITY_TOL` or with a zero column (the stopping and
     zero-column rules of Drmac and Veselic's one-sided Jacobi).  A column
-    of norm at most ``zero_norm = n * eps * ||w||_F`` is rounding error
-    of a rank-deficient input.  Rotations keep ``||w||_F``, so the
-    threshold is fixed; ``hypot`` sums it without overflow.  More than
-    ``max_sweeps`` rotating sweeps raise :class:`NumericError`, as does
-    an input whose Gram matrix overflows, before any sweep.
+    of norm at most ``n * eps * ||w||_F`` is rounding error of a
+    rank-deficient input.  Rotations keep ``||w||_F``, so the threshold
+    is fixed; ``hypot`` sums it without overflow.  More than
+    :data:`MAX_SWEEPS` rotating sweeps raise :class:`NumericError`, as
+    does an input whose Gram matrix overflows, before any sweep.
     """
     n = w.shape[1]
     fro = float(np.hypot.reduce(w.ravel()))
@@ -155,27 +154,25 @@ def _orthogonalize_columns(w: np.ndarray, v, max_sweeps: int):
         )
     zero_norm = n * np.finfo(float).eps * fro
     zero_sq = zero_norm * zero_norm
-    # v rides below w, so one product applies a round's rotations to both
-    a = w if v is None else np.vstack((w, v))
     eye = np.eye(n)
     rounds, pairs = _round_indices(n), _pair_indices(n)
     # a skipped pair may have gamma = 0, and its zeta then divides by zero;
     # its t is overwritten with 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        for sweep in range(max_sweeps + 1):
+        for sweep in range(MAX_SWEEPS + 1):
             if _skips(*g.take(pairs).reshape(3, -1), ORTHOGONALITY_TOL, zero_sq).all():
                 break
             for read, write in rounds:
                 rot = _round_rotation(g, read, write, eye, ORTHOGONALITY_TOL, zero_sq)
                 if rot is None:
                     continue
-                if sweep == max_sweeps:
+                if sweep == MAX_SWEEPS:
                     raise NumericError(
-                        f"column orthogonalization did not converge in {max_sweeps} sweeps"
+                        f"column orthogonalization did not converge in {MAX_SWEEPS} sweeps"
                     )
-                a = a @ rot
-                g = a[:n].T @ a[:n]
-    return a[:n], (None if v is None else a[n:]), zero_norm
+                w = w @ rot
+                g = w.T @ w
+    return w
 
 
 def _checked_square(a) -> np.ndarray:
@@ -188,44 +185,12 @@ def _checked_square(a) -> np.ndarray:
     return w
 
 
-def jacobi_svd(a, max_sweeps: int = DEFAULT_MAX_SWEEPS):
-    """Full SVD ``a = u @ diag(s) @ vt`` of a square matrix.
-
-    Parameters
-    ----------
-    a : array_like, shape (n, n)
-        Square real matrix, n >= 1.
-    max_sweeps : int
-        Budget of rotating sweeps; exceeding it raises
-        :class:`NumericError`, as does an input whose Gram matrix
-        overflows.
-
-    Returns
-    -------
-    u, s, vt : ndarray
-        Orthogonal ``u``, singular values ``s`` in descending order,
-        orthogonal ``vt``.  A column of ``u`` is ``w / s`` unless the
-        rotations counted ``w`` as zero; those columns complete the
-        others to an orthonormal basis, from one QR factorization.
-    """
-    w = _checked_square(a)
-    n = w.shape[0]
-    w, v, zero_norm = _orthogonalize_columns(w, np.eye(n), max_sweeps)
-
-    sv = np.sqrt(np.sum(w * w, axis=0))
-    order = np.argsort(-sv, kind="stable")
-    sv = sv[order]
-    u = w[:, order]
-    k = int(np.count_nonzero(sv > zero_norm))  # zero columns sort last
-    u[:, :k] /= sv[:k]
-    if k < n:
-        u[:, k:] = np.linalg.qr(u[:, :k], mode="complete")[0][:, k:]
-    return u, sv, v[:, order].T
-
-
-def jacobi_singular_values(a, max_sweeps: int = DEFAULT_MAX_SWEEPS) -> np.ndarray:
-    """Descending singular values of a square matrix (no u/v assembly)."""
-    w, _, _ = _orthogonalize_columns(_checked_square(a), None, max_sweeps)
+def jacobi_singular_values(a) -> np.ndarray:
+    """Descending singular values of a square real matrix, from at most
+    :data:`MAX_SWEEPS` rotating sweeps (:class:`NumericError` beyond
+    them, or if the Gram matrix overflows; ``ValueError`` for an input
+    that is not a finite square real matrix)."""
+    w = _orthogonalize_columns(_checked_square(a))
     sv = np.sqrt(np.sum(w * w, axis=0))
     sv.sort()
     return sv[::-1]

@@ -317,16 +317,11 @@ class HilbertOperator(_ByValue):
     def finite_matrix(entries) -> "HilbertOperator":
         return HilbertOperator(Shape.FINITE_MATRIX, entries=entries)
 
-    def matrix_array(self) -> np.ndarray:
-        if self.shape is not Shape.FINITE_MATRIX:
-            raise ValidationError("matrix_array is defined for finite matrices only")
-        return self.entries
-
     @functools.cached_property
     def _svd(self) -> tuple:
         """LAPACK's ``(u, s, vt)`` of a finite matrix, read-only, computed
         once: it preconditions the Jacobi norm and feeds the oracles."""
-        return tuple(map(_readonly, np.linalg.svd(self.matrix_array())))
+        return tuple(map(_readonly, np.linalg.svd(self.entries)))
 
     @functools.cached_property
     def _norm(self) -> float:  # op_norm, computed on first use
@@ -496,7 +491,7 @@ def finite_section(t: Operator, n: int) -> np.ndarray:
         if n < m:
             raise ValidationError(f"section size {n} is below the matrix dimension {m}")
         out = np.zeros((n, n))
-        out[:m, :m] = t.matrix_array()
+        out[:m, :m] = t.entries
         return out
     if n < len(t.explicit):
         raise ValidationError(
@@ -611,7 +606,7 @@ def residual_profile(t: Operator, k: Operator):
     if t.shape is Shape.FINITE_MATRIX or k.shape is Shape.FINITE_MATRIX:
         if t.shape is not Shape.FINITE_MATRIX or k.shape is not Shape.FINITE_MATRIX:
             raise ValidationError("residuals require operators of the same shape")
-        a, b = t.matrix_array(), k.matrix_array()
+        a, b = t.entries, k.entries
         m = max(a.shape[0], b.shape[0])
         pa, pb = np.zeros((m, m)), np.zeros((m, m))
         pa[: a.shape[0], : a.shape[1]] = a

@@ -43,8 +43,6 @@ from .hilbert import _soft, best_ball_approx_h
 from .l1 import best_ball_approx_l1
 from .models import (
     IDENTITY_TOL,
-    BallApproxResult,
-    Branch,
     CertificationError,
     HilbertOperator,
     L1Operator,
@@ -58,7 +56,6 @@ from .models import (
     ball_distance,
     ess_norm,
     finite_section,
-    make_result,
 )
 
 __all__ = [
@@ -109,18 +106,6 @@ def _sv_map(t: HilbertOperator):
     return float(sv[0]), (u * soft) @ vt, (u * np.minimum(sv, 1.0)) @ vt, vt[0]
 
 
-def _soft_threshold_approx(t: HilbertOperator) -> BallApproxResult:
-    """Every entry shrunk toward zero by ``d = ball_distance(t)``, with a
-    const 0 tail (for a finite matrix: the soft map of :func:`_sv_map`),
-    certified: an optimal approximant other than :func:`best_ball_approx_h`'s."""
-    d = ball_distance(t)
-    if t.shape is Shape.FINITE_MATRIX:
-        k = HilbertOperator.finite_matrix(_sv_map(t)[1])
-    else:  # every tail entry sits within d of 0 by the distance formula
-        k = HilbertOperator(t.shape, _soft(t.explicit, d), TailRule.const(0.0))
-    return make_result(t, k, Branch.COMPACT_INPUT if d == 0.0 else Branch.SMALL_NORM)
-
-
 def _fixed_candidates(t: Operator, construction: Operator):
     """The named fixed candidates ``(kinds, batch, top)`` of a search, in
     the array form of its random trials: the construction, in-ball maps
@@ -136,7 +121,7 @@ def _fixed_candidates(t: Operator, construction: Operator):
         return ["construction", "column_scaling", "zero"], (cols, tail), None
     if t.shape is Shape.FINITE_MATRIX:
         sigma_1, soft, clip, v_1 = _sv_map(t)
-        batch = np.array([construction.matrix_array(), soft, clip, np.zeros_like(clip)])
+        batch = np.array([construction.entries, soft, clip, np.zeros_like(clip)])
         return ["construction", "soft_threshold", "sv_clip", "zero"], batch, (sigma_1, v_1)
     x = t.explicit
     rows = np.zeros((4, len(x) + 4))
@@ -176,7 +161,7 @@ def _score_matrices(t: HilbertOperator, mats: np.ndarray) -> np.ndarray:
     """Finite matrices: LAPACK's ``sigma_1(T - K)``, in chunks of fixed
     size, so no second array as large as ``mats`` is alive (LAPACK
     decomposes each matrix alone: same values as one call)."""
-    m = t.matrix_array()
+    m = t.entries
     chunk = max(1, SVD_CHUNK_ENTRIES // m.size)
     buf = np.empty((min(chunk, len(mats)),) + m.shape)
     scores = np.empty(len(mats))
@@ -216,7 +201,7 @@ def _random_entry_competitors(t: HilbertOperator, best: HilbertOperator, trials:
 def _random_matrix_draws(t: HilbertOperator, best: HilbertOperator, trials: int, rng):
     """Raw ``n x n`` draws ``M``, half of them perturbing ``best``; the
     competitor of ``M`` is ``M / max(sigma_1(M), 1)`` (:func:`_into_ball`)."""
-    n = t.matrix_array().shape[0]
+    n = len(t.entries)
     n_free = trials // 2
     # both halves drawn into one trials x n x n array, which the search
     # compacts, scales and scores in place: no second copy of the trials
@@ -227,7 +212,7 @@ def _random_matrix_draws(t: HilbertOperator, best: HilbertOperator, trials: int,
     free *= 0.6 / np.sqrt(n)
     rng.standard_normal(out=near)
     near *= 0.3 / np.sqrt(n)
-    near += best.matrix_array()
+    near += best.entries
     return mats
 
 
@@ -247,7 +232,7 @@ def _trial_lower_bounds(t: HilbertOperator, mats: np.ndarray, v: np.ndarray) -> 
     The minimising ``c`` is ``<Tv, Mv> / |Mv|^2``, clipped to that interval;
     the bound is the norm of the residual vector itself (``hypot``: no
     overflow, and no cancellation of a difference of squares)."""
-    tv, mv = t.matrix_array() @ v, mats @ v
+    tv, mv = t.entries @ v, mats @ v
     mv2 = np.einsum("ij,ij->i", mv, mv)
     c = np.divide(mv @ tv, mv2, out=np.zeros(len(mats)), where=mv2 > 0.0)
     np.clip(c, 0.0, 1.0 / np.maximum(np.sqrt(mv2), 1.0), out=c)

@@ -94,10 +94,7 @@ def operator_from_doc(doc) -> Operator:
         return L1Operator(tuple(cols), doc.get("tail_weights", ()), tail)
     if space == "l2":
         if model == "matrix":
-            entries = doc.get("entries")
-            if not isinstance(entries, (list, tuple)) or not entries:
-                raise ValidationError("entries must be a nonempty array of rows")
-            return HilbertOperator(Shape.FINITE_MATRIX, entries=tuple(entries))
+            return HilbertOperator.finite_matrix(doc.get("entries"))
         if model in ("diagonal", "shift"):
             tail = tail_from_doc(_field(doc, "tail", "tail"))
             shape = Shape.DIAGONAL if model == "diagonal" else Shape.WEIGHTED_SHIFT

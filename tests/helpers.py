@@ -1,5 +1,6 @@
-"""Seeded instance generators shared by unit and acceptance tests, and a
-scalar reference for the model layer's whole-array arithmetic."""
+"""Seeded instance generators shared by unit and acceptance tests, a
+scalar reference for the model layer's whole-array arithmetic, and a
+second optimal l2 approximant that cross-checks the construction."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ import math
 
 import numpy as np
 
-from ballapprox import HilbertOperator, L1Operator, TailKind, TailRule
+from ballapprox import HilbertOperator, L1Operator, Shape, TailKind, TailRule, ball_distance
 
 
 def random_tail(rng, allow_const_zero=True) -> TailRule:
@@ -236,13 +237,13 @@ def ref_matrix_search(t, trials: int, seed: int):
     after the search's fixed candidates; the first minimum wins."""
     from ballapprox import best_ball_approx_h, oracles
 
-    m = t.matrix_array()
+    m = t.entries
     n, n_free = len(m), trials // 2
     construction = best_ball_approx_h(t).approximant
     rng = np.random.default_rng(seed)
     free = rng.standard_normal((n_free, n, n)) * (0.6 / np.sqrt(n))
     near = rng.standard_normal((trials - n_free, n, n)) * (0.3 / np.sqrt(n))
-    mats = np.concatenate([free, near + construction.matrix_array()])
+    mats = np.concatenate([free, near + construction.entries])
     mats /= np.maximum(np.linalg.svd(mats, compute_uv=False)[:, 0], 1.0)[:, None, None]
     kinds, fixed = oracles._fixed_candidates(t, construction)[:2]
     candidates = np.concatenate([fixed, mats])
@@ -251,10 +252,11 @@ def ref_matrix_search(t, trials: int, seed: int):
     return float(scores[i]), kinds[i] if i < len(kinds) else "random", candidates[i]
 
 
-def ref_orthogonalize_columns(w, v, max_sweeps: int):
+def ref_orthogonalize_columns(w):
     """``jacobi._orthogonalize_columns`` walked round by round: a sweep
     ends the iteration only after every round found nothing to rotate.
-    Returns ``(w, v)``."""
+    Returns the rotated columns."""
+    from ballapprox import jacobi
     from ballapprox.jacobi import (
         ORTHOGONALITY_TOL,
         NumericError,
@@ -265,17 +267,32 @@ def ref_orthogonalize_columns(w, v, max_sweeps: int):
     n = w.shape[1]
     zero_norm = n * np.finfo(float).eps * float(np.hypot.reduce(w.ravel()))
     zero_sq = zero_norm * zero_norm
-    a = w if v is None else np.vstack((w, v))
     g, eye = w.T @ w, np.eye(n)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(max_sweeps + 1):
+        for _ in range(jacobi.MAX_SWEEPS + 1):
             rotated = False
             for read, write in _round_indices(n):
                 rot = _round_rotation(g, read, write, eye, ORTHOGONALITY_TOL, zero_sq)
                 if rot is not None:
                     rotated = True
-                    a = a @ rot
-                    g = a[:n].T @ a[:n]
+                    w = w @ rot
+                    g = w.T @ w
             if not rotated:
-                return a[:n], (None if v is None else a[n:])
-    raise NumericError(f"no rotation-free sweep in {max_sweeps + 1}")
+                return w
+    raise NumericError(f"no rotation-free sweep in {jacobi.MAX_SWEEPS + 1}")
+
+
+def soft_threshold_approx(t: HilbertOperator):
+    """Every entry shrunk toward zero by ``d = ball_distance(t)``, with a
+    const 0 tail (for a finite matrix: the soft map of ``oracles._sv_map``),
+    certified: an optimal approximant other than ``best_ball_approx_h``'s."""
+    from ballapprox.hilbert import _soft
+    from ballapprox.models import Branch, make_result
+    from ballapprox.oracles import _sv_map
+
+    d = ball_distance(t)
+    if t.shape is Shape.FINITE_MATRIX:
+        k = HilbertOperator.finite_matrix(_sv_map(t)[1])
+    else:  # every tail entry sits within d of 0 by the distance formula
+        k = HilbertOperator(t.shape, _soft(t.explicit, d), TailRule.const(0.0))
+    return make_result(t, k, Branch.COMPACT_INPUT if d == 0.0 else Branch.SMALL_NORM)

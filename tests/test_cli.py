@@ -18,6 +18,7 @@ from ballapprox import (
     models,
     svd_clip_oracle,
 )
+from ballapprox import cli
 from ballapprox.cli import main
 from ballapprox.serialize import operator_from_doc, operator_to_doc
 
@@ -101,6 +102,22 @@ class TestReadingInput:
              "tail.value must be a real number"),
             ('{"space":"l1","model":"columns","columns":[],"tail":{"kind":"const","value":true}}',
              "tail.value must be a real number"),
+            ('[1, 2]', "operator document must be an object"),
+            ('{"space":"l1","model":"rows"}', "unknown l1 model 'rows'"),
+            ('{"space":"l1","model":"columns"}', "columns must be an array of arrays"),
+            ('{"space":"l2","model":"shift","explicit":[1],"tail":5}', "tail must be an object"),
+            ('{"space":"l2","model":"shift","explicit":[1],"tail":{"kind":"linear"}}',
+             "unknown tail kind 'linear'"),
+            # a matrix document's entries are checked by the model alone
+            ('{"space":"l2","model":"matrix"}', "finite matrices require rows of entries, got None"),
+            ('{"space":"l2","model":"matrix","entries":[]}',
+             "finite matrices require rows of entries, got []"),
+            ('{"space":"l2","model":"matrix","entries":"ab"}',
+             "finite matrices require rows of entries, got 'ab'"),
+            ('{"space":"l2","model":"matrix","entries":3}',
+             "finite matrices require rows of entries, got 3"),
+            ('{"space":"l2","model":"matrix","entries":{"0":[1]}}',
+             "finite matrices require rows of entries, got {'0': [1]}"),
         ],
     )
     def test_validation_diagnostics(self, payload, fragment, monkeypatch, capsys):
@@ -356,6 +373,19 @@ class TestFailClosed:
                 code, doc = run(argv, payload, monkeypatch, capsys)
                 assert code == 0 and doc["pass"] is True, (i, argv, doc)
                 assert abs(doc["value"] - distance) <= 1e-10 * max(1.0, distance), (i, argv)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_nonfinite_result_prints_strict_json(self, value, monkeypatch, capsys):
+        # no valid input reaches this fallback: a result that json cannot
+        # write strictly still prints one strict JSON line and exits 2
+        monkeypatch.setattr(cli, "op_norm", lambda t: value)
+        monkeypatch.setattr("sys.stdin", io.StringIO(DIAG_DOC))
+        assert main(["norm"]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        doc = json.loads(lines[0], parse_constant=refuse_constant)
+        assert doc["command"] == "norm" and "pass" not in doc
+        assert doc["error"].startswith("non-finite result")
 
     @pytest.mark.parametrize("command", ["norm", "distball", "approx", "verify"])
     def test_overflowing_l1_mass_is_invalid_input(self, command, monkeypatch, capsys):

@@ -15,9 +15,13 @@ from ballapprox import (
     residual_norm,
     scale,
 )
-from ballapprox.oracles import _soft_threshold_approx
 
-from helpers import random_hilbert, random_nonattaining, random_positive_diagonal
+from helpers import (
+    random_hilbert,
+    random_nonattaining,
+    random_positive_diagonal,
+    soft_threshold_approx,
+)
 
 
 class TestDistance:
@@ -89,7 +93,7 @@ class TestBestApprox:
         r = best_ball_approx_h(HilbertOperator.finite_matrix(m))
         assert r.branch is Branch.COMPACT_INPUT
         assert r.distance == pytest.approx(1.0, abs=1e-10)
-        np.testing.assert_allclose(r.approximant.matrix_array(), m / 2.0, atol=1e-12)
+        np.testing.assert_allclose(r.approximant.entries, m / 2.0, atol=1e-12)
 
     def test_signs_preserved(self):
         t = HilbertOperator.diagonal([-3, 2, -0.5], TailRule.const(-1))
@@ -119,21 +123,21 @@ class TestBestApprox:
 class TestSoftThreshold:
     def test_uniform_shrinkage_example(self):
         t = HilbertOperator.diagonal([3, 2, 0.5], TailRule.const(1))
-        r = _soft_threshold_approx(t)
+        r = soft_threshold_approx(t)
         # every entry moves toward zero by the distance 2
         np.testing.assert_allclose(r.approximant.explicit, [1.0, 0.0, 0.0], atol=1e-15)
         assert r.distance == pytest.approx(2.0, abs=1e-12)
 
     def test_in_ball_compact_input_unchanged(self):
         t = HilbertOperator.diagonal([0.7], TailRule.const(0))
-        r = _soft_threshold_approx(t)
+        r = soft_threshold_approx(t)
         assert r.branch is Branch.COMPACT_INPUT
         assert r.approximant == t
 
     def test_matrix_singular_value_shrinkage(self):
         m = np.diag([3.0, 1.5, 0.2])
-        r = _soft_threshold_approx(HilbertOperator.finite_matrix(m))
-        sv = np.linalg.svd(r.approximant.matrix_array(), compute_uv=False)
+        r = soft_threshold_approx(HilbertOperator.finite_matrix(m))
+        sv = np.linalg.svd(r.approximant.entries, compute_uv=False)
         np.testing.assert_allclose(sv, [1.0, 0.0, 0.0], atol=1e-10)
         assert r.distance == pytest.approx(2.0, abs=1e-10)
 
@@ -142,14 +146,14 @@ class TestSoftThreshold:
         for _ in range(80):
             t = random_hilbert(rng, max_len=8, max_dim=6)
             a = best_ball_approx_h(t)
-            b = _soft_threshold_approx(t)
+            b = soft_threshold_approx(t)
             assert a.distance == pytest.approx(b.distance, abs=1e-10)
             assert op_norm(b.approximant) <= 1.0 + 1e-12
 
     def test_approximants_may_differ_entrywise(self):
         t = HilbertOperator.diagonal([3, 2, 0.5], TailRule.const(1))
         a = best_ball_approx_h(t).approximant.explicit
-        b = _soft_threshold_approx(t).approximant.explicit
+        b = soft_threshold_approx(t).approximant.explicit
         assert not np.array_equal(a, b)
 
 

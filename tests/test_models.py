@@ -20,7 +20,7 @@ from ballapprox import (
     scale,
 )
 
-from ballapprox import models
+from ballapprox import Space, best_ball_approx_l1, is_extreme, models, serialize
 from ballapprox.hilbert import best_ball_approx_h
 from ballapprox.models import Branch, make_result
 from helpers import random_hilbert, random_l1
@@ -481,3 +481,46 @@ class TestMatrixCertificate:
         assert cert.residuals.tobytes() == expected.tobytes()
         assert cert.residual_norm == result.distance == float(expected[0])
         assert cert.op_norm == op_norm(HilbertOperator.finite_matrix(a))
+
+
+_DIAG = HilbertOperator.diagonal([2.0], TailRule.const(0.5))
+_MATRIX = HilbertOperator.finite_matrix([[1.0, 0.0], [0.0, 2.0]])
+_L1 = L1Operator(((0.6, 0.9),), (0.5,), TailRule.const(0.2))
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: serialize.tail_from_doc([1.0]), "^tail must be an object$"),
+        (lambda: serialize.tail_from_doc({"kind": "linear"}), "^unknown tail kind 'linear'"),
+        (lambda: serialize.operator_from_doc([1.0]), "^operator document must be an object$"),
+        (lambda: serialize.operator_from_doc({"space": "l1", "model": "rows"}),
+         "^unknown l1 model 'rows', expected columns$"),
+        (lambda: serialize.operator_from_doc({"space": "l1", "model": "columns"}),
+         "^columns must be an array of arrays$"),
+        (lambda: TailRule(TailKind.CONST, 1.0, 0.5), "^const tails take no ratio$"),
+        (lambda: TailRule(TailKind.GEOMETRIC, 1.0), "^geometric tails require a ratio$"),
+        (lambda: TailRule.const(1.0).entry(0), "^tail slot must be >= 1, got 0$"),
+        (lambda: HilbertOperator(Shape.FINITE_MATRIX, (1.0,), entries=[[1.0]]),
+         "^finite matrices take entries only$"),
+        (lambda: HilbertOperator(Shape.DIAGONAL, (1.0,), TailRule.const(0.0), [[1.0]]),
+         "^diagonal operators take no matrix entries$"),
+        (lambda: _L1.tail_weight(1), "^column 1 is explicit, not a tail column$"),
+        (lambda: _L1.column_mass(0), "^column index must be >= 1, got 0$"),
+        (lambda: attains_norm(_L1), "^attains_norm is defined for Hilbert-space models$"),
+        (lambda: residual_norm(_L1, _DIAG), "^residuals require operators from the same model class$"),
+        (lambda: residual_norm(_MATRIX, _DIAG), "^residuals require operators of the same shape$"),
+        (lambda: best_ball_approx_h(_L1), "^expected an l2 model operator$"),
+        (lambda: best_ball_approx_l1(_DIAG), "^expected an l1 model operator$"),
+        (lambda: Space.from_str("l3"), "^unknown space 'l3', expected one of l1, l2, linf$"),
+        (lambda: is_extreme((1.0, 0.0)), "^expected a NormedSpacePoint$"),
+    ],
+    ids=["tail_not_object", "unknown_tail_kind", "doc_not_object", "unknown_l1_model",
+         "missing_columns", "const_with_ratio", "geometric_without_ratio", "tail_slot_0",
+         "matrix_with_explicit", "diagonal_with_entries", "tail_weight_of_explicit",
+         "column_mass_0", "attains_norm_l1", "residual_l1_vs_l2", "residual_matrix_vs_diagonal",
+         "construct_h_of_l1", "construct_l1_of_l2", "unknown_space", "is_extreme_of_tuple"],
+)
+def test_validation_branch_raises(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()
