@@ -141,6 +141,26 @@ def _finite_array(values, what: str) -> np.ndarray:
     return _readonly(arr)
 
 
+def _plain_matrix(entries, m: int) -> Optional[np.ndarray]:
+    """``entries`` as an ``m x m`` float64 array by one conversion and one
+    ``isfinite``, if it is a numeric (not bool) 2-D array or a list or tuple
+    of rows of length ``m`` of (numpy) floats and ints, all finite, else
+    ``None``: the caller then checks row by row, naming the first fault."""
+    if isinstance(entries, np.ndarray):
+        plain = entries.ndim == 2 and entries.dtype.kind in "iuf"
+    else:
+        plain = all(isinstance(row, (list, tuple)) and len(row) == m for row in entries) and (
+            {type(v) for row in entries for v in row} <= _PLAIN_TYPES
+        )
+    if not plain:
+        return None
+    try:
+        arr = np.array(entries, dtype=float)  # a copy, and a base ndarray
+    except OverflowError:  # an int too large for a float
+        return None
+    return arr if arr.shape == (m, m) and np.isfinite(arr).all() else None
+
+
 def _sum_lr(values: np.ndarray) -> float:
     """The sum in a plain loop's left-to-right order, on every Python
     (``np.sum`` adds pairwise, Python 3.12's ``sum`` compensates)."""
@@ -289,15 +309,18 @@ class HilbertOperator(_ByValue):
                 raise ValidationError(
                     f"matrix dimension {m} exceeds the certified cap {MAX_MATRIX_DIM}"
                 )
-            rows = []
-            for i, row in enumerate(entries):
-                row = _finite_array(row, f"entries[{i}]")
-                if len(row) != m:
-                    raise ValidationError(
-                        f"entries must be square, row {i} has length {len(row)} != {m}"
-                    )
-                rows.append(row)
-            object.__setattr__(self, "entries", _readonly(np.array(rows)))
+            arr = _plain_matrix(entries, m)
+            if arr is None:
+                rows = []
+                for i, row in enumerate(entries):
+                    row = _finite_array(row, f"entries[{i}]")
+                    if len(row) != m:
+                        raise ValidationError(
+                            f"entries must be square, row {i} has length {len(row)} != {m}"
+                        )
+                    rows.append(row)
+                arr = np.array(rows)
+            object.__setattr__(self, "entries", _readonly(arr))
         else:
             if self.entries is not None:
                 raise ValidationError(f"{self.shape.value} operators take no matrix entries")

@@ -29,7 +29,11 @@ below with ``T``'s top right singular vector, without an SVD of their
 own, and only the ones that could beat the best fixed candidate are
 decomposed; the margin of ``IDENTITY_TOL * (1 + sigma_1(T))`` covers the
 rounding, so a dropped trial could never be the first minimum and no
-report changes.  Section norms use ``numpy.linalg`` too.
+report changes.  The diagonal, shift and matrix trials are drawn, bounded,
+scaled and scored one chunk of at most ``SVD_CHUNK_ENTRIES`` entries at a
+time, in the order of one whole draw, so the search holds one chunk of
+trials whatever their number or width; l1 trials are drawn in one batch.
+Section norms use ``numpy.linalg`` too.
 """
 
 from __future__ import annotations
@@ -68,8 +72,9 @@ __all__ = [
 
 DEFAULT_TOL = 1e-10
 
-#: Matrix entries per chunk of random-trial residuals, and per chunk of
-#: the trials moved when the search compacts them (1 MiB of float64).
+#: Entries per chunk of random diagonal, shift or matrix trials (1 MiB of
+#: float64, at least one trial): the search draws, bounds, scales and
+#: scores one chunk at a time.
 SVD_CHUNK_ENTRIES = 1 << 17
 
 
@@ -140,36 +145,29 @@ def _build(t: Operator, batch, i: int) -> Operator:
     return HilbertOperator(t.shape, batch[i], TailRule.const(0.0))
 
 
-def _score(t: Operator, trials) -> np.ndarray:
-    """Residual norms ``||t - k||`` of a batch of candidates ``k`` in the
-    array form of the random trials of the model class of ``t``."""
+def _scorer(t: Operator):
+    """The residual norms ``||t - k||`` of a batch of candidates ``k`` in
+    the array form of the random trials of the model class of ``t``, as a
+    function of the batch; what no batch changes is computed here, once."""
     if isinstance(t, L1Operator):
-        return _score_l1(t, *trials)
+        return lambda batch: _score_l1(t, *batch)
     if t.shape is Shape.FINITE_MATRIX:
-        return _score_matrices(t, trials)
-    return _score_entries(t, trials)
+        return lambda mats: _score_matrices(t, mats)
+    # diagonal and shift models: max |t - k| over the window of the rows,
+    # then ess_norm(t), which bounds |t| beyond it
+    window, ess = _slots(t.explicit, t.tail, 0, len(t.explicit) + 4), ess_norm(t)
 
+    def score(rows: np.ndarray) -> np.ndarray:
+        diff = window - rows
+        return np.maximum(np.max(np.abs(diff, out=diff), axis=1), ess)
 
-def _score_entries(t: HilbertOperator, rows: np.ndarray) -> np.ndarray:
-    """Diagonal and shift models: ``max |t - k|`` over the window of
-    ``rows``, then ``ess_norm(t)``, which bounds ``|t|`` beyond it."""
-    diff = _slots(t.explicit, t.tail, 0, rows.shape[1]) - rows
-    return np.maximum(np.max(np.abs(diff, out=diff), axis=1), ess_norm(t))
+    return score
 
 
 def _score_matrices(t: HilbertOperator, mats: np.ndarray) -> np.ndarray:
-    """Finite matrices: LAPACK's ``sigma_1(T - K)``, in chunks of fixed
-    size, so no second array as large as ``mats`` is alive (LAPACK
-    decomposes each matrix alone: same values as one call)."""
-    m = t.entries
-    chunk = max(1, SVD_CHUNK_ENTRIES // m.size)
-    buf = np.empty((min(chunk, len(mats)),) + m.shape)
-    scores = np.empty(len(mats))
-    for s in range(0, len(mats), chunk):
-        e = min(s + chunk, len(mats))
-        diff = np.subtract(m, mats[s:e], out=buf[: e - s])
-        scores[s:e] = np.linalg.svd(diff, compute_uv=False)[:, 0]
-    return scores
+    """Finite matrices: LAPACK's ``sigma_1(T - K)`` (each matrix decomposed
+    alone: the same values in any batch)."""
+    return np.linalg.svd(t.entries - mats, compute_uv=False)[:, 0]
 
 
 def _score_l1(t: L1Operator, col_samples: list, tail: np.ndarray) -> np.ndarray:
@@ -184,36 +182,48 @@ def _score_l1(t: L1Operator, col_samples: list, tail: np.ndarray) -> np.ndarray:
     return np.maximum(scores, np.max(np.abs(diff, out=diff), axis=0))
 
 
-def _random_entry_competitors(t: HilbertOperator, best: HilbertOperator, trials: int, rng):
-    """Random diagonal/shift competitors: each row is an in-ball
-    competitor on the first ``len(t.explicit) + 4`` slots with const 0
-    tail; half of them perturb the construction ``best``."""
-    width = len(t.explicit) + 4
+def _trial_chunks(trials: int, shape: tuple):
+    """Consecutive views of one buffer of trials of ``shape`` with at most
+    ``SVD_CHUNK_ENTRIES`` entries (at least one trial) each, covering
+    ``trials`` trials, with the number of trials of each chunk that fall
+    in the first, free half (``trials // 2``); a chunk may span both
+    halves.  The buffer is overwritten by the next chunk."""
+    step = max(1, SVD_CHUNK_ENTRIES // int(np.prod(shape)))
+    buf = np.empty((min(step, trials),) + shape)
     n_free = trials // 2
+    for s in range(0, trials, step):
+        e = min(s + step, trials)
+        yield buf[: e - s], min(max(n_free - s, 0), e - s)
+
+
+def _random_entry_competitors(t: HilbertOperator, best: HilbertOperator, trials: int, rng):
+    """Random diagonal/shift competitors in chunks (:func:`_trial_chunks`):
+    each row is an in-ball competitor on the first ``len(t.explicit) + 4``
+    slots with const 0 tail; the second half perturb the construction
+    ``best``.  The rows of all chunks are those of one whole draw."""
+    width = len(t.explicit) + 4
     opt = _slots(best.explicit, best.tail, 0, width)  # best has a const 0 tail
-    rows = np.empty((trials, width))
-    rows[:n_free] = rng.uniform(-1.1, 1.1, (n_free, width))
-    np.add(opt, rng.uniform(-0.6, 0.6, (trials - n_free, width)), out=rows[n_free:])
-    rows /= np.maximum(np.max(np.abs(rows), axis=1), 1.0)[:, None]
-    return rows
+    for rows, n_free in _trial_chunks(trials, (width,)):
+        rows[:n_free] = rng.uniform(-1.1, 1.1, (n_free, width))
+        np.add(opt, rng.uniform(-0.6, 0.6, (len(rows) - n_free, width)), out=rows[n_free:])
+        rows /= np.maximum(np.max(np.abs(rows), axis=1), 1.0)[:, None]
+        yield rows
 
 
 def _random_matrix_draws(t: HilbertOperator, best: HilbertOperator, trials: int, rng):
-    """Raw ``n x n`` draws ``M``, half of them perturbing ``best``; the
-    competitor of ``M`` is ``M / max(sigma_1(M), 1)`` (:func:`_into_ball`)."""
+    """Raw ``n x n`` draws ``M`` in chunks (:func:`_trial_chunks`), the
+    second half perturbing ``best``; the competitor of ``M`` is
+    ``M / max(sigma_1(M), 1)`` (:func:`_into_ball`).  The draws of all
+    chunks are those of one whole draw."""
     n = len(t.entries)
-    n_free = trials // 2
-    # both halves drawn into one trials x n x n array, which the search
-    # compacts, scales and scores in place: no second copy of the trials
-    # is alive during the batched SVDs
-    mats = np.empty((trials, n, n))
-    free, near = mats[:n_free], mats[n_free:]
-    rng.standard_normal(out=free)
-    free *= 0.6 / np.sqrt(n)
-    rng.standard_normal(out=near)
-    near *= 0.3 / np.sqrt(n)
-    near += best.entries
-    return mats
+    for mats, n_free in _trial_chunks(trials, (n, n)):
+        free, near = mats[:n_free], mats[n_free:]
+        rng.standard_normal(out=free)
+        free *= 0.6 / np.sqrt(n)
+        rng.standard_normal(out=near)
+        near *= 0.3 / np.sqrt(n)
+        near += best.entries
+        yield mats
 
 
 def _into_ball(mats: np.ndarray) -> np.ndarray:
@@ -240,9 +250,9 @@ def _trial_lower_bounds(t: HilbertOperator, mats: np.ndarray, v: np.ndarray) -> 
 
 
 def _possible_winners(t: HilbertOperator, mats: np.ndarray, top, best: float):
-    """The raw draws of ``mats`` whose competitors could score at most
-    ``best``, moved to the front of ``mats`` in trial order; returns that
-    view.  ``top`` is LAPACK's ``(sigma_1, v_1)`` of ``T``.
+    """A copy of the raw draws of ``mats`` whose competitors could score at
+    most ``best``, in trial order.  ``top`` is LAPACK's ``(sigma_1, v_1)``
+    of ``T``.
 
     A draw is dropped when its lower bound exceeds ``best`` by more than
     ``IDENTITY_TOL * (1 + sigma_1)``.  The rounding of the bound, of
@@ -253,19 +263,16 @@ def _possible_winners(t: HilbertOperator, mats: np.ndarray, top, best: float):
     sigma_1, v_1 = top
     lower = _trial_lower_bounds(t, mats, v_1)
     # a NaN bound drops nothing
-    keep = np.flatnonzero(~(lower > best + IDENTITY_TOL * (1.0 + sigma_1)))
-    chunk = max(1, SVD_CHUNK_ENTRIES // mats[0].size)
-    for s in range(0, len(keep), chunk):  # keep[i] >= i: no row is read after it is overwritten
-        rows = keep[s : s + chunk]
-        mats[s : s + len(rows)] = mats[rows]
-    return mats[: len(keep)]
+    return mats[~(lower > best + IDENTITY_TOL * (1.0 + sigma_1))]
 
 
 def _random_l1_competitors(t: L1Operator, trials: int, rng):
     """Random column-model competitors ``(column samples, tail samples)``:
     explicit columns on the input's support, then single-entry tail
     columns over the listed window plus two slots, one ``(n_tail, trials)``
-    draw."""
+    draw.  One batch, not chunks: the stream runs column by column across
+    all trials, so a chunk of trials would have to skip through it
+    (``PCG64.advance``)."""
     col_samples = []
     for col in t.columns:
         cand = rng.uniform(-0.9, 0.9, (trials, max(len(col), 1)))
@@ -295,6 +302,13 @@ def competitor_search(
     trial left out scores above that candidate, could not be the first
     minimum, and the report is the one of scoring every trial.
 
+    Diagonal, shift and matrix trials are drawn, bounded, scaled and
+    scored in chunks of at most ``SVD_CHUNK_ENTRIES`` entries (1 MiB),
+    keeping only the running first minimum and its candidate, so memory
+    does not grow with ``trials``; the draws are those of one batch and
+    a strict ``<`` across chunks keeps the first minimum, so the report
+    is the one of a single batch.  L1 trials are one batch.
+
     The report passes when nothing beats ``claimed`` by more than
     ``band`` and some candidate attains it within ``band``, where
     ``band = max(tol, IDENTITY_TOL * |claimed|)`` is no finer than the
@@ -309,24 +323,31 @@ def competitor_search(
 
     if isinstance(t, L1Operator):
         construction = best_ball_approx_l1(t).approximant
-        drawn = _random_l1_competitors(t, trials, rng)
+        chunks = [_random_l1_competitors(t, trials, rng)]
     else:
         construction = best_ball_approx_h(t).approximant
         matrix = t.shape is Shape.FINITE_MATRIX
         draw = _random_matrix_draws if matrix else _random_entry_competitors
-        drawn = draw(t, construction, trials, rng)
-    # the few fixed candidates as a batch of their own: stacked onto the
-    # trials, they would grow every trial-sized temporary
+        chunks = draw(t, construction, trials, rng)
+    # the fixed candidates, then the trials chunk by chunk: only a strictly
+    # lower score replaces the best, so the first minimum wins
+    score = _scorer(t)
     kinds, fixed, top = _fixed_candidates(t, construction)
-    scores = _score(t, fixed)
+    scores = score(fixed)
     idx = int(np.argmin(scores))
-    best_found, best_kind, best = float(scores[idx]), kinds[idx], (fixed, idx)
-    if top is not None:  # a matrix: decompose only the draws that could win
-        drawn = _into_ball(_possible_winners(t, drawn, top, best_found))
-    scores = _score(t, drawn)
-    if len(scores) and scores.min() < best_found:
-        idx = int(np.argmin(scores))
-        best_found, best_kind, best = float(scores[idx]), "random", (drawn, idx)
+    best_found, best_kind, best = float(scores[idx]), kinds[idx], _build(t, fixed, idx)
+    best_fixed = best_found  # matrix draws are pruned against it, as in one batch
+    for chunk in chunks:
+        if top is not None:  # a matrix: decompose only the draws that could win
+            chunk = _possible_winners(t, chunk, top, best_fixed)
+            if not len(chunk):
+                continue
+            _into_ball(chunk)
+        scores = score(chunk)
+        if scores.min() < best_found:
+            # built now, which copies the row: the next chunk reuses the buffer
+            idx = int(np.argmin(scores))
+            best_found, best_kind, best = float(scores[idx]), "random", _build(t, chunk, idx)
 
     band = max(tol, IDENTITY_TOL * abs(claimed))
     beaten = best_found < claimed - band
@@ -341,7 +362,7 @@ def competitor_search(
         seed=seed,
         tol=tol,
         best_kind=best_kind,
-        best_candidate=_build(t, *best),
+        best_candidate=best,
     )
 
 

@@ -230,6 +230,34 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
+def ref_matrix_draws(t, best, trials: int, rng) -> np.ndarray:
+    """The raw ``trials x n x n`` draws of a matrix ``competitor_search``
+    in one batch: the free half, then the half perturbing ``best``."""
+    n, n_free = len(t.entries), trials // 2
+    free = rng.standard_normal((n_free, n, n)) * (0.6 / np.sqrt(n))
+    near = rng.standard_normal((trials - n_free, n, n)) * (0.3 / np.sqrt(n))
+    return np.concatenate([free, near + best.entries])
+
+
+def ref_entry_rows(t, best, trials: int, rng) -> np.ndarray:
+    """The in-ball trial rows of a diagonal or shift ``competitor_search``
+    in one batch: the free half, then the half perturbing ``best``."""
+    from ballapprox.models import _slots
+
+    width, n_free = len(t.explicit) + 4, trials // 2
+    opt = _slots(best.explicit, best.tail, 0, width)
+    free = rng.uniform(-1.1, 1.1, (n_free, width))
+    rows = np.concatenate([free, opt + rng.uniform(-0.6, 0.6, (trials - n_free, width))])
+    return rows / np.maximum(np.max(np.abs(rows), axis=1), 1.0)[:, None]
+
+
+def _first_minimum(kinds, candidates, scores):
+    """``(score, kind, candidate)`` of the first minimum; the candidates
+    after the named fixed ones are the random trials."""
+    i = int(np.argmin(scores))
+    return float(scores[i]), kinds[i] if i < len(kinds) else "random", candidates[i]
+
+
 def ref_matrix_search(t, trials: int, seed: int):
     """``(best_found, best_kind, best candidate array)`` of an exhaustive
     matrix ``competitor_search``: the same draws, every one scaled into
@@ -237,19 +265,30 @@ def ref_matrix_search(t, trials: int, seed: int):
     after the search's fixed candidates; the first minimum wins."""
     from ballapprox import best_ball_approx_h, oracles
 
-    m = t.entries
-    n, n_free = len(m), trials // 2
     construction = best_ball_approx_h(t).approximant
-    rng = np.random.default_rng(seed)
-    free = rng.standard_normal((n_free, n, n)) * (0.6 / np.sqrt(n))
-    near = rng.standard_normal((trials - n_free, n, n)) * (0.3 / np.sqrt(n))
-    mats = np.concatenate([free, near + construction.entries])
+    mats = ref_matrix_draws(t, construction, trials, np.random.default_rng(seed))
     mats /= np.maximum(np.linalg.svd(mats, compute_uv=False)[:, 0], 1.0)[:, None, None]
     kinds, fixed = oracles._fixed_candidates(t, construction)[:2]
     candidates = np.concatenate([fixed, mats])
-    scores = np.linalg.svd(m - candidates, compute_uv=False)[:, 0]
-    i = int(np.argmin(scores))
-    return float(scores[i]), kinds[i] if i < len(kinds) else "random", candidates[i]
+    scores = np.linalg.svd(t.entries - candidates, compute_uv=False)[:, 0]
+    return _first_minimum(kinds, candidates, scores)
+
+
+def ref_entry_search(t, trials: int, seed: int):
+    """``(best_found, best_kind, best candidate row)`` of a diagonal or
+    shift ``competitor_search`` drawn and scored in one batch: ``max |t -
+    k|`` over the window, then ``ess_norm(t)``, after the search's fixed
+    candidates; the first minimum wins."""
+    from ballapprox import best_ball_approx_h, oracles
+    from ballapprox.models import _slots
+
+    construction = best_ball_approx_h(t).approximant
+    rows = ref_entry_rows(t, construction, trials, np.random.default_rng(seed))
+    kinds, fixed = oracles._fixed_candidates(t, construction)[:2]
+    candidates = np.concatenate([fixed, rows])
+    diff = _slots(t.explicit, t.tail, 0, rows.shape[1]) - candidates
+    scores = np.maximum(np.max(np.abs(diff), axis=1), abs(t.tail.limit))
+    return _first_minimum(kinds, candidates, scores)
 
 
 def ref_orthogonalize_columns(w):

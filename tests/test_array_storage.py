@@ -104,11 +104,18 @@ class TestWideValidation:
              "finite matrices require rows of entries, got 2.0"),
             (lambda: HilbertOperator.finite_matrix(np.array(2.0)),
              "finite matrices require rows of entries, got array(2.)"),
+            (lambda: HilbertOperator.finite_matrix([[1, 10**400], [0, 1]]),
+             "entries[0][1] must be finite, got " + str(10**400)),
+            (lambda: HilbertOperator.finite_matrix(np.ones((2, 3))),
+             "entries must be square, row 0 has length 3 != 2"),
+            (lambda: HilbertOperator.finite_matrix(np.array([[1.0, 2.0], [3.0, np.inf]])),
+             "entries[1][1] must be finite, got inf"),
         ],
         ids=["nan", "bool", "inf_doc", "bool_array_ctor", "bool_array", "l1_nan", "l1_bool",
              "l1_bool_array", "weights_nan", "matrix_nan", "matrix_doc_nan", "matrix_doc_bool",
              "matrix_bool_row", "huge_int", "matrix_doc_ragged", "matrix_ragged", "matrix_str",
-             "matrix_bool", "matrix_scalar", "matrix_0d"],
+             "matrix_bool", "matrix_scalar", "matrix_0d", "matrix_huge_int", "matrix_array_wide",
+             "matrix_array_inf"],
     )
     def test_message(self, build, message):
         with pytest.raises(ValidationError) as info:
@@ -143,6 +150,23 @@ class TestWideValidation:
             assert a.dtype == np.float64 and not a.flags.writeable
         with pytest.raises(ValueError):
             t.explicit[0] = 7.0
+
+    def test_matrix_in_one_conversion_equals_row_by_row(self):
+        # a 2-D array and plain rows are converted whole, a list of array
+        # rows row by row: the same bits, in a copy of the caller's buffer
+        a = np.random.default_rng(4).standard_normal((16, 16))
+        a[3, 5] = -0.0
+        by_rows = HilbertOperator.finite_matrix(list(a)).entries
+        for entries in (a, a.tolist(), tuple(map(tuple, a.tolist())), np.asfortranarray(a)):
+            m = HilbertOperator.finite_matrix(entries).entries
+            assert type(m) is np.ndarray and not m.flags.writeable and same_bits(m, by_rows)
+        ints = [[2**60 + 1, 1], [-3, np.float64(0.5)]]
+        assert HilbertOperator.finite_matrix(ints).entries.tolist() == [
+            [float(v) for v in row] for row in ints]
+        buffer = a.copy()
+        m = HilbertOperator.finite_matrix(buffer)
+        buffer[:] = 7.0
+        assert same_bits(m.entries, by_rows)
 
 
 def _count_calls(monkeypatch):

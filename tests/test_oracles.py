@@ -19,7 +19,31 @@ from ballapprox import (
 
 from ballapprox import hilbert, l1, oracles
 from ballapprox.models import IDENTITY_TOL, Shape, make_result, residual_norm
-from helpers import random_hilbert, random_l1, ref_l1_trials, ref_matrix_search, same_bits
+from helpers import (
+    random_hilbert,
+    random_l1,
+    ref_entry_rows,
+    ref_entry_search,
+    ref_l1_trials,
+    ref_matrix_draws,
+    ref_matrix_search,
+    same_bits,
+)
+
+
+def _whole(chunks) -> np.ndarray:
+    """The chunks of a trial stream, each copied before the next one
+    overwrites its buffer, as one array."""
+    return np.concatenate([c.copy() for c in chunks])
+
+
+def _peak_bytes(f) -> int:
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestCompetitorSearch:
@@ -140,7 +164,7 @@ class TestCompetitorSearch:
         ]:
             construct = best_ball_approx_l1 if isinstance(t, L1Operator) else best_ball_approx_h
             kinds, batch, _ = oracles._fixed_candidates(t, construct(t).approximant)
-            scores = oracles._score(t, batch)
+            scores = oracles._scorer(t)(batch)
             exact = isinstance(t, HilbertOperator) and t.shape is not Shape.FINITE_MATRIX
             for i, (kind, score) in enumerate(zip(kinds, scores.tolist())):
                 r = residual_norm(t, oracles._build(t, batch, i))
@@ -199,23 +223,26 @@ class TestMatrixTrials:
         rng = np.random.default_rng(n)
         t = HilbertOperator.finite_matrix(rng.standard_normal((n, n)))
         best = best_ball_approx_h(t).approximant
-        mats = oracles._into_ball(
-            oracles._random_matrix_draws(t, best, trials, np.random.default_rng(1)))
-        residuals = oracles._score(t, mats)
-        one_batch = np.linalg.svd(t.entries[None] - mats, compute_uv=False)[:, 0]
-        assert np.array_equal(residuals, one_batch)
+        score, draws, residuals = oracles._scorer(t), [], []
+        for mats in oracles._random_matrix_draws(t, best, trials, np.random.default_rng(1)):
+            draws.append(mats.copy())
+            residuals.append(score(oracles._into_ball(mats)))
+        raw = ref_matrix_draws(t, best, trials, np.random.default_rng(1))
+        assert same_bits(np.concatenate(draws), raw)
+        one_batch = np.linalg.svd(t.entries[None] - oracles._into_ball(raw),
+                                  compute_uv=False)[:, 0]
+        assert same_bits(np.concatenate(residuals), one_batch)
 
-    def test_search_holds_about_one_trials_array(self):
+    def test_search_memory_does_not_grow_with_trials(self):
+        # one chunk of trials (1 MiB) at a time: ten times the trials, the
+        # same peak; the operator's norm and SVD are memoised beforehand
         rng = np.random.default_rng(3)
         t = HilbertOperator.finite_matrix(rng.standard_normal((64, 64)) * 0.3)
-        trials_bytes = 200 * 64 * 64 * 8
-        tracemalloc.start()
-        try:
-            assert competitor_search(t, trials=200, seed=0).passed
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * trials_bytes, peak / trials_bytes
+        assert competitor_search(t, trials=1, seed=0).passed
+        peaks = [_peak_bytes(lambda: competitor_search(t, trials=trials, seed=0))
+                 for trials in (200, 2000)]
+        assert peaks[1] <= 1.1 * peaks[0], peaks
+        assert max(peaks) < 4 * 2**20, peaks
 
 
 def _matrix_of_norm(rng, n, norm):
@@ -232,23 +259,28 @@ class TestMatrixPruning:
     """Only the random matrix trials that could win are decomposed; the
     report is the one of scoring every trial."""
 
-    def _same_as_exhaustive(self, n, trials):
+    def _same_as_exhaustive(self, n, trials, monkeypatch):
+        # the default chunks, chunks of three matrices and one matrix per chunk
         rng = np.random.default_rng(100 + n)
         kinds = []
         for i, norm in enumerate(SEARCH_NORMS):
             t = _matrix_of_norm(rng, n, norm)
-            report = competitor_search(t, trials=trials, seed=i)
             found, kind, candidate = ref_matrix_search(t, trials, i)
-            assert repr(report.best_found) == repr(found), (norm, i)
-            assert report.best_kind == kind, (norm, i)
-            assert report.best_candidate.entries.tobytes() == candidate.tobytes(), (norm, i)
+            for chunk_entries in (oracles.SVD_CHUNK_ENTRIES, 3 * n * n, 1):
+                with monkeypatch.context() as m:
+                    m.setattr(oracles, "SVD_CHUNK_ENTRIES", chunk_entries)
+                    report = competitor_search(t, trials=trials, seed=i)
+                case = (norm, i, chunk_entries)
+                assert repr(report.best_found) == repr(found), case
+                assert report.best_kind == kind, case
+                assert report.best_candidate.entries.tobytes() == candidate.tobytes(), case
             kinds.append(kind)
         return kinds
 
     @pytest.mark.parametrize("trials", [7, 50, 200])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 9, 12, 16, 64])
-    def test_report_equals_exhaustive_search(self, n, trials):
-        self._same_as_exhaustive(n, trials)
+    def test_report_equals_exhaustive_search(self, n, trials, monkeypatch):
+        self._same_as_exhaustive(n, trials, monkeypatch)
 
     @pytest.mark.parametrize("trials", [7, 50, 200])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 9, 12, 16, 64])
@@ -261,14 +293,17 @@ class TestMatrixPruning:
             return kinds[-1:], batch[-1:], top
 
         monkeypatch.setattr(oracles, "_fixed_candidates", zero_only)
-        assert "random" in self._same_as_exhaustive(n, trials)
+        assert "random" in self._same_as_exhaustive(n, trials, monkeypatch)
 
     @pytest.mark.parametrize("norm", SEARCH_NORMS)
     @pytest.mark.parametrize("n", [1, 2, 5, 16, 64])
     def test_lower_bounds_hold_for_any_unit_vector(self, n, norm):
         rng = np.random.default_rng(n)
         t = _matrix_of_norm(rng, n, norm)
-        raw = oracles._random_matrix_draws(t, best_ball_approx_h(t).approximant, 200, rng)
+        best, state = best_ball_approx_h(t).approximant, rng.bit_generator.state
+        raw = _whole(oracles._random_matrix_draws(t, best, 200, rng))
+        rng.bit_generator.state = state
+        assert same_bits(raw, ref_matrix_draws(t, best, 200, rng))
         scores = np.linalg.svd(t.entries - oracles._into_ball(raw.copy()),
                                compute_uv=False)[:, 0]
         other = rng.standard_normal(n)
@@ -282,13 +317,16 @@ class TestMatrixPruning:
             monkeypatch.setattr(oracles, "SVD_CHUNK_ENTRIES", chunk_entries)
         rng = np.random.default_rng(8)
         t = _matrix_of_norm(rng, 16, 1.5)
-        raw = oracles._random_matrix_draws(t, best_ball_approx_h(t).approximant, 100, rng)
+        best_k, state = best_ball_approx_h(t).approximant, rng.bit_generator.state
+        raw = ref_matrix_draws(t, best_k, 100, rng)
+        rng.bit_generator.state = state
         sigma_1, _, _, v_1 = oracles._sv_map(t)
         lower = oracles._trial_lower_bounds(t, raw, v_1)
         margin = IDENTITY_TOL * (1.0 + sigma_1)
         # the median draw's bound lies within the margin above best: it stays
         best = float(np.sort(lower)[50]) - margin / 2
-        kept = oracles._possible_winners(t, raw.copy(), (sigma_1, v_1), best)
+        kept = _whole(oracles._possible_winners(t, c, (sigma_1, v_1), best)
+                      for c in oracles._random_matrix_draws(t, best_k, 100, rng))
         assert 0 < len(kept) < 100
         assert same_bits(kept, raw[lower <= best + margin])
 
@@ -311,18 +349,58 @@ class TestMatrixPruning:
 
 
 class TestEntryTrials:
-    def test_wide_search_holds_about_two_trials_arrays(self):
-        # the trial rows and one |t - k| array, taken in place
+    @pytest.mark.parametrize(
+        "width,trials,chunk_entries",
+        # one chunk; two rows per chunk with the free half ending mid-chunk;
+        # three rows per chunk across 25 free rows; one row per chunk
+        [(9, 7, None), (9, 7, 18), (10, 50, 30), (14, 9, 1)],
+    )
+    def test_chunked_rows_equal_one_batch(self, width, trials, chunk_entries, monkeypatch):
+        if chunk_entries is not None:
+            monkeypatch.setattr(oracles, "SVD_CHUNK_ENTRIES", chunk_entries)
+        rng = np.random.default_rng(width)
+        t = HilbertOperator.diagonal(rng.uniform(-3.0, 3.0, width - 4), TailRule.const(0.5))
+        best = best_ball_approx_h(t).approximant
+        rows = _whole(oracles._random_entry_competitors(t, best, trials, np.random.default_rng(2)))
+        assert same_bits(rows, ref_entry_rows(t, best, trials, np.random.default_rng(2)))
+
+    @pytest.mark.parametrize("chunk_entries", [None, 2 * 11, 3 * 11, 1])
+    def test_report_equals_one_batch_when_trials_win(self, chunk_entries, monkeypatch):
+        # the zero operator as the only fixed candidate: random trials win;
+        # with width 11, chunks of 2 and 3 rows split the free half mid-chunk
+        if chunk_entries is not None:
+            monkeypatch.setattr(oracles, "SVD_CHUNK_ENTRIES", chunk_entries)
+        fixed_candidates = oracles._fixed_candidates
+
+        def zero_only(t, construction):
+            kinds, batch, top = fixed_candidates(t, construction)
+            return kinds[-1:], batch[-1:], top
+
+        monkeypatch.setattr(oracles, "_fixed_candidates", zero_only)
+        rng = np.random.default_rng(41)
+        kinds = []
+        for i in range(24):
+            ctor = HilbertOperator.diagonal if i % 2 else HilbertOperator.weighted_shift
+            tail = TailRule.const(0.0) if i % 3 else TailRule.geometric(1.5, 0.5)
+            t = ctor(rng.uniform(-3.0, 3.0, 7), tail)
+            trials = int(rng.integers(1, 40))
+            report = competitor_search(t, trials=trials, seed=i)
+            found, kind, candidate = ref_entry_search(t, trials, i)
+            assert repr(report.best_found) == repr(found), i
+            assert report.best_kind == kind, i
+            assert report.best_candidate.explicit.tobytes() == candidate.tobytes(), i
+            kinds.append(kind)
+        assert "random" in kinds
+
+    def test_wide_search_memory_does_not_grow_with_trials(self):
+        # one row of 10^5 + 4 entries per chunk: ten times the trials, the
+        # same peak, set by the four fixed candidates' rows and residuals
         rng = np.random.default_rng(5)
         t = HilbertOperator.diagonal(rng.uniform(-3.0, 3.0, 10**5), TailRule.const(1.0))
-        trials_bytes = 200 * (10**5 + 4) * 8
-        tracemalloc.start()
-        try:
-            assert competitor_search(t, trials=200, seed=0).passed
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.5 * trials_bytes, peak / trials_bytes
+        peaks = [_peak_bytes(lambda: competitor_search(t, trials=trials, seed=0))
+                 for trials in (20, 200)]
+        assert peaks[1] <= 1.1 * peaks[0], peaks
+        assert max(peaks) < 12 * 2**20, peaks
 
 
 class TestL1Trials:
@@ -333,7 +411,7 @@ class TestL1Trials:
         cols = (tuple(rng.uniform(-0.1, 0.1, 4)), (), tuple(rng.uniform(-0.1, 0.1, 2)))
         t = L1Operator(cols, tuple(rng.uniform(-2.0, 2.0, n_weights)), TailRule.const(0.7))
         col_samples, tail = oracles._random_l1_competitors(t, 40, np.random.default_rng(9))
-        residuals = oracles._score(t, (col_samples, tail))
+        residuals = oracles._scorer(t)((col_samples, tail))
         ref_residuals, ref_tail = ref_l1_trials(t, 40, 9)
         assert same_bits(residuals, ref_residuals) and same_bits(tail, ref_tail)
         assert len(col_samples) == 3
