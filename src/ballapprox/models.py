@@ -116,49 +116,49 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 _PLAIN_TYPES = frozenset({float, int, np.float64})
 
 
+def _plain(values, ndim: int) -> Optional[np.ndarray]:
+    """``values`` as a C-ordered float64 array by one conversion and one
+    ``isfinite``, if it is a numeric (not bool) ``ndim``-D array, or for
+    ``ndim`` 1 a list or tuple of (numpy) floats and ints, for ``ndim`` 2
+    a list or tuple of such rows of one length, and all entries are
+    finite; else ``None``, and the caller checks entry by entry, naming
+    the first fault."""
+    if isinstance(values, np.ndarray):
+        plain = values.ndim == ndim and values.dtype.kind in "iuf"
+    elif not isinstance(values, (list, tuple)):
+        plain = False
+    elif ndim == 1:
+        plain = set(map(type, values)) <= _PLAIN_TYPES
+    else:
+        plain = (
+            all(isinstance(row, (list, tuple)) for row in values)
+            and len(set(map(len, values))) <= 1
+            and {type(v) for row in values for v in row} <= _PLAIN_TYPES
+        )
+    if not plain:
+        return None
+    try:
+        arr = np.array(values, dtype=float, order="C")  # a copy, and a base ndarray
+    except OverflowError:  # an int too large for a float
+        return None
+    return arr if np.isfinite(arr).all() else None
+
+
 def _finite_array(values, what: str) -> np.ndarray:
     """``values`` as a read-only float64 array of finite reals.
 
-    A list or tuple of (numpy) floats and ints, or a numeric (not bool)
-    1-D array, is converted whole and checked by one ``isfinite``;
-    otherwise, or if some entry is not finite, each entry goes through
+    A plain 1-D input (see :func:`_plain`) is converted whole; otherwise,
+    or if some entry is not finite, each entry goes through
     :func:`_require_finite`, so an error names the first bad one ``what[i]``.
     """
-    arr = None
-    if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "iuf":
-        arr = values.astype(float)
-    elif isinstance(values, (list, tuple)) and set(map(type, values)) <= _PLAIN_TYPES:
-        try:
-            arr = np.array(values, dtype=float)
-        except OverflowError:  # an int too large for a float
-            pass
-    if arr is None or (len(arr) and not np.isfinite(arr).all()):
+    arr = _plain(values, 1)
+    if arr is None:
         if isinstance(values, np.ndarray):
             values = values.tolist()
         if not isinstance(values, (list, tuple)):
             raise ValidationError(f"{what} must be an array, got {values!r}")
         arr = np.array([_require_finite(v, what, i) for i, v in enumerate(values)], dtype=float)
     return _readonly(arr)
-
-
-def _plain_matrix(entries, m: int) -> Optional[np.ndarray]:
-    """``entries`` as an ``m x m`` float64 array by one conversion and one
-    ``isfinite``, if it is a numeric (not bool) 2-D array or a list or tuple
-    of rows of length ``m`` of (numpy) floats and ints, all finite, else
-    ``None``: the caller then checks row by row, naming the first fault."""
-    if isinstance(entries, np.ndarray):
-        plain = entries.ndim == 2 and entries.dtype.kind in "iuf"
-    else:
-        plain = all(isinstance(row, (list, tuple)) and len(row) == m for row in entries) and (
-            {type(v) for row in entries for v in row} <= _PLAIN_TYPES
-        )
-    if not plain:
-        return None
-    try:
-        arr = np.array(entries, dtype=float)  # a copy, and a base ndarray
-    except OverflowError:  # an int too large for a float
-        return None
-    return arr if arr.shape == (m, m) and np.isfinite(arr).all() else None
 
 
 def _sum_lr(values: np.ndarray) -> float:
@@ -309,8 +309,8 @@ class HilbertOperator(_ByValue):
                 raise ValidationError(
                     f"matrix dimension {m} exceeds the certified cap {MAX_MATRIX_DIM}"
                 )
-            arr = _plain_matrix(entries, m)
-            if arr is None:
+            arr = _plain(entries, 2)
+            if arr is None or arr.shape != (m, m):
                 rows = []
                 for i, row in enumerate(entries):
                     row = _finite_array(row, f"entries[{i}]")

@@ -153,13 +153,15 @@ class TestWideValidation:
 
     def test_matrix_in_one_conversion_equals_row_by_row(self):
         # a 2-D array and plain rows are converted whole, a list of array
-        # rows row by row: the same bits, in a copy of the caller's buffer
+        # rows row by row: the same bits, C-ordered, in a copy of the
+        # caller's buffer
         a = np.random.default_rng(4).standard_normal((16, 16))
         a[3, 5] = -0.0
         by_rows = HilbertOperator.finite_matrix(list(a)).entries
         for entries in (a, a.tolist(), tuple(map(tuple, a.tolist())), np.asfortranarray(a)):
             m = HilbertOperator.finite_matrix(entries).entries
             assert type(m) is np.ndarray and not m.flags.writeable and same_bits(m, by_rows)
+            assert m.flags.c_contiguous
         ints = [[2**60 + 1, 1], [-3, np.float64(0.5)]]
         assert HilbertOperator.finite_matrix(ints).entries.tolist() == [
             [float(v) for v in row] for row in ints]

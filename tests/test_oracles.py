@@ -37,11 +37,12 @@ def _whole(chunks) -> np.ndarray:
     return np.concatenate([c.copy() for c in chunks])
 
 
-def _peak_bytes(f) -> int:
+def _peak_bytes(f):
+    """``f()``'s peak traced allocation in bytes, and what it returned."""
     tracemalloc.start()
     try:
-        f()
-        return tracemalloc.get_traced_memory()[1]
+        result = f()
+        return tracemalloc.get_traced_memory()[1], result
     finally:
         tracemalloc.stop()
 
@@ -239,8 +240,11 @@ class TestMatrixTrials:
         rng = np.random.default_rng(3)
         t = HilbertOperator.finite_matrix(rng.standard_normal((64, 64)) * 0.3)
         assert competitor_search(t, trials=1, seed=0).passed
-        peaks = [_peak_bytes(lambda: competitor_search(t, trials=trials, seed=0))
-                 for trials in (200, 2000)]
+        peaks = []
+        for trials in (200, 2000):
+            peak, report = _peak_bytes(lambda: competitor_search(t, trials=trials, seed=0))
+            assert report.passed, trials
+            peaks.append(peak)
         assert peaks[1] <= 1.1 * peaks[0], peaks
         assert max(peaks) < 4 * 2**20, peaks
 
@@ -397,8 +401,11 @@ class TestEntryTrials:
         # same peak, set by the four fixed candidates' rows and residuals
         rng = np.random.default_rng(5)
         t = HilbertOperator.diagonal(rng.uniform(-3.0, 3.0, 10**5), TailRule.const(1.0))
-        peaks = [_peak_bytes(lambda: competitor_search(t, trials=trials, seed=0))
-                 for trials in (20, 200)]
+        peaks = []
+        for trials in (20, 200):
+            peak, report = _peak_bytes(lambda: competitor_search(t, trials=trials, seed=0))
+            assert report.passed, trials
+            peaks.append(peak)
         assert peaks[1] <= 1.1 * peaks[0], peaks
         assert max(peaks) < 12 * 2**20, peaks
 
