@@ -112,6 +112,14 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _nearly_orthogonal(vt: np.ndarray) -> bool:
+    """Whether ``V^T V`` is within ``IDENTITY_TOL / 10`` of the identity in
+    the Frobenius norm, which bounds the spectral norm: the one guard on the
+    ``V`` of a memoised LAPACK SVD before it stands in for an orthogonal
+    matrix, in a matrix's norm and in the competitor search's pruning."""
+    return bool(np.linalg.norm(vt @ vt.T - np.eye(len(vt))) <= IDENTITY_TOL / 10)
+
+
 #: Element types that ``np.array(..., dtype=float)`` converts as ``float()`` does.
 _PLAIN_TYPES = frozenset({float, int, np.float64})
 
@@ -359,8 +367,7 @@ class HilbertOperator(_ByValue):
         # IDENTITY_TOL / 10 the worst case is about 7e-13 relative, inside
         # IDENTITY_TOL.  A V that fails the guard preconditions nothing.
         vt = self._svd[2]
-        defect = np.linalg.norm(vt @ vt.T - np.eye(len(vt)))
-        a = self.entries @ vt.T if defect <= IDENTITY_TOL / 10 else self.entries
+        a = self.entries @ vt.T if _nearly_orthogonal(vt) else self.entries
         return float(jacobi_singular_values(a)[0])
 
 

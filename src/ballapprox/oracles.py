@@ -24,16 +24,19 @@ candidate is scored by a fresh LAPACK ``sigma_1(T - K)``.  The search
 scores its candidates, the construction included, by one numpy function
 per model class, apart from the library's own residual code: LAPACK's
 largest singular value for matrices, the window of entry or column
-residuals for the other models.  Random matrix trials are first bounded
-below with ``T``'s top right singular vector, without an SVD of their
-own, and only the ones that could beat the best fixed candidate are
-decomposed; the margin of ``IDENTITY_TOL * (1 + sigma_1(T))`` covers the
-rounding, so a dropped trial could never be the first minimum and no
-report changes.  The diagonal, shift and matrix trials are drawn, bounded,
-scaled and scored one chunk of at most ``SVD_CHUNK_ENTRIES`` entries at a
-time, in the order of one whole draw, so the search holds one chunk of
-trials whatever their number or width; l1 trials are drawn in one batch.
-Section norms use ``numpy.linalg`` too.
+residuals for the other models.  A random matrix trial is ``C V^T``, with
+``V`` from the SVD of ``T``; its first column ``C e_1``, which stands in
+for its product with ``T``'s top right singular vector ``v_1``, bounds its
+score below without an SVD of its own, and only the trials that could
+beat the best fixed candidate are drawn in full and decomposed.  The
+margin of ``IDENTITY_TOL * (1 + sigma_1(T))`` covers the rounding and the
+defect of ``V`` allowed by the guard of ``T``'s norm, so a dropped trial
+could never be the first minimum and the report is that of scoring every
+trial.  The diagonal, shift and matrix trials are drawn, bounded, scaled
+and scored one chunk of at most ``SVD_CHUNK_ENTRIES`` entries at a time,
+so the search holds one chunk of trials whatever their number or width;
+l1 trials are drawn in one batch.  Section norms use ``numpy.linalg``
+too.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ from .models import (
     Shape,
     TailRule,
     ValidationError,
+    _nearly_orthogonal,
     _require_finite,
     _require_int,
     _slots,
@@ -114,9 +118,16 @@ def _sv_map(t: HilbertOperator):
 def _fixed_candidates(t: Operator, construction: Operator):
     """The named fixed candidates ``(kinds, batch, top)`` of a search, in
     the array form of its random trials: the construction, in-ball maps
-    of the data of ``t`` built here with numpy, and the zero operator;
-    for a matrix, ``top`` is ``(sigma_1, v_1)`` of ``t`` from the same
-    SVD (``None`` for the other models)."""
+    of the data of ``t`` built here with numpy, and, but for a matrix, the
+    zero operator; for a matrix, ``top`` is ``(sigma_1, v_1)`` of ``t``
+    from the same SVD (``None`` for the other models).
+
+    A matrix has no zero candidate: it would score LAPACK's ``sigma_1(T)``
+    by a second decomposition of ``T``, while the construction listed
+    before it scores ``sigma_1(T - T / max(sigma_1, 1))``, exactly 0 when
+    the construction is ``T`` and about ``sigma_1 - 1`` otherwise, so zero
+    could come first only by a rounding-level tie (``sigma_1`` near
+    ``1 / (n * eps)``, about 1e14)."""
     if isinstance(t, L1Operator):
         cols = [np.array([k, col * min(1.0, 1.0 / max(mass, 1e-300)), np.zeros(len(col))])
                 for k, col, mass in zip(construction.columns, t.columns, t.column_masses.tolist())]
@@ -126,8 +137,8 @@ def _fixed_candidates(t: Operator, construction: Operator):
         return ["construction", "column_scaling", "zero"], (cols, tail), None
     if t.shape is Shape.FINITE_MATRIX:
         sigma_1, soft, clip, v_1 = _sv_map(t)
-        batch = np.array([construction.entries, soft, clip, np.zeros_like(clip)])
-        return ["construction", "soft_threshold", "sv_clip", "zero"], batch, (sigma_1, v_1)
+        batch = np.array([construction.entries, soft, clip])
+        return ["construction", "soft_threshold", "sv_clip"], batch, (sigma_1, v_1)
     x = t.explicit
     rows = np.zeros((4, len(x) + 4))
     rows[0] = _slots(construction.explicit, construction.tail, 0, len(x) + 4)
@@ -210,20 +221,40 @@ def _random_entry_competitors(t: HilbertOperator, best: HilbertOperator, trials:
         yield rows
 
 
-def _random_matrix_draws(t: HilbertOperator, best: HilbertOperator, trials: int, rng):
-    """Raw ``n x n`` draws ``M`` in chunks (:func:`_trial_chunks`), the
-    second half perturbing ``best``; the competitor of ``M`` is
-    ``M / max(sigma_1(M), 1)`` (:func:`_into_ball`).  The draws of all
-    chunks are those of one whole draw."""
+def _random_matrix_draws(t: HilbertOperator, best: HilbertOperator, trials: int,
+                         seed: int, keep):
+    """Raw ``n x n`` draws ``M_i = C_i V^T`` of the trials that ``keep``
+    selects, in chunks (:func:`_trial_chunks`), in trial order; the
+    competitor of ``M`` is ``M / max(sigma_1(M), 1)`` (:func:`_into_ball`).
+
+    ``V`` is the right factor of the SVD memoised on ``t``, ``G_i`` is
+    standard normal, and ``C_i`` is ``0.6 / sqrt(n) G_i`` in the first,
+    free half and ``B V + 0.3 / sqrt(n) G_i`` in the half perturbing
+    ``best``, whose entries are ``B``: for an orthogonal ``V``, ``G_i V^T``
+    is standard normal too, so ``M_i`` has the law of ``0.6 / sqrt(n) G``
+    or ``B + 0.3 / sqrt(n) G``.  Each chunk draws the first columns ``C_i
+    e_1`` of its trials from ``default_rng(seed)``, in trial order, and
+    ``keep`` maps them, ``(trials of the chunk, n)``, to a boolean mask.
+    The other columns of a kept trial ``i`` come from its own generator,
+    keyed by ``SeedSequence(seed, spawn_key=(i,))``, so a trial is the same
+    whichever others are kept and whatever the chunk size.  The buffer is
+    overwritten by the next chunk."""
     n = len(t.entries)
+    vt = t._svd[2]
+    sd = np.array([0.6, 0.3]) / np.sqrt(n)  # free, near
+    mean = np.stack([np.zeros((n, n)), best.entries @ vt.T])  # of C: 0, B V
+    rng, first = np.random.default_rng(seed), 0
     for mats, n_free in _trial_chunks(trials, (n, n)):
-        free, near = mats[:n_free], mats[n_free:]
-        rng.standard_normal(out=free)
-        free *= 0.6 / np.sqrt(n)
-        rng.standard_normal(out=near)
-        near *= 0.3 / np.sqrt(n)
-        near += best.entries
-        yield mats
+        near = (np.arange(len(mats)) >= n_free).astype(int)
+        cols = rng.standard_normal((len(mats), n)) * sd[near, None] + mean[near, :, 0]
+        kept = np.flatnonzero(keep(cols))
+        for m, j in zip(mats, kept):
+            keyed = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(first + j,)))
+            m[:, 0] = cols[j]
+            m[:, 1:] = keyed.standard_normal((n, n - 1)) * sd[near[j]] + mean[near[j], :, 1:]
+            m[...] = m @ vt
+        first += len(mats)
+        yield mats[: len(kept)]
 
 
 def _into_ball(mats: np.ndarray) -> np.ndarray:
@@ -234,36 +265,53 @@ def _into_ball(mats: np.ndarray) -> np.ndarray:
     return mats
 
 
-def _trial_lower_bounds(t: HilbertOperator, mats: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _trial_lower_bounds(tv: np.ndarray, mv: np.ndarray) -> np.ndarray:
     """Lower bounds on ``sigma_1(T - K)`` for the competitors ``K = M / s``,
-    ``s = max(sigma_1(M), 1)``, of raw draws ``M``, from one unit vector
-    ``v``: as ``s >= max(|Mv|, 1)`` and ``|T - K| >= |Tv - Mv / s|``, the
-    score is at least ``min |Tv - c Mv|`` over ``0 <= c <= 1 / max(|Mv|, 1)``.
-    The minimising ``c`` is ``<Tv, Mv> / |Mv|^2``, clipped to that interval;
-    the bound is the norm of the residual vector itself (``hypot``: no
-    overflow, and no cancellation of a difference of squares)."""
-    tv, mv = t.entries @ v, mats @ v
+    ``s = max(sigma_1(M), 1)``, of raw draws ``M``, from ``Tv`` and the rows
+    ``Mv`` for one unit vector ``v``: as ``s >= max(|Mv|, 1)`` and ``|T - K|
+    >= |Tv - Mv / s|``, the score is at least ``min |Tv - c Mv|`` over ``0
+    <= c <= 1 / max(|Mv|, 1)``.  The minimising ``c`` is ``<Tv, Mv> /
+    |Mv|^2``, clipped to that interval; the bound is the norm of the
+    residual vector itself (``hypot``: no overflow, and no cancellation of
+    a difference of squares)."""
     mv2 = np.einsum("ij,ij->i", mv, mv)
-    c = np.divide(mv @ tv, mv2, out=np.zeros(len(mats)), where=mv2 > 0.0)
+    c = np.divide(mv @ tv, mv2, out=np.zeros(len(mv)), where=mv2 > 0.0)
     np.clip(c, 0.0, 1.0 / np.maximum(np.sqrt(mv2), 1.0), out=c)
     return np.hypot.reduce(tv - c[:, None] * mv, axis=1)
 
 
-def _possible_winners(t: HilbertOperator, mats: np.ndarray, top, best: float):
-    """A copy of the raw draws of ``mats`` whose competitors could score at
-    most ``best``, in trial order.  ``top`` is LAPACK's ``(sigma_1, v_1)``
-    of ``T``.
+def _possible_winners(t: HilbertOperator, top, best: float):
+    """The ``keep`` of :func:`_random_matrix_draws` in a search whose best
+    fixed score is ``best``: the mask of the trials, in a chunk of first
+    columns ``C_i e_1``, whose competitors could score at most ``best``.
+    ``top`` is LAPACK's ``(sigma_1, v_1)`` of ``T``.
 
-    A draw is dropped when its lower bound exceeds ``best`` by more than
-    ``IDENTITY_TOL * (1 + sigma_1)``.  The rounding of the bound, of
+    A trial is dropped when the bound of :func:`_trial_lower_bounds` on
+    its first column exceeds ``best`` by more than ``IDENTITY_TOL * (1 +
+    sigma_1)``.  The first column stands in for ``M v_1``: with ``E = V^T
+    V - I``, ``M v_1 = C V^T v_1 = C e_1 + C E e_1``, and ``|C| <= sigma_1(M)
+    (1 + |E| / 2)``.  So, divided by ``s``, the proxy is off ``K v_1`` by
+    at most about ``|E|``, however large the columns that were not drawn,
+    and ``1 / max(|C e_1|, 1)`` caps ``1 / s`` up to a factor ``1 + |E| /
+    2``, which moves the bound by ``|E| / 2`` at most.  The guard of T's
+    norm, ``|E|_F <= IDENTITY_TOL / 10`` as computed
+    (:func:`~ballapprox.models._nearly_orthogonal`), keeps ``1.5 |E|_2``
+    below 8.3e-13 at ``n = 64`` even if the rounding of ``V^T V`` (``n^2
+    u``) hid that much of it.  The rounding of ``C V^T``, of the bound, of
     LAPACK's ``sigma_1`` of the draw (so of ``s``) and of ``T - K``, and
-    the norm of ``v_1`` are each off by a few ``n * eps * (1 + ||T||)``
-    at most, below 1e-14 of it for ``n <= 64``: a dropped draw scores
-    above ``best`` and could not have been the first minimum below it."""
+    the norm of ``v_1`` are each off by a few ``n * eps * (1 + ||T||)`` at
+    most, below 1e-14 of it for ``n <= 64``: inside the margin, a dropped
+    trial scores above ``best`` and could not have been the first minimum
+    below it.  A ``V`` that fails the guard drops nothing, unless ``best``
+    is 0: a score is a singular value, so none comes strictly below 0."""
     sigma_1, v_1 = top
-    lower = _trial_lower_bounds(t, mats, v_1)
+    if best <= 0.0:
+        return lambda cols: np.zeros(len(cols), dtype=bool)
+    if not _nearly_orthogonal(t._svd[2]):
+        return lambda cols: np.ones(len(cols), dtype=bool)
+    tv, cutoff = t.entries @ v_1, best + IDENTITY_TOL * (1.0 + sigma_1)
     # a NaN bound drops nothing
-    return mats[~(lower > best + IDENTITY_TOL * (1.0 + sigma_1))]
+    return lambda cols: ~(_trial_lower_bounds(tv, cols) > cutoff)
 
 
 def _random_l1_competitors(t: L1Operator, trials: int, rng):
@@ -295,19 +343,22 @@ def competitor_search(
     optimal approximant).  These and the deterministic candidates, the
     construction included, are scored by the same numpy function, apart
     from the library's residual code; ``best_found`` is the first minimum
-    of those scores.  A random matrix trial is scored only when its lower
-    bound (:func:`_trial_lower_bounds`) comes within
+    of those scores.  A random matrix trial ``M = C V^T`` (``V`` from the
+    SVD of ``t``) is drawn in full and scored only when the lower bound
+    that its first column gives (:func:`_possible_winners`) comes within
     ``IDENTITY_TOL * (1 + sigma_1(t))`` of the best deterministic score:
-    that margin covers the rounding of the bound and of LAPACK, so a
-    trial left out scores above that candidate, could not be the first
-    minimum, and the report is the one of scoring every trial.
+    that margin covers the rounding of the bound and of LAPACK and the
+    defect of ``V``, so a trial left out scores above that candidate,
+    could not be the first minimum, and the report is the one of scoring
+    every trial.  A trial's other columns come from a generator keyed by
+    ``seed`` and its index, so it is the same whichever others are drawn.
 
     Diagonal, shift and matrix trials are drawn, bounded, scaled and
     scored in chunks of at most ``SVD_CHUNK_ENTRIES`` entries (1 MiB),
     keeping only the running first minimum and its candidate, so memory
-    does not grow with ``trials``; the draws are those of one batch and
-    a strict ``<`` across chunks keeps the first minimum, so the report
-    is the one of a single batch.  L1 trials are one batch.
+    does not grow with ``trials``; the draws do not depend on the chunk
+    size and a strict ``<`` across chunks keeps the first minimum, so the
+    report is the one of a single batch.  L1 trials are one batch.
 
     The report passes when nothing beats ``claimed`` by more than
     ``band`` and some candidate attains it within ``band``, where
@@ -319,16 +370,8 @@ def competitor_search(
     seed = _require_int(seed, "seed", 0)
     tol = _require_tol(tol)
     claimed = ball_distance(t) if claimed is None else _require_finite(claimed, "claimed")
-    rng = np.random.default_rng(seed)
-
-    if isinstance(t, L1Operator):
-        construction = best_ball_approx_l1(t).approximant
-        chunks = [_random_l1_competitors(t, trials, rng)]
-    else:
-        construction = best_ball_approx_h(t).approximant
-        matrix = t.shape is Shape.FINITE_MATRIX
-        draw = _random_matrix_draws if matrix else _random_entry_competitors
-        chunks = draw(t, construction, trials, rng)
+    construct = best_ball_approx_l1 if isinstance(t, L1Operator) else best_ball_approx_h
+    construction = construct(t).approximant
     # the fixed candidates, then the trials chunk by chunk: only a strictly
     # lower score replaces the best, so the first minimum wins
     score = _scorer(t)
@@ -336,13 +379,15 @@ def competitor_search(
     scores = score(fixed)
     idx = int(np.argmin(scores))
     best_found, best_kind, best = float(scores[idx]), kinds[idx], _build(t, fixed, idx)
-    best_fixed = best_found  # matrix draws are pruned against it, as in one batch
+    if isinstance(t, L1Operator):
+        chunks = [_random_l1_competitors(t, trials, np.random.default_rng(seed))]
+    elif top is not None:  # a matrix: draw in full only the trials that could win
+        keep = _possible_winners(t, top, best_found)
+        chunks = (_into_ball(mats) for mats in
+                  _random_matrix_draws(t, construction, trials, seed, keep) if len(mats))
+    else:
+        chunks = _random_entry_competitors(t, construction, trials, np.random.default_rng(seed))
     for chunk in chunks:
-        if top is not None:  # a matrix: decompose only the draws that could win
-            chunk = _possible_winners(t, chunk, top, best_fixed)
-            if not len(chunk):
-                continue
-            _into_ball(chunk)
         scores = score(chunk)
         if scores.min() < best_found:
             # built now, which copies the row: the next chunk reuses the buffer

@@ -230,13 +230,28 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-def ref_matrix_draws(t, best, trials: int, rng) -> np.ndarray:
-    """The raw ``trials x n x n`` draws of a matrix ``competitor_search``
-    in one batch: the free half, then the half perturbing ``best``."""
+def ref_matrix_draws(t, best, trials: int, seed: int):
+    """``(first columns, raw draws)`` of every trial of a matrix
+    ``competitor_search``, built one trial at a time: trial ``i`` is ``M_i =
+    C_i V^T``, with ``V^T`` from the SVD memoised on ``t``, and ``C_i = sd G_i
+    + mean``: ``sd = 0.6 / sqrt(n)`` and ``mean = 0`` in the free half,
+    ``sd = 0.3 / sqrt(n)`` and ``mean = B V`` (``B`` the entries of ``best``)
+    after it.  Column 1 of every ``G_i`` comes from one ``default_rng(seed)``
+    stream, in trial order; columns 2..n of ``G_i`` from
+    ``default_rng(SeedSequence(seed, spawn_key=(i,)))``.  The first columns
+    are those of the ``C_i``."""
     n, n_free = len(t.entries), trials // 2
-    free = rng.standard_normal((n_free, n, n)) * (0.6 / np.sqrt(n))
-    near = rng.standard_normal((trials - n_free, n, n)) * (0.3 / np.sqrt(n))
-    return np.concatenate([free, near + best.entries])
+    vt = t._svd[2]
+    heads = np.random.default_rng(seed).standard_normal((trials, n))
+    cols, mats = np.empty((trials, n)), np.empty((trials, n, n))
+    for i in range(trials):
+        sd, mean = (0.6 / np.sqrt(n), np.zeros((n, n))) if i < n_free else (
+            0.3 / np.sqrt(n), best.entries @ vt.T)
+        keyed = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+        g = np.column_stack([heads[i], keyed.standard_normal((n, n - 1))])
+        c = g * sd + mean
+        cols[i], mats[i] = c[:, 0], c @ vt
+    return cols, mats
 
 
 def ref_entry_rows(t, best, trials: int, rng) -> np.ndarray:
@@ -266,7 +281,7 @@ def ref_matrix_search(t, trials: int, seed: int):
     from ballapprox import best_ball_approx_h, oracles
 
     construction = best_ball_approx_h(t).approximant
-    mats = ref_matrix_draws(t, construction, trials, np.random.default_rng(seed))
+    mats = ref_matrix_draws(t, construction, trials, seed)[1]
     mats /= np.maximum(np.linalg.svd(mats, compute_uv=False)[:, 0], 1.0)[:, None, None]
     kinds, fixed = oracles._fixed_candidates(t, construction)[:2]
     candidates = np.concatenate([fixed, mats])

@@ -18,7 +18,13 @@ from ballapprox import (
 )
 
 from ballapprox import hilbert, l1, oracles
-from ballapprox.models import IDENTITY_TOL, Shape, make_result, residual_norm
+from ballapprox.models import (
+    IDENTITY_TOL,
+    Shape,
+    _nearly_orthogonal,
+    make_result,
+    residual_norm,
+)
 from helpers import (
     random_hilbert,
     random_l1,
@@ -35,6 +41,11 @@ def _whole(chunks) -> np.ndarray:
     """The chunks of a trial stream, each copied before the next one
     overwrites its buffer, as one array."""
     return np.concatenate([c.copy() for c in chunks])
+
+
+def _every_trial(cols):
+    """The ``keep`` of ``oracles._random_matrix_draws`` that draws every trial."""
+    return np.ones(len(cols), dtype=bool)
 
 
 def _peak_bytes(f):
@@ -225,10 +236,10 @@ class TestMatrixTrials:
         t = HilbertOperator.finite_matrix(rng.standard_normal((n, n)))
         best = best_ball_approx_h(t).approximant
         score, draws, residuals = oracles._scorer(t), [], []
-        for mats in oracles._random_matrix_draws(t, best, trials, np.random.default_rng(1)):
+        for mats in oracles._random_matrix_draws(t, best, trials, 1, _every_trial):
             draws.append(mats.copy())
             residuals.append(score(oracles._into_ball(mats)))
-        raw = ref_matrix_draws(t, best, trials, np.random.default_rng(1))
+        raw = ref_matrix_draws(t, best, trials, 1)[1]
         assert same_bits(np.concatenate(draws), raw)
         one_batch = np.linalg.svd(t.entries[None] - oracles._into_ball(raw),
                                   compute_uv=False)[:, 0]
@@ -293,8 +304,8 @@ class TestMatrixPruning:
         fixed_candidates = oracles._fixed_candidates
 
         def zero_only(t, construction):
-            kinds, batch, top = fixed_candidates(t, construction)
-            return kinds[-1:], batch[-1:], top
+            batch, top = fixed_candidates(t, construction)[1:]
+            return ["zero"], np.zeros_like(batch[:1]), top
 
         monkeypatch.setattr(oracles, "_fixed_candidates", zero_only)
         assert "random" in self._same_as_exhaustive(n, trials, monkeypatch)
@@ -304,16 +315,29 @@ class TestMatrixPruning:
     def test_lower_bounds_hold_for_any_unit_vector(self, n, norm):
         rng = np.random.default_rng(n)
         t = _matrix_of_norm(rng, n, norm)
-        best, state = best_ball_approx_h(t).approximant, rng.bit_generator.state
-        raw = _whole(oracles._random_matrix_draws(t, best, 200, rng))
-        rng.bit_generator.state = state
-        assert same_bits(raw, ref_matrix_draws(t, best, 200, rng))
+        best = best_ball_approx_h(t).approximant
+        raw = _whole(oracles._random_matrix_draws(t, best, 200, 7, _every_trial))
+        assert same_bits(raw, ref_matrix_draws(t, best, 200, 7)[1])
         scores = np.linalg.svd(t.entries - oracles._into_ball(raw.copy()),
                                compute_uv=False)[:, 0]
         other = rng.standard_normal(n)
         for v in (np.linalg.svd(t.entries)[2][0], other / np.linalg.norm(other)):
-            lower = oracles._trial_lower_bounds(t, raw, v)
+            lower = oracles._trial_lower_bounds(t.entries @ v, raw @ v)
             assert np.all(lower <= scores * (1 + 1e-12) + 1e-15)
+
+    @pytest.mark.parametrize("norm", SEARCH_NORMS)
+    @pytest.mark.parametrize("n", [1, 2, 5, 16, 64])
+    def test_first_column_bounds_hold(self, n, norm):
+        # the search bounds a trial on its first column C e_1, which stands
+        # in for M v_1: the bound stays below the LAPACK score of every trial
+        rng = np.random.default_rng(n)
+        t = _matrix_of_norm(rng, n, norm)
+        best = best_ball_approx_h(t).approximant
+        cols, raw = ref_matrix_draws(t, best, 200, 7)
+        scores = np.linalg.svd(t.entries - oracles._into_ball(raw), compute_uv=False)[:, 0]
+        v_1 = oracles._sv_map(t)[3]
+        lower = oracles._trial_lower_bounds(t.entries @ v_1, cols)
+        assert np.all(lower <= scores * (1 + 1e-12) + 1e-15)
 
     @pytest.mark.parametrize("chunk_entries", [None, 16 * 16 * 7])
     def test_possible_winners_keep_trial_order(self, chunk_entries, monkeypatch):
@@ -321,18 +345,67 @@ class TestMatrixPruning:
             monkeypatch.setattr(oracles, "SVD_CHUNK_ENTRIES", chunk_entries)
         rng = np.random.default_rng(8)
         t = _matrix_of_norm(rng, 16, 1.5)
-        best_k, state = best_ball_approx_h(t).approximant, rng.bit_generator.state
-        raw = ref_matrix_draws(t, best_k, 100, rng)
-        rng.bit_generator.state = state
+        best_k = best_ball_approx_h(t).approximant
+        cols, raw = ref_matrix_draws(t, best_k, 100, 8)
         sigma_1, _, _, v_1 = oracles._sv_map(t)
-        lower = oracles._trial_lower_bounds(t, raw, v_1)
+        lower = oracles._trial_lower_bounds(t.entries @ v_1, cols)
         margin = IDENTITY_TOL * (1.0 + sigma_1)
-        # the median draw's bound lies within the margin above best: it stays
+        # the median trial's bound lies within the margin above best: it stays
         best = float(np.sort(lower)[50]) - margin / 2
-        kept = _whole(oracles._possible_winners(t, c, (sigma_1, v_1), best)
-                      for c in oracles._random_matrix_draws(t, best_k, 100, rng))
+        keep = oracles._possible_winners(t, (sigma_1, v_1), best)
+        kept = _whole(oracles._random_matrix_draws(t, best_k, 100, 8, keep))
         assert 0 < len(kept) < 100
         assert same_bits(kept, raw[lower <= best + margin])
+
+    @pytest.mark.parametrize("pattern", ["every_third", "last_only", "random"])
+    @pytest.mark.parametrize("chunk_entries", [None, 3 * 5 * 5, 1])
+    def test_kept_trials_do_not_depend_on_the_others(self, pattern, chunk_entries,
+                                                     monkeypatch):
+        # a kept trial's columns 2..n come from a generator keyed by its
+        # index: the same matrix whichever other trials are kept
+        if chunk_entries is not None:
+            monkeypatch.setattr(oracles, "SVD_CHUNK_ENTRIES", chunk_entries)
+        rng = np.random.default_rng(12)
+        t = _matrix_of_norm(rng, 5, 2.0)
+        best = best_ball_approx_h(t).approximant
+        masks, picker = [], np.random.default_rng(13)
+
+        def keep(cols):
+            first = sum(map(len, masks))
+            index = np.arange(first, first + len(cols))
+            mask = {"every_third": index % 3 == 1, "last_only": index == 39,
+                    "random": picker.random(len(cols)) < 0.3}[pattern]
+            masks.append(mask)
+            return mask
+
+        kept = _whole(oracles._random_matrix_draws(t, best, 40, 5, keep))
+        mask = np.concatenate(masks)
+        assert 0 < mask.sum() < 40
+        assert same_bits(kept, ref_matrix_draws(t, best, 40, 5)[1][mask])
+
+    @pytest.mark.parametrize("norm", [1.0 + 1e-6, 3.0, 1e3])
+    def test_an_unorthogonal_v_prunes_nothing(self, norm, monkeypatch):
+        # V scaled by 1 + 1e-12 fails the guard shared with T's norm: every
+        # trial is decomposed, and the report is still the exhaustive one
+        # (above norm 1, where the construction scores above 0)
+        t = _matrix_of_norm(np.random.default_rng(14), 16, norm)
+        u, sv, vt = t._svd
+        vt = vt * (1 + 1e-12)
+        assert not _nearly_orthogonal(vt)
+        t.__dict__["_svd"] = (u, sv, vt)
+        into_ball, seen = oracles._into_ball, []
+
+        def counting(mats):
+            seen.append(len(mats))
+            return into_ball(mats)
+
+        monkeypatch.setattr(oracles, "_into_ball", counting)
+        report = competitor_search(t, trials=50, seed=3)
+        assert sum(seen) == 50
+        found, kind, candidate = ref_matrix_search(t, 50, 3)
+        assert repr(report.best_found) == repr(found)
+        assert report.best_kind == kind
+        assert report.best_candidate.entries.tobytes() == candidate.tobytes()
 
     def test_search_decomposes_no_random_trial(self, monkeypatch):
         m = np.random.default_rng(3).standard_normal((64, 64))
@@ -345,11 +418,23 @@ class TestMatrixPruning:
         monkeypatch.setattr(np.linalg, "svd", counting)
         assert competitor_search(HilbertOperator.finite_matrix(m), trials=200, seed=0).passed
         # one decomposition of T, for the fixed candidates and the bound's
-        # vector; T - 0 is the zero candidate's residual
-        assert [uv for uv, a in seen if np.array_equal(a, m)] == [True, False]
-        # with the four fixed residuals and the construction's norm and
-        # residual, seven matrices: none of the 200 trials
-        assert len(seen) == 7
+        # vector: a matrix search has no zero candidate
+        assert [uv for uv, a in seen if np.array_equal(a, m)] == [True]
+        # with the three fixed residuals and the construction's norm and
+        # residual, six matrices: none of the 200 trials
+        assert len(seen) == 6
+
+    @pytest.mark.parametrize("scale", [0.0, 1e-150, 0.5])
+    def test_search_at_distance_zero_draws_no_trial(self, scale, monkeypatch):
+        # the construction is T itself and scores 0; no singular value comes
+        # strictly below 0, so no trial is drawn past its first column
+        t = _matrix_of_norm(np.random.default_rng(15), 4, 1.0)
+        t = HilbertOperator.finite_matrix(t.entries * scale)
+        monkeypatch.setattr(oracles, "_into_ball", None)
+        report = competitor_search(t, trials=200, seed=0)
+        assert report.passed and report.best_found == 0.0
+        assert report.best_kind == "construction"
+        assert repr(ref_matrix_search(t, 200, 0)[:2]) == repr((0.0, "construction"))
 
 
 class TestEntryTrials:
