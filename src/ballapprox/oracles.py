@@ -24,15 +24,23 @@ candidate is scored by a fresh LAPACK ``sigma_1(T - K)``.  The search
 scores its candidates, the construction included, by one numpy function
 per model class, apart from the library's own residual code: LAPACK's
 largest singular value for matrices, the window of entry or column
-residuals for the other models.  A random matrix trial is ``C V^T``, with
-``V`` from the SVD of ``T``; its first column ``C e_1``, which stands in
-for its product with ``T``'s top right singular vector ``v_1``, bounds its
-score below without an SVD of its own, and only the trials that could
-beat the best fixed candidate are drawn in full and decomposed.  The
-margin of ``IDENTITY_TOL * (1 + sigma_1(T))`` covers the rounding and the
-defect of ``V`` allowed by the guard of ``T``'s norm, so a dropped trial
-could never be the first minimum and the report is that of scoring every
-trial.  The diagonal, shift and matrix trials are drawn, bounded, scaled
+residuals for the other models.  Next to each score function sits a floor
+that no random trial's computed score falls below: 0 for a matrix, a
+singular value; ``max(fl(max |w| - 1), ess)`` for the other models, over
+the window ``w`` of the entries of a diagonal or shift model or of the
+weights of the single-entry tail columns of an l1 model, because every
+trial entry there lies in ``[-1, 1]`` and rounding is monotone (the l1
+column masses are left out: rounding can put a sum either side of its
+bound).  A search whose best fixed score is at or below its floor draws
+no trial: only a strictly lower score replaces the best, so no trial
+could.  A random matrix trial is ``C V^T``, with ``V`` from the SVD of
+``T``; its first column ``C e_1``, which stands in for its product with
+``T``'s top right singular vector ``v_1``, bounds its score below without
+an SVD of its own, and only the trials that could beat the best fixed
+candidate are drawn in full and decomposed.  The margin of ``IDENTITY_TOL
+* (1 + sigma_1(T))`` covers the rounding and the defect of ``V`` allowed
+by the guard of ``T``'s norm, so a dropped trial could never be the first
+minimum and the report is that of scoring every trial.  The diagonal, shift and matrix trials are drawn, bounded, scaled
 and scored one chunk of at most ``SVD_CHUNK_ENTRIES`` entries at a time,
 so the search holds one chunk of trials whatever their number or width;
 l1 trials are drawn in one batch.  Section norms use ``numpy.linalg``
@@ -157,13 +165,27 @@ def _build(t: Operator, batch, i: int) -> Operator:
 
 
 def _scorer(t: Operator):
-    """The residual norms ``||t - k||`` of a batch of candidates ``k`` in
-    the array form of the random trials of the model class of ``t``, as a
-    function of the batch; what no batch changes is computed here, once."""
+    """``(score, floor)`` for the model class of ``t``: ``score`` maps a
+    batch of candidates ``k`` in the array form of its random trials to the
+    residual norms ``||t - k||``; ``floor`` is a value that no random
+    trial's computed score falls below.  What no batch changes is computed
+    here, once.
+
+    The floor of a diagonal or shift model is ``max(fl(max |w| - 1), ess)``
+    over the window ``w`` of its entries, and that of an l1 model the same
+    over the weights of its single-entry tail columns.  Every trial entry
+    there lies in ``[-1, 1]``, and round-to-nearest is monotone and odd, so
+    at the largest ``|w_j|`` the computed ``|w_j - r_j|`` is at least
+    ``fl(|w_j| - 1)``; a score is the largest of its residuals and ``ess``.
+    The l1 column masses are left out: their bound ``mass - 1`` compares two
+    rounded sums of different terms, which rounding can put either way.  A
+    matrix score is a singular value, so its floor is 0.  The floors read
+    only the input's data, not the library's norm."""
     if isinstance(t, L1Operator):
-        return lambda batch: _score_l1(t, *batch)
+        window = _slots(t.tail_weights, t.tail, 0, len(t.tail_weights) + 2)
+        return (lambda batch: _score_l1(t, window, *batch)), _floor(window, ess_norm(t))
     if t.shape is Shape.FINITE_MATRIX:
-        return lambda mats: _score_matrices(t, mats)
+        return (lambda mats: _score_matrices(t, mats)), 0.0
     # diagonal and shift models: max |t - k| over the window of the rows,
     # then ess_norm(t), which bounds |t| beyond it
     window, ess = _slots(t.explicit, t.tail, 0, len(t.explicit) + 4), ess_norm(t)
@@ -172,7 +194,13 @@ def _scorer(t: Operator):
         diff = window - rows
         return np.maximum(np.max(np.abs(diff, out=diff), axis=1), ess)
 
-    return score
+    return score, _floor(window, ess)
+
+
+def _floor(window: np.ndarray, ess: float) -> float:
+    """``max(fl(max |window| - 1), ess)``, the floor of :func:`_scorer` for
+    trial entries in ``[-1, 1]``."""
+    return max(float(np.max(np.abs(window))) - 1.0, ess)
 
 
 def _score_matrices(t: HilbertOperator, mats: np.ndarray) -> np.ndarray:
@@ -181,15 +209,17 @@ def _score_matrices(t: HilbertOperator, mats: np.ndarray) -> np.ndarray:
     return np.linalg.svd(t.entries - mats, compute_uv=False)[:, 0]
 
 
-def _score_l1(t: L1Operator, col_samples: list, tail: np.ndarray) -> np.ndarray:
+def _score_l1(t: L1Operator, window: np.ndarray, col_samples: list,
+              tail: np.ndarray) -> np.ndarray:
     """L1 models: the largest of the residual column masses (numpy sums),
-    ``|t - k|`` over the tail columns of the ``(n_tail, batch)`` window,
-    and ``ess_norm(t)`` beyond it."""
+    ``|window - k|`` over the ``(n_tail, batch)`` tail samples ``k``, where
+    ``window`` holds the weights of the first ``n_tail`` tail columns of
+    ``t``, and ``ess_norm(t)`` beyond them."""
     scores = np.full(tail.shape[1], ess_norm(t))
     for col, cand in zip(t.columns, col_samples):
         diff = np.concatenate([col, np.zeros(cand.shape[1] - len(col))]) - cand
         scores = np.maximum(scores, np.sum(np.abs(diff, out=diff), axis=1))
-    diff = _slots(t.tail_weights, t.tail, 0, len(tail))[:, None] - tail
+    diff = window[:, None] - tail
     return np.maximum(scores, np.max(np.abs(diff, out=diff), axis=0))
 
 
@@ -302,11 +332,9 @@ def _possible_winners(t: HilbertOperator, top, best: float):
     the norm of ``v_1`` are each off by a few ``n * eps * (1 + ||T||)`` at
     most, below 1e-14 of it for ``n <= 64``: inside the margin, a dropped
     trial scores above ``best`` and could not have been the first minimum
-    below it.  A ``V`` that fails the guard drops nothing, unless ``best``
-    is 0: a score is a singular value, so none comes strictly below 0."""
+    below it.  A ``V`` that fails the guard drops nothing.  (A search whose
+    ``best`` is 0, the floor of a matrix score, draws no trial at all.)"""
     sigma_1, v_1 = top
-    if best <= 0.0:
-        return lambda cols: np.zeros(len(cols), dtype=bool)
     if not _nearly_orthogonal(t._svd[2]):
         return lambda cols: np.ones(len(cols), dtype=bool)
     tv, cutoff = t.entries @ v_1, best + IDENTITY_TOL * (1.0 + sigma_1)
@@ -353,6 +381,16 @@ def competitor_search(
     every trial.  A trial's other columns come from a generator keyed by
     ``seed`` and its index, so it is the same whichever others are drawn.
 
+    No trial is drawn at all when the best deterministic score is at or
+    below the floor of the model class (:func:`_scorer`), a value that no
+    trial's computed score falls below: 0 for matrices, and ``max(fl(max
+    |w| - 1), ess)`` for the other models, over the window ``w`` of the
+    entries or of the l1 tail-column weights, where every trial entry lies
+    in ``[-1, 1]``.  Only a strictly lower score replaces the best, so the
+    report is again the one of scoring every trial.  The floors read the
+    input's data, not the library's norm, so a fixed candidate that beats
+    an inflated claim is found all the same.
+
     Diagonal, shift and matrix trials are drawn, bounded, scaled and
     scored in chunks of at most ``SVD_CHUNK_ENTRIES`` entries (1 MiB),
     keeping only the running first minimum and its candidate, so memory
@@ -374,12 +412,14 @@ def competitor_search(
     construction = construct(t).approximant
     # the fixed candidates, then the trials chunk by chunk: only a strictly
     # lower score replaces the best, so the first minimum wins
-    score = _scorer(t)
+    score, floor = _scorer(t)
     kinds, fixed, top = _fixed_candidates(t, construction)
     scores = score(fixed)
     idx = int(np.argmin(scores))
     best_found, best_kind, best = float(scores[idx]), kinds[idx], _build(t, fixed, idx)
-    if isinstance(t, L1Operator):
+    if best_found <= floor:  # no trial can score strictly below the best
+        chunks = ()
+    elif isinstance(t, L1Operator):
         chunks = [_random_l1_competitors(t, trials, np.random.default_rng(seed))]
     elif top is not None:  # a matrix: draw in full only the trials that could win
         keep = _possible_winners(t, top, best_found)

@@ -199,35 +199,74 @@ def ref_residual_profile_l1(t, k):
     return residuals, tail_res, max(max(residuals, default=0.0), tail_res)
 
 
-def ref_l1_trials(t, trials: int, seed: int):
-    """``(residuals, tail samples)`` of the random l1 competitors of
+def _ref_l1_draws(t, trials: int, seed: int):
+    """``(column samples, tail samples)`` of the random l1 competitors of
     ``competitor_search``, drawn column by column, each single-entry tail
     column as its own ``(trials, 1)`` draw; row ``i`` of the tail samples
     holds the draws of the ``i``-th tail column."""
     rng = np.random.default_rng(seed)
-    residuals = np.full(trials, abs(t.tail.limit))
-    tail = []
-    for j in range(1, len(t.columns) + len(t.tail_weights) + 3):
-        if j <= len(t.columns):
-            col = t.columns[j - 1]
-            width = max(len(col), 1)
-            target = np.zeros(width)
-            target[: len(col)] = col
-            cand = rng.uniform(-0.9, 0.9, (trials, width))
-            cand /= np.maximum(np.sum(np.abs(cand), axis=1), 1.0)[:, None]
-            col_res = np.sum(np.abs(target[None, :] - cand), axis=1)
-        else:
-            cand = rng.uniform(-1.0, 1.0, (trials, 1))
-            col_res = np.abs(t.tail_weight(j) - cand[:, 0])
-            tail.append(cand[:, 0])
-        residuals = np.maximum(residuals, col_res)
-    return residuals, np.array(tail)
+    cols, tail = [], []
+    for col in t.columns:
+        cand = rng.uniform(-0.9, 0.9, (trials, max(len(col), 1)))
+        cols.append(cand / np.maximum(np.sum(np.abs(cand), axis=1), 1.0)[:, None])
+    for _ in range(len(t.tail_weights) + 2):
+        tail.append(rng.uniform(-1.0, 1.0, (trials, 1))[:, 0])
+    return cols, np.array(tail)
+
+
+def _ref_l1_residuals(t, cols, tail) -> np.ndarray:
+    """Residual norms of l1 candidates, column by column: ``cols[j]`` holds
+    the samples ``(batch, width)`` of explicit column ``j + 1``, row ``i``
+    of ``tail`` those of the ``i``-th tail column."""
+    residuals = np.full(tail.shape[1], abs(t.tail.limit))
+    for col, cand in zip(t.columns, cols):
+        target = np.zeros(cand.shape[1])
+        target[: len(col)] = col
+        residuals = np.maximum(residuals, np.sum(np.abs(target[None, :] - cand), axis=1))
+    for i, row in enumerate(tail):
+        residuals = np.maximum(residuals, np.abs(t.tail_weight(len(t.columns) + 1 + i) - row))
+    return residuals
+
+
+def ref_l1_trials(t, trials: int, seed: int):
+    """``(residuals, tail samples)`` of the random l1 competitors of
+    ``competitor_search`` (:func:`_ref_l1_draws`)."""
+    cols, tail = _ref_l1_draws(t, trials, seed)
+    return _ref_l1_residuals(t, cols, tail), tail
+
+
+def ref_l1_search(t, trials: int, seed: int):
+    """``(best_found, best_kind, columns, tail weights)`` of an exhaustive
+    l1 ``competitor_search``: the search's fixed candidates, then every
+    trial, scored column by column; the first minimum wins."""
+    from ballapprox import best_ball_approx_l1, oracles
+
+    construction = best_ball_approx_l1(t).approximant
+    kinds, (fixed_cols, fixed_tail) = oracles._fixed_candidates(t, construction)[:2]
+    cols, tail = _ref_l1_draws(t, trials, seed)
+    scores = np.concatenate([_ref_l1_residuals(t, fixed_cols, fixed_tail),
+                             _ref_l1_residuals(t, cols, tail)])
+    i = int(np.argmin(scores))
+    if i < len(kinds):
+        return float(scores[i]), kinds[i], [c[i] for c in fixed_cols], fixed_tail[:, i]
+    j = i - len(kinds)
+    return float(scores[i]), "random", [c[j] for c in cols], tail[:, j]
 
 
 def same_bits(a, b) -> bool:
     """Equal as float64 bit patterns (so 0.0 and -0.0 differ)."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _ref_matrix_trial(t, best, trials: int, seed: int, head, i: int) -> np.ndarray:
+    """``C_i`` of trial ``i`` of a matrix ``competitor_search``
+    (:func:`ref_matrix_draws`), whose first column of ``G_i`` is ``head``."""
+    n, vt = len(t.entries), t._svd[2]
+    sd, mean = (0.6 / np.sqrt(n), np.zeros((n, n))) if i < trials // 2 else (
+        0.3 / np.sqrt(n), best.entries @ vt.T)
+    keyed = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+    return np.column_stack([head, keyed.standard_normal((n, n - 1))]) * sd + mean
 
 
 def ref_matrix_draws(t, best, trials: int, seed: int):
@@ -240,17 +279,12 @@ def ref_matrix_draws(t, best, trials: int, seed: int):
     stream, in trial order; columns 2..n of ``G_i`` from
     ``default_rng(SeedSequence(seed, spawn_key=(i,)))``.  The first columns
     are those of the ``C_i``."""
-    n, n_free = len(t.entries), trials // 2
-    vt = t._svd[2]
+    n = len(t.entries)
     heads = np.random.default_rng(seed).standard_normal((trials, n))
     cols, mats = np.empty((trials, n)), np.empty((trials, n, n))
     for i in range(trials):
-        sd, mean = (0.6 / np.sqrt(n), np.zeros((n, n))) if i < n_free else (
-            0.3 / np.sqrt(n), best.entries @ vt.T)
-        keyed = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-        g = np.column_stack([heads[i], keyed.standard_normal((n, n - 1))])
-        c = g * sd + mean
-        cols[i], mats[i] = c[:, 0], c @ vt
+        c = _ref_matrix_trial(t, best, trials, seed, heads[i], i)
+        cols[i], mats[i] = c[:, 0], c @ t._svd[2]
     return cols, mats
 
 
@@ -273,20 +307,40 @@ def _first_minimum(kinds, candidates, scores):
     return float(scores[i]), kinds[i] if i < len(kinds) else "random", candidates[i]
 
 
+_MATRIX_SCORES = {}
+
+
 def ref_matrix_search(t, trials: int, seed: int):
     """``(best_found, best_kind, best candidate array)`` of an exhaustive
     matrix ``competitor_search``: the same draws, every one scaled into
     the ball by LAPACK's ``sigma_1`` and scored by LAPACK's ``sigma_1(T - K)``,
-    after the search's fixed candidates; the first minimum wins."""
+    after the search's fixed candidates; the first minimum wins.
+
+    Each matrix is decomposed alone, so no fixed candidate changes the
+    trials' scores: they are drawn and scored once per ``(T, V, B,
+    trials, seed)`` and kept for the session, with the factors that scale
+    them into the ball, and a winning trial alone is drawn again."""
     from ballapprox import best_ball_approx_h, oracles
 
     construction = best_ball_approx_h(t).approximant
-    mats = ref_matrix_draws(t, construction, trials, seed)[1]
-    mats /= np.maximum(np.linalg.svd(mats, compute_uv=False)[:, 0], 1.0)[:, None, None]
+    key = (t.entries.tobytes(), t._svd[2].tobytes(), construction.entries.tobytes(),
+           trials, seed)
+    if key not in _MATRIX_SCORES:
+        raw = ref_matrix_draws(t, construction, trials, seed)[1]
+        tops = np.maximum(np.linalg.svd(raw, compute_uv=False)[:, 0], 1.0)
+        raw /= tops[:, None, None]
+        _MATRIX_SCORES[key] = tops, np.linalg.svd(t.entries - raw, compute_uv=False)[:, 0]
+    tops, trial_scores = _MATRIX_SCORES[key]
     kinds, fixed = oracles._fixed_candidates(t, construction)[:2]
-    candidates = np.concatenate([fixed, mats])
-    scores = np.linalg.svd(t.entries - candidates, compute_uv=False)[:, 0]
-    return _first_minimum(kinds, candidates, scores)
+    scores = np.concatenate([np.linalg.svd(t.entries - fixed, compute_uv=False)[:, 0],
+                             trial_scores])
+    i = int(np.argmin(scores))
+    if i < len(kinds):
+        return float(scores[i]), kinds[i], fixed[i]
+    j = i - len(kinds)
+    head = np.random.default_rng(seed).standard_normal((trials, len(t.entries)))[j]
+    c = _ref_matrix_trial(t, construction, trials, seed, head, j)
+    return float(scores[i]), "random", (c @ t._svd[2]) / tops[j]
 
 
 def ref_entry_search(t, trials: int, seed: int):

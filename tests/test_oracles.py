@@ -1,3 +1,5 @@
+import io
+import json
 import tracemalloc
 
 import numpy as np
@@ -18,6 +20,7 @@ from ballapprox import (
 )
 
 from ballapprox import hilbert, l1, oracles
+from ballapprox.cli import main
 from ballapprox.models import (
     IDENTITY_TOL,
     Shape,
@@ -26,10 +29,14 @@ from ballapprox.models import (
     residual_norm,
 )
 from helpers import (
+    random_entry_operator,
     random_hilbert,
     random_l1,
+    random_nonattaining,
+    random_positive_diagonal,
     ref_entry_rows,
     ref_entry_search,
+    ref_l1_search,
     ref_l1_trials,
     ref_matrix_draws,
     ref_matrix_search,
@@ -46,6 +53,20 @@ def _whole(chunks) -> np.ndarray:
 def _every_trial(cols):
     """The ``keep`` of ``oracles._random_matrix_draws`` that draws every trial."""
     return np.ones(len(cols), dtype=bool)
+
+
+def _count_entry_rows(monkeypatch):
+    """The list to which the diagonal and shift trial stream, patched,
+    appends the number of rows of each chunk it yields."""
+    entry_trials, drawn = oracles._random_entry_competitors, []
+
+    def counting(*args):
+        for rows in entry_trials(*args):
+            drawn.append(len(rows))
+            yield rows
+
+    monkeypatch.setattr(oracles, "_random_entry_competitors", counting)
+    return drawn
 
 
 def _peak_bytes(f):
@@ -176,7 +197,7 @@ class TestCompetitorSearch:
         ]:
             construct = best_ball_approx_l1 if isinstance(t, L1Operator) else best_ball_approx_h
             kinds, batch, _ = oracles._fixed_candidates(t, construct(t).approximant)
-            scores = oracles._scorer(t)(batch)
+            scores = oracles._scorer(t)[0](batch)
             exact = isinstance(t, HilbertOperator) and t.shape is not Shape.FINITE_MATRIX
             for i, (kind, score) in enumerate(zip(kinds, scores.tolist())):
                 r = residual_norm(t, oracles._build(t, batch, i))
@@ -235,7 +256,7 @@ class TestMatrixTrials:
         rng = np.random.default_rng(n)
         t = HilbertOperator.finite_matrix(rng.standard_normal((n, n)))
         best = best_ball_approx_h(t).approximant
-        score, draws, residuals = oracles._scorer(t), [], []
+        score, draws, residuals = oracles._scorer(t)[0], [], []
         for mats in oracles._random_matrix_draws(t, best, trials, 1, _every_trial):
             draws.append(mats.copy())
             residuals.append(score(oracles._into_ball(mats)))
@@ -426,10 +447,12 @@ class TestMatrixPruning:
 
     @pytest.mark.parametrize("scale", [0.0, 1e-150, 0.5])
     def test_search_at_distance_zero_draws_no_trial(self, scale, monkeypatch):
-        # the construction is T itself and scores 0; no singular value comes
-        # strictly below 0, so no trial is drawn past its first column
+        # the construction is T itself and scores 0, the floor of a matrix
+        # score: no singular value comes strictly below 0, so no trial is
+        # drawn, not even its first column
         t = _matrix_of_norm(np.random.default_rng(15), 4, 1.0)
         t = HilbertOperator.finite_matrix(t.entries * scale)
+        monkeypatch.setattr(oracles, "_random_matrix_draws", None)
         monkeypatch.setattr(oracles, "_into_ball", None)
         report = competitor_search(t, trials=200, seed=0)
         assert report.passed and report.best_found == 0.0
@@ -481,18 +504,26 @@ class TestEntryTrials:
             kinds.append(kind)
         assert "random" in kinds
 
-    def test_wide_search_memory_does_not_grow_with_trials(self):
+    def test_wide_search_memory_does_not_grow_with_trials(self, monkeypatch):
         # one row of 10^5 + 4 entries per chunk: ten times the trials, the
-        # same peak, set by the four fixed candidates' rows and residuals
+        # same peak, set by the four fixed candidates' rows and residuals;
+        # the construction sits on the floor, so the search draws no trial
+        # unless the floor is -inf, which makes it draw and score every one
         rng = np.random.default_rng(5)
         t = HilbertOperator.diagonal(rng.uniform(-3.0, 3.0, 10**5), TailRule.const(1.0))
+        pruned, report = _peak_bytes(lambda: competitor_search(t, trials=200, seed=0))
+        assert report.passed
+        scorer, drawn = oracles._scorer, _count_entry_rows(monkeypatch)
+        monkeypatch.setattr(oracles, "_scorer", lambda op: (scorer(op)[0], -np.inf))
         peaks = []
         for trials in (20, 200):
             peak, report = _peak_bytes(lambda: competitor_search(t, trials=trials, seed=0))
             assert report.passed, trials
             peaks.append(peak)
+        assert sum(drawn) == 220
         assert peaks[1] <= 1.1 * peaks[0], peaks
         assert max(peaks) < 12 * 2**20, peaks
+        assert pruned <= min(peaks), (pruned, peaks)
 
 
 class TestL1Trials:
@@ -503,10 +534,122 @@ class TestL1Trials:
         cols = (tuple(rng.uniform(-0.1, 0.1, 4)), (), tuple(rng.uniform(-0.1, 0.1, 2)))
         t = L1Operator(cols, tuple(rng.uniform(-2.0, 2.0, n_weights)), TailRule.const(0.7))
         col_samples, tail = oracles._random_l1_competitors(t, 40, np.random.default_rng(9))
-        residuals = oracles._scorer(t)((col_samples, tail))
+        residuals = oracles._scorer(t)[0]((col_samples, tail))
         ref_residuals, ref_tail = ref_l1_trials(t, 40, 9)
         assert same_bits(residuals, ref_residuals) and same_bits(tail, ref_tail)
         assert len(col_samples) == 3
+
+
+def _entry_floor_cases(rng):
+    """Diagonal and shift models from the helpers' generators, then at
+    magnitudes 1e-300 to 1e300 with const and geometric tails, some with an
+    empty explicit part."""
+    gens = (random_entry_operator, random_nonattaining, random_positive_diagonal)
+    cases = [gen(rng) for gen in gens for _ in range(40)]
+    for exp in range(-300, 301, 50):
+        s = 10.0**exp
+        for ctor in (HilbertOperator.diagonal, HilbertOperator.weighted_shift):
+            x = rng.uniform(-3.0, 3.0, int(rng.integers(0, 6))) * s
+            for tail in (TailRule.const(float(rng.uniform(-2.0, 2.0)) * s),
+                         TailRule.geometric(float(rng.uniform(-4.0, 4.0)) * s,
+                                            float(rng.uniform(0.05, 0.95)))):
+                cases += [ctor(x, tail), ctor((), tail)]
+    return cases
+
+
+def _l1_floor_cases(rng):
+    """Column models from the helpers' generator, then at magnitudes 1e-300
+    to 1e300, with and without tail weights."""
+    cases = [random_l1(rng) for _ in range(60)]
+    for exp in range(-300, 301, 50):
+        s = 10.0**exp
+        cols = tuple(rng.uniform(-1.5, 1.5, k) * s for k in rng.integers(0, 4, 3))
+        for n_weights in (0, 3):
+            cases.append(L1Operator(cols, rng.uniform(-2.0, 2.0, n_weights) * s,
+                                    TailRule.const(float(rng.uniform(-1.5, 1.5)) * s)))
+    return cases
+
+
+def _no_trial(*args):
+    raise AssertionError("a trial was drawn")
+
+
+class TestFloors:
+    """No random trial's computed score falls below the floor of its model
+    class, so a search whose best fixed score sits on the floor draws no
+    trial and still reports what scoring every trial would."""
+
+    def test_entry_trials_score_at_least_the_floor(self):
+        rng = np.random.default_rng(43)
+        for i, t in enumerate(_entry_floor_cases(rng)):
+            score, floor = oracles._scorer(t)
+            best = best_ball_approx_h(t).approximant
+            rows = oracles._random_entry_competitors(t, best, 200, np.random.default_rng(i))
+            assert min(score(chunk).min() for chunk in rows) >= floor, i
+
+    def test_l1_trials_score_at_least_the_floor(self):
+        rng = np.random.default_rng(44)
+        for i, t in enumerate(_l1_floor_cases(rng)):
+            score, floor = oracles._scorer(t)
+            trials = oracles._random_l1_competitors(t, 200, np.random.default_rng(i))
+            assert score(trials).min() >= floor, i
+
+    @pytest.mark.parametrize("model", ["entry", "matrix", "l1"])
+    def test_search_on_the_floor_draws_no_trial(self, model, monkeypatch):
+        rng = np.random.default_rng(45)
+        if model == "entry":
+            cases, construct = _entry_floor_cases(rng), best_ball_approx_h
+        elif model == "matrix":
+            cases = [_matrix_of_norm(rng, int(rng.integers(1, 9)), norm)
+                     for norm in (0.0, 1e-3, 0.5, 0.9, 1.0, 2.0) for _ in range(5)]
+            construct = best_ball_approx_h
+        else:
+            cases, construct = _l1_floor_cases(rng), best_ball_approx_l1
+        for name in ("_random_entry_competitors", "_random_matrix_draws",
+                     "_random_l1_competitors"):
+            monkeypatch.setattr(oracles, name, _no_trial)
+        on_floor = 0
+        for i, t in enumerate(cases):
+            score, floor = oracles._scorer(t)
+            fixed = oracles._fixed_candidates(t, construct(t).approximant)[1]
+            if score(fixed).min() > floor:
+                continue
+            on_floor += 1
+            report = competitor_search(t, trials=100, seed=i)
+            if model == "entry":
+                found, kind, candidate = ref_entry_search(t, 100, i)
+                got, want = [report.best_candidate.explicit], [candidate]
+            elif model == "matrix":
+                found, kind, candidate = ref_matrix_search(t, 100, i)
+                got, want = [report.best_candidate.entries], [candidate]
+            else:
+                found, kind, cols, weights = ref_l1_search(t, 100, i)
+                got = [*report.best_candidate.columns, report.best_candidate.tail_weights]
+                want = [*cols, weights]
+            assert repr(report.best_found) == repr(found), i
+            assert report.best_kind == kind, i
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want], i
+        assert on_floor >= len(cases) // 3, (on_floor, len(cases))
+
+    @pytest.mark.parametrize("model", ["diagonal", "shift"])
+    def test_benchmark_shaped_verify_draws_no_trial(self, model, monkeypatch, capsys):
+        # 10^3 entries at 200 trials, one model per construction branch
+        drawn = _count_entry_rows(monkeypatch)
+        rng = np.random.default_rng(46)
+        tails = [{"kind": "const", "value": 0.0},
+                 {"kind": "const", "value": float(rng.uniform(0.3, 0.9))},
+                 {"kind": "geometric", "limit": -float(rng.uniform(1.2, 2.0)), "ratio": 0.5},
+                 {"kind": "geometric", "limit": float(rng.uniform(3.2, 4.0)), "ratio": 0.3}]
+        docs = [{"explicit": rng.uniform(-3.0, 3.0, 1000).tolist(), "tail": tail}
+                for tail in tails]
+        docs.append({"explicit": rng.uniform(-0.95, 0.95, 1000).tolist(),
+                     "tail": {"kind": "const", "value": -0.5}})
+        for doc in docs:
+            text = json.dumps({"space": "l2", "model": model, **doc})
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            assert main(["verify", "--samples", "200", "--seed", "0", "--tol", "1e-10"]) == 0
+            assert json.loads(capsys.readouterr().out)["pass"] is True
+        assert drawn == []
 
 
 class TestSvdClip:
