@@ -2,7 +2,8 @@
 
 Reads an operator document (JSON) from a file or stdin, runs one of the
 calculations, and writes a JSON report to stdout.  Exit codes: 0 on
-success, 1 on malformed input or arguments, 2 when a verification fails
+success, 1 on malformed input or arguments (also when they need more memory
+than there is), 2 when a verification fails
 or an internal certification check is contradicted.
 """
 
@@ -193,6 +194,9 @@ def main(argv=None) -> int:
         doc, code = run_command(args)
     except ValidationError as exc:
         doc, code = {"command": command, "error": str(exc)}, 1
+    except MemoryError as exc:  # arguments too large to hold, such as --samples
+        detail = f": {exc}" if str(exc) else ""
+        doc, code = {"command": command, "error": f"out of memory{detail}"}, 1
     except (CertificationError, NumericError) as exc:
         doc, code = {"command": command, "error": str(exc)}, 2
     try:

@@ -50,11 +50,25 @@ class Space(enum.Enum):
         return float(self.norm_rows(np.asarray(coords, dtype=float)[None, :])[0])
 
     def norm_rows(self, arr: np.ndarray) -> np.ndarray:
-        if self is Space.L1:
-            return np.sum(np.abs(arr), axis=1)
+        """Norm of each row of an n x d array, one coordinate at a time.
+
+        The terms ``|c|`` (l1, sup) or ``c * c`` (l2) are laid out d x n in
+        memory, and numpy reduces that array's d rows into the n results one
+        row at a time: each point's coordinates are summed left to right
+        (l2 then takes one square root) or run through a maximum (sup), in a
+        few vector operations instead of numpy's fixed cost per short row.
+        For d <= 7 that is also the order of ``np.sum(..., axis=1)``, the base
+        case of numpy's pairwise summation, so the bits are the same.  For
+        d >= 8 the last bits may differ, within the recursive-summation bound
+        that the rounding allowance of :func:`verify_unique_projection`
+        assumes.  A single point (n = 1) is summed pairwise, as ``np.sum``
+        sums a row.
+        """
+        cols = arr.T
         if self is Space.L2:
-            return np.sqrt(np.sum(arr * arr, axis=1))
-        return np.max(np.abs(arr), axis=1)
+            return np.sqrt(np.sum(np.multiply(cols, cols, order="C"), axis=0))
+        terms = np.abs(cols, order="C")
+        return np.sum(terms, axis=0) if self is Space.L1 else np.max(terms, axis=0)
 
 
 @dataclass(frozen=True)
@@ -149,7 +163,7 @@ def _ball_samples(space: Space, dim: int, n: int, rng) -> np.ndarray:
     if space is Space.L2:
         return _boundary_samples(space, dim, n, rng) * rng.uniform(0.0, 1.0, (n, 1)) ** (1.0 / dim)
     mass = rng.exponential(1.0, (n, dim))
-    mass /= np.sum(mass, axis=1, keepdims=True)
+    mass /= space.norm_rows(mass)[:, None]
     radius = rng.uniform(0.0, 1.0, (n, 1)) ** (1.0 / dim)
     signs = 2.0 * rng.integers(0, 2, (n, dim)) - 1.0
     return signs * mass * radius
@@ -163,10 +177,10 @@ def _boundary_samples(space: Space, dim: int, n: int, rng) -> np.ndarray:
         return pts
     if space is Space.L2:
         g = rng.standard_normal((n, dim))
-        g /= np.maximum(np.sqrt(np.sum(g * g, axis=1, keepdims=True)), 1e-300)
+        g /= np.maximum(space.norm_rows(g), 1e-300)[:, None]
         return g
     mass = rng.exponential(1.0, (n, dim))
-    mass /= np.sum(mass, axis=1, keepdims=True)
+    mass /= space.norm_rows(mass)[:, None]
     return (2.0 * rng.integers(0, 2, (n, dim)) - 1.0) * mass
 
 
@@ -176,6 +190,27 @@ def _pull_into_ball(space: Space, pts: np.ndarray) -> np.ndarray:
     norms = space.norm_rows(pts)
     factor = np.where(norms > 1.0, 1.0 / np.maximum(norms, 1e-300), 1.0)
     return pts * factor[:, None]
+
+
+def _spread(space: Space, pts: np.ndarray) -> float:
+    """Largest distance between two rows of ``pts`` (n x d, n <= 202).
+
+    l1 and l2 add ``|c_i - c_j|`` or ``(c_i - c_j)**2`` into one n x n array,
+    one coordinate at a time and left to right as :meth:`Space.norm_rows`
+    sums, never holding an n x n x d one; l2 takes the root of the largest
+    sum only, which is the largest root bit for bit, since the square root
+    is monotone and correctly rounded.
+    """
+    if space is Space.LINF:
+        # fl(a - b) rises with a and falls with b, so each coordinate's
+        # largest pairwise difference is its max minus its min: same bits
+        return float(np.max(pts.max(axis=0) - pts.min(axis=0)))
+    acc = np.zeros((len(pts), len(pts)))
+    for c in pts.T:
+        diff = np.subtract.outer(c, c)
+        acc += np.multiply(diff, diff, out=diff) if space is Space.L2 else np.abs(diff, out=diff)
+    top = float(acc.max())
+    return math.sqrt(top) if space is Space.L2 else top
 
 
 def verify_unique_projection(
@@ -223,7 +258,8 @@ def verify_unique_projection(
     # u * ((2 + u) |alpha e_i| + |p_i|); the norms are absolute and e, p lie
     # in the ball, so that error vector has norm <= eps * (|alpha| + 1).
     # The norm of a vector of norm <= |alpha| + 1 then rounds by a relative
-    # (dim - 1) u (l1), (dim / 2 + 1) u (l2) or 0 (sup), and fl(|alpha| - 1)
+    # (dim - 1) u (l1), (dim / 2 + 1) u (l2) or 0 (sup), the bounds of the
+    # left-to-right summation that Space.norm_rows does, and fl(|alpha| - 1)
     # by u |alpha|: (dim + 4) eps (|alpha| + 1) covers all, second order too.
     # The lower check compares with the projection's own computed distance
     # (the last sample).  Its true distance (|alpha| - 1) ||e|| exceeds the
@@ -272,13 +308,7 @@ def verify_unique_projection(
         stride = max(len(near) // 200, 1)
         subset = near[::stride][:201]
         subset = np.vstack([subset, near[int(np.argmax(offsets))]])
-        if space is Space.LINF:
-            # fl(a - b) rises with a and falls with b, so each coordinate's
-            # largest pairwise difference is its max minus its min: same bits
-            spread = float(np.max(subset.max(axis=0) - subset.min(axis=0)))
-        else:
-            diffs = subset[:, None, :] - subset[None, :, :]
-            spread = float(space.norm_rows(diffs.reshape(-1, dim)).max())
+        spread = _spread(space, subset)
 
     return ProjectionReport(
         space=space,

@@ -1,6 +1,8 @@
 """Seeded instance generators shared by unit and acceptance tests, a
-scalar reference for the model layer's whole-array arithmetic, and a
-second optimal l2 approximant that cross-checks the construction."""
+scalar reference for the model layer's whole-array arithmetic, a
+second optimal l2 approximant that cross-checks the construction, and
+the whole-array pairwise spread that the projection check's is compared
+with."""
 
 from __future__ import annotations
 
@@ -404,3 +406,16 @@ def soft_threshold_approx(t: HilbertOperator):
     else:  # every tail entry sits within d of 0 by the distance formula
         k = HilbertOperator(t.shape, _soft(t.explicit, d), TailRule.const(0.0))
     return make_result(t, k, Branch.COMPACT_INPUT if d == 0.0 else Branch.SMALL_NORM)
+
+
+def ref_spread(space: str, pts) -> float:
+    """Largest distance between two rows of ``pts`` (n x d) under the l1, l2
+    or sup norm: every pairwise difference in one n x n x d array, each of
+    its n * n rows reduced by numpy's ``sum`` or ``max``."""
+    diffs = np.asarray(pts)[:, None, :] - np.asarray(pts)[None, :, :]
+    diffs = diffs.reshape(-1, diffs.shape[-1])
+    if space == "l1":
+        return float(np.sum(np.abs(diffs), axis=1).max())
+    if space == "l2":
+        return float(np.sqrt(np.sum(diffs * diffs, axis=1)).max())
+    return float(np.max(np.abs(diffs), axis=1).max())

@@ -387,6 +387,30 @@ class TestFailClosed:
         assert doc["command"] == "norm" and "pass" not in doc
         assert doc["error"].startswith("non-finite result")
 
+    @pytest.mark.parametrize(
+        "target,argv,payload",
+        [
+            ("ballapprox.extreme._ball_samples",
+             ["project-extreme", "--space", "l2", "--alpha", "2", "--point", "[1, 0]",
+              "--samples", "100"], None),
+            ("ballapprox.oracles._random_l1_competitors",
+             ["verify", "--samples", "100"], L1_DOC),
+        ],
+        ids=["project_extreme", "verify_l1"],
+    )
+    @pytest.mark.parametrize("message", ["Unable to allocate 745. GiB for an array", ""])
+    def test_memory_error_fails_with_strict_json(self, target, argv, payload, message,
+                                                 monkeypatch, capsys):
+        # the patched step raises what numpy raises for an array it cannot
+        # allocate (--samples 100000000000 does), without allocating one
+        def out_of_memory(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(target, out_of_memory)
+        code, doc = run(argv, payload, monkeypatch, capsys)
+        expected = f"out of memory: {message}" if message else "out of memory"
+        assert (code, doc) == (1, {"command": argv[0], "error": expected})
+
     @pytest.mark.parametrize("command", ["norm", "distball", "approx", "verify"])
     def test_overflowing_l1_mass_is_invalid_input(self, command, monkeypatch, capsys):
         code, doc = run([command], self.L1_OVERFLOW, monkeypatch, capsys)

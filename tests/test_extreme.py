@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ballapprox import (
     NormedSpacePoint,
@@ -11,7 +14,8 @@ from ballapprox import (
     project_scalar_multiple,
     verify_unique_projection,
 )
-from ballapprox.extreme import _ball_samples, _boundary_samples
+from ballapprox.extreme import _ball_samples, _boundary_samples, _spread
+from helpers import ref_spread, same_bits
 
 
 def pt(space, *coords):
@@ -165,3 +169,60 @@ def test_no_samples_draw_nothing(space, sampler):
     state = rng.bit_generator.state
     assert sampler(space, 3, 0, rng).shape == (0, 3)
     assert rng.bit_generator.state == state
+
+
+def coordinates(exponent):
+    """0.0, -0.0, or a magnitude from 10**exponent to 10**(exponent + 3)."""
+    return st.one_of(
+        st.sampled_from([0.0, -0.0]),
+        st.builds(lambda sign, mantissa, k: sign * mantissa * 10.0 ** (exponent + k),
+                  st.sampled_from([1.0, -1.0]), st.floats(1.0, 9.999), st.integers(0, 2)),
+    )
+
+
+class TestNormOrder:
+    """Norms and the spread add one coordinate at a time, left to right."""
+
+    @given(data=st.data(), dim=st.integers(1, 7))
+    @settings(max_examples=100, deadline=None)
+    def test_short_rows_sum_in_numpy_order(self, data, dim):
+        # norm_rows adds a d x n array's rows one at a time, and numpy's sum
+        # along a row of at most 7 entries adds left to right as well; if a
+        # numpy release changes either order, this test names the cause.
+        # Each row lies within three decades, so that the order of its sum
+        # shows; the rows span 1e-300 to 1e300, and one row alone is summed
+        # by numpy's pairwise sum on both sides
+        exponents = data.draw(st.lists(st.integers(-300, 297), min_size=1, max_size=8))
+        a = np.array([data.draw(st.lists(coordinates(e), min_size=dim, max_size=dim))
+                      for e in exponents])
+        with np.errstate(over="ignore"):  # l2 squares of 1e160 and above
+            assert same_bits(Space.L1.norm_rows(a), np.sum(np.abs(a), axis=1))
+            assert same_bits(Space.L2.norm_rows(a), np.sqrt(np.sum(a * a, axis=1)))
+        assert same_bits(Space.LINF.norm_rows(a), np.max(np.abs(a), axis=1))
+
+    @pytest.mark.parametrize("dim", range(1, 8))
+    @pytest.mark.parametrize("space", [Space.L1, Space.L2, Space.LINF])
+    def test_spread_equals_the_whole_array_reference(self, space, dim):
+        rng = np.random.default_rng(dim)
+        for n in [2, 3, 202, *rng.integers(4, 202, 5)]:
+            pts = rng.uniform(-1.0, 1.0, (n, dim)) * 10.0 ** rng.uniform(-3.0, 0.0, (n, 1))
+            assert same_bits(_spread(space, pts), ref_spread(space.value, pts))
+
+    @pytest.mark.parametrize("dim", range(8, 13))
+    def test_long_rows_stay_within_the_rounding_allowance(self, dim):
+        # verify_unique_projection's r assumes recursive summation: a norm
+        # rounds by a relative (dim - 1) u (l1) or (dim / 2 + 1) u (l2).  Rows
+        # of a batch are summed left to right, a single point pairwise; both
+        # are checked against exact rational sums of |x| and x * x
+        u = Fraction(np.finfo(float).eps) / 2
+        rng = np.random.default_rng(dim)
+        a = rng.standard_normal((300, dim)) * 10.0 ** rng.uniform(-100.0, 100.0, (300, 1))
+        for row, row_l1, row_l2 in zip(a, Space.L1.norm_rows(a), Space.L2.norm_rows(a)):
+            exact = [Fraction(x) for x in row]
+            mass, b1 = sum(abs(x) for x in exact), (dim - 1) * u
+            # |l2 - sqrt(s)| <= b2 sqrt(s), squared: (1 - b2)^2 s <= l2^2 <= (1 + b2)^2 s
+            s, b2 = sum(x * x for x in exact), (Fraction(dim, 2) + 1) * u
+            for l1, l2 in ((row_l1, row_l2), (Space.L1.norm(row), Space.L2.norm(row))):
+                assert abs(Fraction(l1) - mass) <= b1 * mass
+                assert (1 - b2) ** 2 * s <= Fraction(l2) ** 2 <= (1 + b2) ** 2 * s
+        assert same_bits(Space.LINF.norm_rows(a), np.max(np.abs(a), axis=1))
