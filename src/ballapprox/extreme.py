@@ -259,7 +259,8 @@ def verify_unique_projection(
     # in the ball, so that error vector has norm <= eps * (|alpha| + 1).
     # The norm of a vector of norm <= |alpha| + 1 then rounds by a relative
     # (dim - 1) u (l1), (dim / 2 + 1) u (l2) or 0 (sup), the bounds of the
-    # left-to-right summation that Space.norm_rows does, and fl(|alpha| - 1)
+    # left-to-right sum of Space.norm_rows (they hold for its pairwise sum
+    # of a single row too), and fl(|alpha| - 1)
     # by u |alpha|: (dim + 4) eps (|alpha| + 1) covers all, second order too.
     # The lower check compares with the projection's own computed distance
     # (the last sample).  Its true distance (|alpha| - 1) ||e|| exceeds the
