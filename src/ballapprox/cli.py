@@ -3,7 +3,7 @@
 Reads an operator document (JSON) from a file or stdin, runs one of the
 calculations, and writes a JSON report to stdout.  Exit codes: 0 on
 success, 1 on malformed input or arguments (also when they need more memory
-than there is), 2 when a verification fails
+than there is; ``verify`` streams its trials), 2 when a verification fails
 or an internal certification check is contradicted.
 """
 

@@ -445,6 +445,21 @@ class L1Operator(_ByValue):
     def _norm(self) -> float:  # op_norm, computed on first use
         return max(self.tail.sup_abs, _max_abs(self.column_masses), _max_abs(self.tail_weights))
 
+    @functools.cached_property
+    def _row_layout(self) -> tuple:
+        """``(ends, starts, widths, row)``, computed once: this model as one
+        flat row, the form of the oracles' l1 trials: the support of every
+        explicit column end to end, then the window of the first
+        ``len(tail_weights) + 2`` tail-column weights.  Column ``j + 1`` is
+        ``row[ends[j]:ends[j + 1]]`` and the window ``row[ends[-1]:]``; each
+        nonempty column opens at ``starts`` and spans ``widths``."""
+        lengths = np.array([len(c) for c in self.columns], dtype=np.intp)
+        ends = np.concatenate([[0], np.cumsum(lengths)])
+        window = _slots(self.tail_weights, self.tail, 0, len(self.tail_weights) + 2)
+        nonempty = lengths > 0
+        return (ends.tolist(), ends[:-1][nonempty], lengths[nonempty],
+                np.concatenate([*self.columns, window]))
+
     def column_mass(self, j: int) -> float:
         if j < 1:
             raise ValidationError(f"column index must be >= 1, got {j}")

@@ -22,29 +22,16 @@ guard, a wrong but orthogonal ``V`` only costs Jacobi rotations, and a
 wrong ``s`` or ``u`` only gives a worse candidate, because every
 candidate is scored by a fresh LAPACK ``sigma_1(T - K)``.  The search
 scores its candidates, the construction included, by one numpy function
-per model class, apart from the library's own residual code: LAPACK's
-largest singular value for matrices, the window of entry or column
-residuals for the other models.  Next to each score function sits a floor
-that no random trial's computed score falls below: 0 for a matrix, a
-singular value; ``max(fl(max |w| - 1), ess)`` for the other models, over
-the window ``w`` of the entries of a diagonal or shift model or of the
-weights of the single-entry tail columns of an l1 model, because every
-trial entry there lies in ``[-1, 1]`` and rounding is monotone (the l1
-column masses are left out: rounding can put a sum either side of its
-bound).  A search whose best fixed score is at or below its floor draws
-no trial: only a strictly lower score replaces the best, so no trial
-could.  A random matrix trial is ``C V^T``, with ``V`` from the SVD of
-``T``; its first column ``C e_1``, which stands in for its product with
-``T``'s top right singular vector ``v_1``, bounds its score below without
-an SVD of its own, and only the trials that could beat the best fixed
-candidate are drawn in full and decomposed.  The margin of ``IDENTITY_TOL
-* (1 + sigma_1(T))`` covers the rounding and the defect of ``V`` allowed
-by the guard of ``T``'s norm, so a dropped trial could never be the first
-minimum and the report is that of scoring every trial.  The diagonal, shift and matrix trials are drawn, bounded, scaled
-and scored one chunk of at most ``SVD_CHUNK_ENTRIES`` entries at a time,
-so the search holds one chunk of trials whatever their number or width;
-l1 trials are drawn in one batch.  Section norms use ``numpy.linalg``
-too.
+per model class, apart from the library's own residual code, next to a
+floor that no random trial's computed score falls below
+(:func:`_scorer`).  A search whose best fixed score sits on the floor
+draws no trial, and a matrix search draws in full only the trials whose
+first column could beat the best fixed candidate
+(:func:`_possible_winners`), so the report is that of scoring every
+trial.  The trials of every model class are drawn, bounded, scaled and
+scored one chunk of at most ``TRIAL_CHUNK_ENTRIES`` entries at a time, so
+the search holds one chunk of trials whatever their number or width.
+Section norms use ``numpy.linalg`` too.
 """
 
 from __future__ import annotations
@@ -84,10 +71,9 @@ __all__ = [
 
 DEFAULT_TOL = 1e-10
 
-#: Entries per chunk of random diagonal, shift or matrix trials (1 MiB of
-#: float64, at least one trial): the search draws, bounds, scales and
-#: scores one chunk at a time.
-SVD_CHUNK_ENTRIES = 1 << 17
+#: Entries per chunk of random trials (1 MiB of float64, at least one
+#: trial): the search draws, bounds, scales and scores one chunk at a time.
+TRIAL_CHUNK_ENTRIES = 1 << 17
 
 
 def _require_tol(tol) -> float:
@@ -137,12 +123,15 @@ def _fixed_candidates(t: Operator, construction: Operator):
     could come first only by a rounding-level tie (``sigma_1`` near
     ``1 / (n * eps)``, about 1e14)."""
     if isinstance(t, L1Operator):
-        cols = [np.array([k, col * min(1.0, 1.0 / max(mass, 1e-300)), np.zeros(len(col))])
-                for k, col, mass in zip(construction.columns, t.columns, t.column_masses.tolist())]
-        n_listed, tail = len(t.tail_weights), np.zeros((len(t.tail_weights) + 2, 3))
-        tail[:, 0] = _slots(construction.tail_weights, construction.tail, 0, n_listed + 2)
-        tail[:n_listed, 1] = np.clip(t.tail_weights, -1.0, 1.0)
-        return ["construction", "column_scaling", "zero"], (cols, tail), None
+        # the construction keeps every support and weight slot, with a const 0 tail
+        ends, row = t._row_layout[0], t._row_layout[-1]
+        n, listed = ends[-1], ends[-1] + len(t.tail_weights)
+        rows = np.zeros((3, len(row)))
+        rows[0, :listed] = np.concatenate([*construction.columns, construction.tail_weights])
+        scaling = np.minimum(1.0, 1.0 / np.maximum(t.column_masses, 1e-300))
+        rows[1, :n] = row[:n] * np.repeat(scaling, np.diff(ends))
+        rows[1, n:listed] = np.clip(t.tail_weights, -1.0, 1.0)
+        return ["construction", "column_scaling", "zero"], rows, None
     if t.shape is Shape.FINITE_MATRIX:
         sigma_1, soft, clip, v_1 = _sv_map(t)
         batch = np.array([construction.entries, soft, clip])
@@ -158,7 +147,9 @@ def _build(t: Operator, batch, i: int) -> Operator:
     """Candidate ``i`` of a batch in the array form of the trials of
     ``t``, as an operator with a const 0 tail."""
     if isinstance(t, L1Operator):
-        return L1Operator(tuple(c[i] for c in batch[0]), batch[1][:, i], TailRule.const(0.0))
+        row, ends = batch[i], t._row_layout[0]
+        cols = tuple(row[a:b] for a, b in zip(ends, ends[1:]))
+        return L1Operator(cols, row[ends[-1]:], TailRule.const(0.0))
     if t.shape is Shape.FINITE_MATRIX:
         return HilbertOperator.finite_matrix(batch[i])
     return HilbertOperator(t.shape, batch[i], TailRule.const(0.0))
@@ -167,9 +158,9 @@ def _build(t: Operator, batch, i: int) -> Operator:
 def _scorer(t: Operator):
     """``(score, floor)`` for the model class of ``t``: ``score`` maps a
     batch of candidates ``k`` in the array form of its random trials to the
-    residual norms ``||t - k||``; ``floor`` is a value that no random
-    trial's computed score falls below.  What no batch changes is computed
-    here, once.
+    residual norms ``||t - k||``, l1 column masses added left to right
+    (:func:`_segment_sums`); ``floor`` is a value that no random trial's
+    computed score falls below.  What no batch changes is computed here.
 
     The floor of a diagonal or shift model is ``max(fl(max |w| - 1), ess)``
     over the window ``w`` of its entries, and that of an l1 model the same
@@ -182,8 +173,16 @@ def _scorer(t: Operator):
     matrix score is a singular value, so its floor is 0.  The floors read
     only the input's data, not the library's norm."""
     if isinstance(t, L1Operator):
-        window = _slots(t.tail_weights, t.tail, 0, len(t.tail_weights) + 2)
-        return (lambda batch: _score_l1(t, window, *batch)), _floor(window, ess_norm(t))
+        ends, starts, _, row = t._row_layout
+        n, ess = ends[-1], ess_norm(t)
+
+        def score_l1(rows: np.ndarray) -> np.ndarray:
+            diff = np.abs(row - rows)
+            residuals = np.concatenate([_segment_sums(diff[:, :n], starts), diff[:, n:]], axis=1)
+            # on a copy, one row per residual: a short last axis reduces row by row, slowly
+            return np.max(residuals.T.copy(), axis=0, initial=ess)
+
+        return score_l1, _floor(row[n:], ess)
     if t.shape is Shape.FINITE_MATRIX:
         return (lambda mats: _score_matrices(t, mats)), 0.0
     # diagonal and shift models: max |t - k| over the window of the rows,
@@ -203,33 +202,33 @@ def _floor(window: np.ndarray, ess: float) -> float:
     return max(float(np.max(np.abs(window))) - 1.0, ess)
 
 
+def _segment_sums(mags: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The mass of each column of each trial, ``(trials, columns)``, from
+    ``mags``, the magnitudes of a chunk's column supports (overwritten),
+    whose nonempty columns open at ``starts``.  ``np.subtract.reduceat`` of
+    each first magnitude and the others negated adds left to right, the
+    order of the library's column masses, at any width (``x - (-y)`` rounds
+    as ``x + y``); ``np.add.reduceat`` adds the first entry to a pairwise
+    sum of the others, rounding otherwise from 3 entries on.  Both give
+    ``a[i]`` for an empty segment."""
+    np.negative(mags, out=mags)
+    mags[:, starts] *= -1.0
+    return np.subtract.reduceat(mags, starts, axis=1)
+
+
 def _score_matrices(t: HilbertOperator, mats: np.ndarray) -> np.ndarray:
     """Finite matrices: LAPACK's ``sigma_1(T - K)`` (each matrix decomposed
     alone: the same values in any batch)."""
     return np.linalg.svd(t.entries - mats, compute_uv=False)[:, 0]
 
 
-def _score_l1(t: L1Operator, window: np.ndarray, col_samples: list,
-              tail: np.ndarray) -> np.ndarray:
-    """L1 models: the largest of the residual column masses (numpy sums),
-    ``|window - k|`` over the ``(n_tail, batch)`` tail samples ``k``, where
-    ``window`` holds the weights of the first ``n_tail`` tail columns of
-    ``t``, and ``ess_norm(t)`` beyond them."""
-    scores = np.full(tail.shape[1], ess_norm(t))
-    for col, cand in zip(t.columns, col_samples):
-        diff = np.concatenate([col, np.zeros(cand.shape[1] - len(col))]) - cand
-        scores = np.maximum(scores, np.sum(np.abs(diff, out=diff), axis=1))
-    diff = window[:, None] - tail
-    return np.maximum(scores, np.max(np.abs(diff, out=diff), axis=0))
-
-
 def _trial_chunks(trials: int, shape: tuple):
-    """Consecutive views of one buffer of trials of ``shape`` with at most
-    ``SVD_CHUNK_ENTRIES`` entries (at least one trial) each, covering
-    ``trials`` trials, with the number of trials of each chunk that fall
-    in the first, free half (``trials // 2``); a chunk may span both
-    halves.  The buffer is overwritten by the next chunk."""
-    step = max(1, SVD_CHUNK_ENTRIES // int(np.prod(shape)))
+    """Consecutive views of one buffer of trials of ``shape``, of any model
+    class, with at most ``TRIAL_CHUNK_ENTRIES`` entries (at least one trial)
+    each, covering ``trials`` trials, with the number of trials of each
+    chunk in the first, free half (``trials // 2``; l1 trials have no other
+    half).  A chunk may span both halves; the next one overwrites it."""
+    step = max(1, TRIAL_CHUNK_ENTRIES // int(np.prod(shape)))
     buf = np.empty((min(step, trials),) + shape)
     n_free = trials // 2
     for s in range(0, trials, step):
@@ -343,18 +342,25 @@ def _possible_winners(t: HilbertOperator, top, best: float):
 
 
 def _random_l1_competitors(t: L1Operator, trials: int, rng):
-    """Random column-model competitors ``(column samples, tail samples)``:
-    explicit columns on the input's support, then single-entry tail
-    columns over the listed window plus two slots, one ``(n_tail, trials)``
-    draw.  One batch, not chunks: the stream runs column by column across
-    all trials, so a chunk of trials would have to skip through it
-    (``PCG64.advance``)."""
-    col_samples = []
-    for col in t.columns:
-        cand = rng.uniform(-0.9, 0.9, (trials, max(len(col), 1)))
-        cand /= np.maximum(np.sum(np.abs(cand), axis=1), 1.0)[:, None]
-        col_samples.append(cand)
-    return col_samples, rng.uniform(-1.0, 1.0, (len(t.tail_weights) + 2, trials))
+    """Random column-model competitors in chunks (:func:`_trial_chunks`),
+    one flat row per trial in the form of ``t._row_layout``: the support
+    of each explicit column, entries uniform on ``[-0.9, 0.9]`` and each
+    column divided by ``max(mass, 1)``, then the window, uniform on ``[-1,
+    1]``.  An empty column gets no slot: an entry there could only add to
+    its residual mass, so no trial that could win is left out.  The rows
+    of all chunks are those of one whole draw."""
+    ends, starts, widths, row = t._row_layout
+    n = ends[-1]
+    high = np.where(np.arange(len(row)) < n, 0.9, 1.0)
+    span = 2.0 * high
+    for rows, _ in _trial_chunks(trials, (len(row),)):
+        # rng.uniform(-high, high) in place: -high + 2 high u, the same bits
+        rng.random(out=rows)
+        rows *= span
+        rows -= high
+        masses = _segment_sums(np.abs(rows[:, :n]), starts)
+        rows[:, :n] /= np.repeat(np.maximum(masses, 1.0), widths, axis=1)
+        yield rows
 
 
 def competitor_search(
@@ -367,36 +373,29 @@ def competitor_search(
     """Try to beat a claimed ball distance with sampled competitors.
 
     Samples ``trials`` random compact in-ball operators from the model
-    class of ``t`` (half unconstrained, half perturbations of the
-    optimal approximant).  These and the deterministic candidates, the
-    construction included, are scored by the same numpy function, apart
-    from the library's residual code; ``best_found`` is the first minimum
-    of those scores.  A random matrix trial ``M = C V^T`` (``V`` from the
-    SVD of ``t``) is drawn in full and scored only when the lower bound
-    that its first column gives (:func:`_possible_winners`) comes within
-    ``IDENTITY_TOL * (1 + sigma_1(t))`` of the best deterministic score:
-    that margin covers the rounding of the bound and of LAPACK and the
-    defect of ``V``, so a trial left out scores above that candidate,
-    could not be the first minimum, and the report is the one of scoring
-    every trial.  A trial's other columns come from a generator keyed by
-    ``seed`` and its index, so it is the same whichever others are drawn.
+    class of ``t`` (but for l1, half unconstrained and half perturbations
+    of the optimal approximant).  These and the deterministic candidates,
+    the construction included, are scored by the same numpy function,
+    apart from the library's residual code; ``best_found`` is the first
+    minimum of those scores.  Only a strictly lower score replaces the
+    best, so two shortcuts leave the report that of scoring every trial.
+    No trial is drawn when the best deterministic score is at or below the
+    floor of the model class, which no trial's computed score falls below
+    (:func:`_scorer`); the floors read the input's data, not the library's
+    norm, so a fixed candidate that beats an inflated claim is found all
+    the same.  A random matrix trial ``M = C V^T`` (``V`` from the SVD of
+    ``t``) is drawn in full and scored only when the lower bound that its
+    first column gives comes within ``IDENTITY_TOL * (1 + sigma_1(t))`` of
+    the best deterministic score (:func:`_possible_winners`); its other
+    columns come from a generator keyed by ``seed`` and its index, so it
+    is the same whichever others are drawn.
 
-    No trial is drawn at all when the best deterministic score is at or
-    below the floor of the model class (:func:`_scorer`), a value that no
-    trial's computed score falls below: 0 for matrices, and ``max(fl(max
-    |w| - 1), ess)`` for the other models, over the window ``w`` of the
-    entries or of the l1 tail-column weights, where every trial entry lies
-    in ``[-1, 1]``.  Only a strictly lower score replaces the best, so the
-    report is again the one of scoring every trial.  The floors read the
-    input's data, not the library's norm, so a fixed candidate that beats
-    an inflated claim is found all the same.
-
-    Diagonal, shift and matrix trials are drawn, bounded, scaled and
-    scored in chunks of at most ``SVD_CHUNK_ENTRIES`` entries (1 MiB),
-    keeping only the running first minimum and its candidate, so memory
-    does not grow with ``trials``; the draws do not depend on the chunk
-    size and a strict ``<`` across chunks keeps the first minimum, so the
-    report is the one of a single batch.  L1 trials are one batch.
+    The trials are drawn, bounded, scaled and scored in chunks of at most
+    ``TRIAL_CHUNK_ENTRIES`` entries (1 MiB), keeping only the running
+    first minimum and its candidate, so memory does not grow with
+    ``trials``; the draws do not depend on the chunk size and a strict
+    ``<`` across chunks keeps the first minimum, so the report is the one
+    of a single batch.
 
     The report passes when nothing beats ``claimed`` by more than
     ``band`` and some candidate attains it within ``band``, where
@@ -420,7 +419,7 @@ def competitor_search(
     if best_found <= floor:  # no trial can score strictly below the best
         chunks = ()
     elif isinstance(t, L1Operator):
-        chunks = [_random_l1_competitors(t, trials, np.random.default_rng(seed))]
+        chunks = _random_l1_competitors(t, trials, np.random.default_rng(seed))
     elif top is not None:  # a matrix: draw in full only the trials that could win
         keep = _possible_winners(t, top, best_found)
         chunks = (_into_ball(mats) for mats in

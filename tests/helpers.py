@@ -201,58 +201,72 @@ def ref_residual_profile_l1(t, k):
     return residuals, tail_res, max(max(residuals, default=0.0), tail_res)
 
 
-def _ref_l1_draws(t, trials: int, seed: int):
-    """``(column samples, tail samples)`` of the random l1 competitors of
-    ``competitor_search``, drawn column by column, each single-entry tail
-    column as its own ``(trials, 1)`` draw; row ``i`` of the tail samples
-    holds the draws of the ``i``-th tail column."""
-    rng = np.random.default_rng(seed)
-    cols, tail = [], []
-    for col in t.columns:
-        cand = rng.uniform(-0.9, 0.9, (trials, max(len(col), 1)))
-        cols.append(cand / np.maximum(np.sum(np.abs(cand), axis=1), 1.0)[:, None])
-    for _ in range(len(t.tail_weights) + 2):
-        tail.append(rng.uniform(-1.0, 1.0, (trials, 1))[:, 0])
-    return cols, np.array(tail)
+def ref_l1_mass(values) -> float:
+    """Mass of a column, one Python float at a time, left to right: the
+    order of the library's column masses and of the search's scores."""
+    return lr_sum(abs(float(v)) for v in values)
 
 
-def _ref_l1_residuals(t, cols, tail) -> np.ndarray:
-    """Residual norms of l1 candidates, column by column: ``cols[j]`` holds
-    the samples ``(batch, width)`` of explicit column ``j + 1``, row ``i``
-    of ``tail`` those of the ``i``-th tail column."""
-    residuals = np.full(tail.shape[1], abs(t.tail.limit))
+def _ref_l1_draws(t, trials: int, seed: int) -> list:
+    """The random l1 competitors of ``competitor_search``, ``(columns,
+    window)`` each, drawn one trial at a time from one ``default_rng(seed)``
+    stream: every explicit column in turn, ``len(col)`` entries uniform on
+    ``[-0.9, 0.9]`` divided by ``max(mass, 1)`` (an empty column draws
+    nothing), then the ``len(t.tail_weights) + 2`` window slots, uniform on
+    ``[-1, 1]``."""
+    rng, draws = np.random.default_rng(seed), []
+    for _ in range(trials):
+        cols = []
+        for col in t.columns:
+            cand = rng.uniform(-0.9, 0.9, len(col))
+            cols.append(cand / max(ref_l1_mass(cand), 1.0))
+        draws.append((cols, rng.uniform(-1.0, 1.0, len(t.tail_weights) + 2)))
+    return draws
+
+
+def _ref_l1_residual(t, cols, window) -> float:
+    """Residual norm of one l1 candidate, column by column: the largest of
+    the residual masses of the explicit columns (:func:`ref_l1_mass`), of
+    ``|w - k|`` over the window and of ``|limit|``."""
+    residual = abs(t.tail.limit)
     for col, cand in zip(t.columns, cols):
-        target = np.zeros(cand.shape[1])
-        target[: len(col)] = col
-        residuals = np.maximum(residuals, np.sum(np.abs(target[None, :] - cand), axis=1))
-    for i, row in enumerate(tail):
-        residuals = np.maximum(residuals, np.abs(t.tail_weight(len(t.columns) + 1 + i) - row))
-    return residuals
+        residual = max(residual, ref_l1_mass([float(a) - float(b) for a, b in zip(col, cand)]))
+    for i, k in enumerate(window):
+        residual = max(residual, abs(t.tail_weight(len(t.columns) + 1 + i) - float(k)))
+    return residual
+
+
+def _ref_l1_split(t, row):
+    """``(columns, window)`` of a flat candidate row: the support of each
+    explicit column of ``t`` in turn, then the window."""
+    cols, start = [], 0
+    for col in t.columns:
+        cols.append(row[start : start + len(col)])
+        start += len(col)
+    return cols, row[start:]
 
 
 def ref_l1_trials(t, trials: int, seed: int):
-    """``(residuals, tail samples)`` of the random l1 competitors of
-    ``competitor_search`` (:func:`_ref_l1_draws`)."""
-    cols, tail = _ref_l1_draws(t, trials, seed)
-    return _ref_l1_residuals(t, cols, tail), tail
+    """``(residuals, rows)`` of the random l1 competitors of
+    ``competitor_search`` (:func:`_ref_l1_draws`), each trial as one flat
+    row: its columns end to end, then its window."""
+    draws = _ref_l1_draws(t, trials, seed)
+    rows = np.array([np.concatenate([*cols, window]) for cols, window in draws])
+    return np.array([_ref_l1_residual(t, *draw) for draw in draws]), rows
 
 
 def ref_l1_search(t, trials: int, seed: int):
     """``(best_found, best_kind, columns, tail weights)`` of an exhaustive
     l1 ``competitor_search``: the search's fixed candidates, then every
-    trial, scored column by column; the first minimum wins."""
+    trial, scored one at a time, column by column; the first minimum wins."""
     from ballapprox import best_ball_approx_l1, oracles
 
     construction = best_ball_approx_l1(t).approximant
-    kinds, (fixed_cols, fixed_tail) = oracles._fixed_candidates(t, construction)[:2]
-    cols, tail = _ref_l1_draws(t, trials, seed)
-    scores = np.concatenate([_ref_l1_residuals(t, fixed_cols, fixed_tail),
-                             _ref_l1_residuals(t, cols, tail)])
-    i = int(np.argmin(scores))
-    if i < len(kinds):
-        return float(scores[i]), kinds[i], [c[i] for c in fixed_cols], fixed_tail[:, i]
-    j = i - len(kinds)
-    return float(scores[i]), "random", [c[j] for c in cols], tail[:, j]
+    kinds, fixed = oracles._fixed_candidates(t, construction)[:2]
+    candidates = [_ref_l1_split(t, row) for row in fixed] + _ref_l1_draws(t, trials, seed)
+    scores = [_ref_l1_residual(t, *c) for c in candidates]
+    found, kind, (cols, window) = _first_minimum(kinds, candidates, scores)
+    return found, kind, cols, window
 
 
 def same_bits(a, b) -> bool:

@@ -189,8 +189,8 @@ class TestCompetitorSearch:
 
     def test_candidate_scores_are_their_residual_norms(self):
         # scored by the trials' numpy arithmetic: the same max of exact
-        # |t - k| on diagonal and shift models, LAPACK or pairwise sums
-        # against Jacobi and left-to-right sums on matrix and l1 models
+        # |t - k| on diagonal and shift models and of left-to-right column
+        # masses on l1 models, LAPACK against Jacobi on matrix models
         rng = np.random.default_rng(17)
         for t in [random_hilbert(rng, max_len=6, max_dim=6) for _ in range(30)] + [
             random_l1(rng) for _ in range(30)
@@ -198,7 +198,7 @@ class TestCompetitorSearch:
             construct = best_ball_approx_l1 if isinstance(t, L1Operator) else best_ball_approx_h
             kinds, batch, _ = oracles._fixed_candidates(t, construct(t).approximant)
             scores = oracles._scorer(t)[0](batch)
-            exact = isinstance(t, HilbertOperator) and t.shape is not Shape.FINITE_MATRIX
+            exact = isinstance(t, L1Operator) or t.shape is not Shape.FINITE_MATRIX
             for i, (kind, score) in enumerate(zip(kinds, scores.tolist())):
                 r = residual_norm(t, oracles._build(t, batch, i))
                 if exact:
@@ -252,7 +252,7 @@ class TestMatrixTrials:
     )
     def test_chunked_residuals_equal_one_batch(self, n, trials, chunk_entries, monkeypatch):
         if chunk_entries is not None:
-            monkeypatch.setattr(oracles, "SVD_CHUNK_ENTRIES", chunk_entries)
+            monkeypatch.setattr(oracles, "TRIAL_CHUNK_ENTRIES", chunk_entries)
         rng = np.random.default_rng(n)
         t = HilbertOperator.finite_matrix(rng.standard_normal((n, n)))
         best = best_ball_approx_h(t).approximant
@@ -302,9 +302,9 @@ class TestMatrixPruning:
         for i, norm in enumerate(SEARCH_NORMS):
             t = _matrix_of_norm(rng, n, norm)
             found, kind, candidate = ref_matrix_search(t, trials, i)
-            for chunk_entries in (oracles.SVD_CHUNK_ENTRIES, 3 * n * n, 1):
+            for chunk_entries in (oracles.TRIAL_CHUNK_ENTRIES, 3 * n * n, 1):
                 with monkeypatch.context() as m:
-                    m.setattr(oracles, "SVD_CHUNK_ENTRIES", chunk_entries)
+                    m.setattr(oracles, "TRIAL_CHUNK_ENTRIES", chunk_entries)
                     report = competitor_search(t, trials=trials, seed=i)
                 case = (norm, i, chunk_entries)
                 assert repr(report.best_found) == repr(found), case
@@ -363,7 +363,7 @@ class TestMatrixPruning:
     @pytest.mark.parametrize("chunk_entries", [None, 16 * 16 * 7])
     def test_possible_winners_keep_trial_order(self, chunk_entries, monkeypatch):
         if chunk_entries is not None:
-            monkeypatch.setattr(oracles, "SVD_CHUNK_ENTRIES", chunk_entries)
+            monkeypatch.setattr(oracles, "TRIAL_CHUNK_ENTRIES", chunk_entries)
         rng = np.random.default_rng(8)
         t = _matrix_of_norm(rng, 16, 1.5)
         best_k = best_ball_approx_h(t).approximant
@@ -385,7 +385,7 @@ class TestMatrixPruning:
         # a kept trial's columns 2..n come from a generator keyed by its
         # index: the same matrix whichever other trials are kept
         if chunk_entries is not None:
-            monkeypatch.setattr(oracles, "SVD_CHUNK_ENTRIES", chunk_entries)
+            monkeypatch.setattr(oracles, "TRIAL_CHUNK_ENTRIES", chunk_entries)
         rng = np.random.default_rng(12)
         t = _matrix_of_norm(rng, 5, 2.0)
         best = best_ball_approx_h(t).approximant
@@ -469,7 +469,7 @@ class TestEntryTrials:
     )
     def test_chunked_rows_equal_one_batch(self, width, trials, chunk_entries, monkeypatch):
         if chunk_entries is not None:
-            monkeypatch.setattr(oracles, "SVD_CHUNK_ENTRIES", chunk_entries)
+            monkeypatch.setattr(oracles, "TRIAL_CHUNK_ENTRIES", chunk_entries)
         rng = np.random.default_rng(width)
         t = HilbertOperator.diagonal(rng.uniform(-3.0, 3.0, width - 4), TailRule.const(0.5))
         best = best_ball_approx_h(t).approximant
@@ -481,7 +481,7 @@ class TestEntryTrials:
         # the zero operator as the only fixed candidate: random trials win;
         # with width 11, chunks of 2 and 3 rows split the free half mid-chunk
         if chunk_entries is not None:
-            monkeypatch.setattr(oracles, "SVD_CHUNK_ENTRIES", chunk_entries)
+            monkeypatch.setattr(oracles, "TRIAL_CHUNK_ENTRIES", chunk_entries)
         fixed_candidates = oracles._fixed_candidates
 
         def zero_only(t, construction):
@@ -533,11 +533,84 @@ class TestL1Trials:
         # small explicit columns, so that the tail columns decide most residuals
         cols = (tuple(rng.uniform(-0.1, 0.1, 4)), (), tuple(rng.uniform(-0.1, 0.1, 2)))
         t = L1Operator(cols, tuple(rng.uniform(-2.0, 2.0, n_weights)), TailRule.const(0.7))
-        col_samples, tail = oracles._random_l1_competitors(t, 40, np.random.default_rng(9))
-        residuals = oracles._scorer(t)[0]((col_samples, tail))
-        ref_residuals, ref_tail = ref_l1_trials(t, 40, 9)
-        assert same_bits(residuals, ref_residuals) and same_bits(tail, ref_tail)
-        assert len(col_samples) == 3
+        rows = _whole(oracles._random_l1_competitors(t, 40, np.random.default_rng(9)))
+        ref_residuals, ref_rows = ref_l1_trials(t, 40, 9)
+        assert same_bits(rows, ref_rows) and same_bits(oracles._scorer(t)[0](rows), ref_residuals)
+        assert rows.shape == (40, 4 + 2 + n_weights + 2)  # the empty column has no slot
+
+    @pytest.mark.parametrize("chunk_entries", [None, 3 * 13, 1])
+    def test_chunked_rows_equal_one_draw(self, chunk_entries, monkeypatch):
+        # one chunk; three rows of 13 entries per chunk; one row per chunk
+        if chunk_entries is not None:
+            monkeypatch.setattr(oracles, "TRIAL_CHUNK_ENTRIES", chunk_entries)
+        rng = np.random.default_rng(12)
+        cols = ((0.5, -2.0, 1.5), (), (3.0,), tuple(rng.uniform(-1.0, 1.0, 5)))
+        t = L1Operator(cols, (1.5, -0.2), TailRule.const(0.3))
+        rows = _whole(oracles._random_l1_competitors(t, 10, np.random.default_rng(4)))
+        ref_residuals, ref_rows = ref_l1_trials(t, 10, 4)
+        assert same_bits(rows, ref_rows) and same_bits(oracles._scorer(t)[0](rows), ref_residuals)
+
+    def test_wide_columns_add_left_to_right(self):
+        # past 8 entries numpy's own sums add pairwise; the search's column
+        # masses still add left to right, as the reference does
+        rng = np.random.default_rng(13)
+        cols = tuple(tuple(rng.uniform(-1.0, 1.0, n)) for n in (9, 40, 300))
+        t = L1Operator(cols, (0.5,), TailRule.const(0.1))
+        rows = _whole(oracles._random_l1_competitors(t, 30, np.random.default_rng(6)))
+        ref_residuals, ref_rows = ref_l1_trials(t, 30, 6)
+        assert same_bits(rows, ref_rows) and same_bits(oracles._scorer(t)[0](rows), ref_residuals)
+
+    @pytest.mark.parametrize("chunk_entries", [None, 2 * 7, 1])
+    def test_report_equals_one_batch_when_trials_win(self, chunk_entries, monkeypatch):
+        # the zero operator as the only fixed candidate: random trials win,
+        # on models with an empty explicit column and with none at all
+        if chunk_entries is not None:
+            monkeypatch.setattr(oracles, "TRIAL_CHUNK_ENTRIES", chunk_entries)
+        fixed_candidates = oracles._fixed_candidates
+
+        def zero_only(t, construction):
+            kinds, batch, top = fixed_candidates(t, construction)
+            return kinds[-1:], batch[-1:], top
+
+        monkeypatch.setattr(oracles, "_fixed_candidates", zero_only)
+        rng = np.random.default_rng(47)
+        wins = set()
+        for i in range(24):
+            cols = [tuple(rng.uniform(-1.5, 1.5, int(rng.integers(1, 4)))) for _ in range(i % 4)]
+            if cols and i % 3 == 0:
+                cols[0] = ()  # an empty explicit column
+            weights = tuple(rng.uniform(-2.0, 2.0, int(rng.integers(0, 3))))
+            t = L1Operator(tuple(cols), weights, TailRule.const(float(rng.uniform(-0.5, 0.5))))
+            trials = int(rng.integers(1, 40))
+            report = competitor_search(t, trials=trials, seed=i)
+            found, kind, ref_cols, ref_weights = ref_l1_search(t, trials, i)
+            assert repr(report.best_found) == repr(found), i
+            assert report.best_kind == kind, i
+            got = [*report.best_candidate.columns, report.best_candidate.tail_weights]
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in [*ref_cols, ref_weights]], i
+            r = residual_norm(t, report.best_candidate)
+            assert abs(r - report.best_found) <= IDENTITY_TOL * max(1.0, r), i
+            if kind == "random":
+                wins.add("empty column" if () in cols else "no column" if not cols else "full")
+        assert wins == {"empty column", "no column", "full"}, wins
+
+    def test_search_memory_does_not_grow_with_trials(self):
+        # 10^4 columns of 3 entries, four rows of trials per chunk: ten
+        # times the trials, the same peak (7.1 MiB, the construction
+        # included); a column mass sets the best score, above the floor, so
+        # every trial is drawn; the operator's norm and row layout are
+        # memoised beforehand
+        rng = np.random.default_rng(8)
+        t = L1Operator(tuple(rng.uniform(-1.0, 1.0, (10**4, 3))), (), TailRule.const(0.5))
+        report = competitor_search(t, trials=1, seed=0)
+        assert report.passed and report.best_found > oracles._scorer(t)[1]
+        peaks = []
+        for trials in (20, 200):
+            peak, report = _peak_bytes(lambda: competitor_search(t, trials=trials, seed=0))
+            assert report.passed, trials
+            peaks.append(peak)
+        assert peaks[1] <= 1.1 * peaks[0], peaks
+        assert max(peaks) < 10 * 2**20, peaks
 
 
 def _entry_floor_cases(rng):
@@ -592,7 +665,7 @@ class TestFloors:
         for i, t in enumerate(_l1_floor_cases(rng)):
             score, floor = oracles._scorer(t)
             trials = oracles._random_l1_competitors(t, 200, np.random.default_rng(i))
-            assert score(trials).min() >= floor, i
+            assert min(score(chunk).min() for chunk in trials) >= floor, i
 
     @pytest.mark.parametrize("model", ["entry", "matrix", "l1"])
     def test_search_on_the_floor_draws_no_trial(self, model, monkeypatch):
