@@ -8,18 +8,25 @@ changes any of these bytes shows up here.  The recorded values for matrix
 documents are also checked against ``numpy.linalg.svd``, so that a
 re-recorded file cannot carry a wrong number; the l1 approximants are
 checked with ``math.fsum`` masses in the same way.
+
+``golden/search_reports.json`` holds seeded ``competitor_search`` reports,
+every field, with the operator document and arguments that produced them:
+a change to the search that moves a report by one bit shows up there.
 """
 
 import io
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ballapprox import competitor_search, oracles
 from ballapprox.cli import main
 from ballapprox.models import IDENTITY_TOL
+from ballapprox.serialize import operator_from_doc, operator_to_doc
 
 CASES = json.loads((Path(__file__).parent / "golden" / "cli_outputs.json").read_text())
 
@@ -84,3 +91,48 @@ def test_recorded_l1_approximant_attains_the_value(case):
 
 def test_every_l1_approx_is_checked():
     assert len(L1_APPROX_CASES) == 4
+
+
+# Seeded competitor_search reports, every field, on each model class and
+# search path: the fixed candidates on and off the floor of their class,
+# matrices with and without trials that survive the first-column bound, and
+# random winners with the zero operator as the only fixed candidate.  Floats
+# are compared by repr, the candidate through operator_to_doc.
+SEARCH_CASES = json.loads((Path(__file__).parent / "golden" / "search_reports.json").read_text())
+
+
+def report_to_doc(report) -> dict:
+    """Every field of a ``SearchReport``, floats by ``repr``."""
+    doc = {f.name: getattr(report, f.name) for f in fields(report)}
+    doc.update({key: repr(doc[key]) for key in ("claimed", "best_found", "tol")})
+    doc["best_candidate"] = operator_to_doc(report.best_candidate)
+    return doc
+
+
+def _zero_only(monkeypatch):
+    """The zero operator as the only fixed candidate of every search."""
+    fixed_candidates = oracles._fixed_candidates
+
+    def zero_only(t, construction):
+        kinds, batch, top = fixed_candidates(t, construction)
+        return ["zero"], np.zeros_like(batch[:1]), top
+
+    monkeypatch.setattr(oracles, "_fixed_candidates", zero_only)
+
+
+@pytest.mark.parametrize("case", SEARCH_CASES, ids=lambda c: c["name"])
+def test_search_report_is_unchanged(case, monkeypatch):
+    if case["zero_only"]:
+        _zero_only(monkeypatch)
+    t = operator_from_doc(case["operator"])
+    report = competitor_search(t, trials=case["trials"], seed=case["seed"])
+    got = json.dumps(report_to_doc(report), sort_keys=True)
+    assert got == json.dumps(case["report"], sort_keys=True)
+
+
+def test_search_cases_cover_every_class_and_path():
+    kinds = {(case["operator"]["model"], case["report"]["best_kind"]) for case in SEARCH_CASES}
+    assert {"diagonal", "shift", "matrix", "columns"} == {model for model, _ in kinds}
+    assert {("matrix", "random"), ("diagonal", "random"), ("shift", "random"),
+            ("columns", "random"), ("columns", "column_scaling"), ("matrix", "sv_clip"),
+            ("matrix", "soft_threshold"), ("diagonal", "entry_clip")} <= kinds
