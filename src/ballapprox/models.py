@@ -355,6 +355,11 @@ class HilbertOperator(_ByValue):
         return tuple(map(_readonly, np.linalg.svd(self.entries)))
 
     @functools.cached_property
+    def _orthogonal_v(self) -> bool:
+        """:func:`_nearly_orthogonal` of the ``V`` of :attr:`_svd`, computed once."""
+        return _nearly_orthogonal(self._svd[2])
+
+    @functools.cached_property
     def _norm(self) -> float:  # op_norm, computed on first use
         if self.shape is not Shape.FINITE_MATRIX:
             return max(self.tail.sup_abs, _max_abs(self.explicit))
@@ -366,8 +371,7 @@ class HilbertOperator(_ByValue):
         # n^2 u sigma_1, 4.5e-13 each at n = 64.  With the guard at
         # IDENTITY_TOL / 10 the worst case is about 7e-13 relative, inside
         # IDENTITY_TOL.  A V that fails the guard preconditions nothing.
-        vt = self._svd[2]
-        a = self.entries @ vt.T if _nearly_orthogonal(vt) else self.entries
+        a = self.entries @ self._svd[2].T if self._orthogonal_v else self.entries
         return float(jacobi_singular_values(a)[0])
 
 

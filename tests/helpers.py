@@ -262,7 +262,7 @@ def ref_l1_search(t, trials: int, seed: int):
     from ballapprox import best_ball_approx_l1, oracles
 
     construction = best_ball_approx_l1(t).approximant
-    kinds, fixed = oracles._fixed_candidates(t, construction)[:2]
+    kinds, fixed = oracles._search_of(t).fixed(t, construction)
     candidates = [_ref_l1_split(t, row) for row in fixed] + _ref_l1_draws(t, trials, seed)
     scores = [_ref_l1_residual(t, *c) for c in candidates]
     found, kind, (cols, window) = _first_minimum(kinds, candidates, scores)
@@ -347,7 +347,7 @@ def ref_matrix_search(t, trials: int, seed: int):
         raw /= tops[:, None, None]
         _MATRIX_SCORES[key] = tops, np.linalg.svd(t.entries - raw, compute_uv=False)[:, 0]
     tops, trial_scores = _MATRIX_SCORES[key]
-    kinds, fixed = oracles._fixed_candidates(t, construction)[:2]
+    kinds, fixed = oracles._search_of(t).fixed(t, construction)
     scores = np.concatenate([np.linalg.svd(t.entries - fixed, compute_uv=False)[:, 0],
                              trial_scores])
     i = int(np.argmin(scores))
@@ -369,7 +369,7 @@ def ref_entry_search(t, trials: int, seed: int):
 
     construction = best_ball_approx_h(t).approximant
     rows = ref_entry_rows(t, construction, trials, np.random.default_rng(seed))
-    kinds, fixed = oracles._fixed_candidates(t, construction)[:2]
+    kinds, fixed = oracles._search_of(t).fixed(t, construction)
     candidates = np.concatenate([fixed, rows])
     diff = _slots(t.explicit, t.tail, 0, rows.shape[1]) - candidates
     scores = np.maximum(np.max(np.abs(diff), axis=1), abs(t.tail.limit))
@@ -416,7 +416,7 @@ def soft_threshold_approx(t: HilbertOperator):
 
     d = ball_distance(t)
     if t.shape is Shape.FINITE_MATRIX:
-        k = HilbertOperator.finite_matrix(_sv_map(t)[1])
+        k = HilbertOperator.finite_matrix(_sv_map(t)[0])
     else:  # every tail entry sits within d of 0 by the distance formula
         k = HilbertOperator(t.shape, _soft(t.explicit, d), TailRule.const(0.0))
     return make_result(t, k, Branch.COMPACT_INPUT if d == 0.0 else Branch.SMALL_NORM)

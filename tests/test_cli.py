@@ -393,7 +393,7 @@ class TestFailClosed:
             ("ballapprox.extreme._ball_samples",
              ["project-extreme", "--space", "l2", "--alpha", "2", "--point", "[1, 0]",
               "--samples", "100"], None),
-            ("ballapprox.oracles._random_l1_competitors",
+            ("ballapprox.oracles._trial_chunks",
              ["verify", "--samples", "100"], L1_DOC),
         ],
         ids=["project_extreme", "verify_l1"],

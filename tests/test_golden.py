@@ -111,13 +111,17 @@ def report_to_doc(report) -> dict:
 
 def _zero_only(monkeypatch):
     """The zero operator as the only fixed candidate of every search."""
-    fixed_candidates = oracles._fixed_candidates
+    search_of = oracles._search_of
 
-    def zero_only(t, construction):
-        kinds, batch, top = fixed_candidates(t, construction)
-        return ["zero"], np.zeros_like(batch[:1]), top
+    def zero_only(t):
+        search = search_of(t)
 
-    monkeypatch.setattr(oracles, "_fixed_candidates", zero_only)
+        def fixed(t, construction):
+            return ["zero"], np.zeros_like(search.fixed(t, construction)[1][:1])
+
+        return search._replace(fixed=fixed)
+
+    monkeypatch.setattr(oracles, "_search_of", zero_only)
 
 
 @pytest.mark.parametrize("case", SEARCH_CASES, ids=lambda c: c["name"])

@@ -19,7 +19,7 @@ from ballapprox import (
     svd_clip_oracle,
 )
 
-from ballapprox import hilbert, l1, oracles
+from ballapprox import hilbert, l1, models, oracles
 from ballapprox.cli import main
 from ballapprox.models import (
     IDENTITY_TOL,
@@ -58,15 +58,20 @@ def _every_trial(cols):
 def _count_entry_rows(monkeypatch):
     """The list to which the diagonal and shift trial stream, patched,
     appends the number of rows of each chunk it yields."""
-    entry_trials, drawn = oracles._random_entry_competitors, []
+    entry_trials, drawn = oracles._ENTRY_SEARCH.chunks, []
 
     def counting(*args):
         for rows in entry_trials(*args):
             drawn.append(len(rows))
             yield rows
 
-    monkeypatch.setattr(oracles, "_random_entry_competitors", counting)
+    _patch_search(monkeypatch, "_ENTRY_SEARCH", chunks=counting)
     return drawn
+
+
+def _patch_search(monkeypatch, name, **fields):
+    """The search entry ``name`` of ``oracles`` with ``fields`` replaced."""
+    monkeypatch.setattr(oracles, name, getattr(oracles, name)._replace(**fields))
 
 
 def _peak_bytes(f):
@@ -195,12 +200,12 @@ class TestCompetitorSearch:
         for t in [random_hilbert(rng, max_len=6, max_dim=6) for _ in range(30)] + [
             random_l1(rng) for _ in range(30)
         ]:
-            construct = best_ball_approx_l1 if isinstance(t, L1Operator) else best_ball_approx_h
-            kinds, batch, _ = oracles._fixed_candidates(t, construct(t).approximant)
-            scores = oracles._scorer(t)[0](batch)
+            search = oracles._search_of(t)
+            kinds, batch = search.fixed(t, search.construct(t).approximant)
+            scores = search.scorer(t)[0](batch)
             exact = isinstance(t, L1Operator) or t.shape is not Shape.FINITE_MATRIX
             for i, (kind, score) in enumerate(zip(kinds, scores.tolist())):
-                r = residual_norm(t, oracles._build(t, batch, i))
+                r = residual_norm(t, search.build(t, batch[i]))
                 if exact:
                     assert score == r, kind
                 else:
@@ -256,7 +261,7 @@ class TestMatrixTrials:
         rng = np.random.default_rng(n)
         t = HilbertOperator.finite_matrix(rng.standard_normal((n, n)))
         best = best_ball_approx_h(t).approximant
-        score, draws, residuals = oracles._scorer(t)[0], [], []
+        score, draws, residuals = oracles._search_of(t).scorer(t)[0], [], []
         for mats in oracles._random_matrix_draws(t, best, trials, 1, _every_trial):
             draws.append(mats.copy())
             residuals.append(score(oracles._into_ball(mats)))
@@ -322,13 +327,13 @@ class TestMatrixPruning:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 9, 12, 16, 64])
     def test_report_equals_exhaustive_search_when_trials_win(self, n, trials, monkeypatch):
         # the zero operator as the only fixed candidate: random trials win
-        fixed_candidates = oracles._fixed_candidates
+        fixed_candidates = oracles._MATRIX_SEARCH.fixed
 
         def zero_only(t, construction):
-            batch, top = fixed_candidates(t, construction)[1:]
-            return ["zero"], np.zeros_like(batch[:1]), top
+            batch = fixed_candidates(t, construction)[1]
+            return ["zero"], np.zeros_like(batch[:1])
 
-        monkeypatch.setattr(oracles, "_fixed_candidates", zero_only)
+        _patch_search(monkeypatch, "_MATRIX_SEARCH", fixed=zero_only)
         assert "random" in self._same_as_exhaustive(n, trials, monkeypatch)
 
     @pytest.mark.parametrize("norm", SEARCH_NORMS)
@@ -356,7 +361,7 @@ class TestMatrixPruning:
         best = best_ball_approx_h(t).approximant
         cols, raw = ref_matrix_draws(t, best, 200, 7)
         scores = np.linalg.svd(t.entries - oracles._into_ball(raw), compute_uv=False)[:, 0]
-        v_1 = oracles._sv_map(t)[3]
+        v_1 = t._svd[2][0]
         lower = oracles._trial_lower_bounds(t.entries @ v_1, cols)
         assert np.all(lower <= scores * (1 + 1e-12) + 1e-15)
 
@@ -368,12 +373,12 @@ class TestMatrixPruning:
         t = _matrix_of_norm(rng, 16, 1.5)
         best_k = best_ball_approx_h(t).approximant
         cols, raw = ref_matrix_draws(t, best_k, 100, 8)
-        sigma_1, _, _, v_1 = oracles._sv_map(t)
+        sigma_1, v_1 = t._svd[1][0], t._svd[2][0]
         lower = oracles._trial_lower_bounds(t.entries @ v_1, cols)
         margin = IDENTITY_TOL * (1.0 + sigma_1)
         # the median trial's bound lies within the margin above best: it stays
         best = float(np.sort(lower)[50]) - margin / 2
-        keep = oracles._possible_winners(t, (sigma_1, v_1), best)
+        keep = oracles._possible_winners(t, best)
         kept = _whole(oracles._random_matrix_draws(t, best_k, 100, 8, keep))
         assert 0 < len(kept) < 100
         assert same_bits(kept, raw[lower <= best + margin])
@@ -445,6 +450,47 @@ class TestMatrixPruning:
         # residual, six matrices: none of the 200 trials
         assert len(seen) == 6
 
+    def test_lower_bounds_fold_as_row_by_row(self):
+        # the bounds fold hypot over a copy with one row per coordinate: the
+        # bits of folding each trial's row left to right, inf and NaN included
+        rng = np.random.default_rng(18)
+        for trials, n in [(1, 1), (32, 64), (200, 16), (5, 3), (64, 2)]:
+            tv = rng.standard_normal(n)
+            mv = rng.standard_normal((trials, n)) * 10.0 ** rng.integers(-150, 150, (trials, 1))
+            mv[rng.integers(0, trials, 2), rng.integers(0, n, 2)] = [np.inf, np.nan]
+            with np.errstate(all="ignore"):
+                mv2 = np.einsum("ij,ij->i", mv, mv)
+                c = np.divide(mv @ tv, mv2, out=np.zeros(trials), where=mv2 > 0.0)
+                np.clip(c, 0.0, 1.0 / np.maximum(np.sqrt(mv2), 1.0), out=c)
+                per_row = np.hypot.reduce(tv - c[:, None] * mv, axis=1)
+                assert same_bits(oracles._trial_lower_bounds(tv, mv), per_row), (trials, n)
+            assert np.isnan(per_row).any() or np.isinf(per_row).any(), (trials, n)
+
+    def test_verify_guards_v_once(self, monkeypatch, capsys):
+        # T's norm and the search's pruning read one memoised guard of V
+        guard, possible_winners, guards, prunes = (
+            models._nearly_orthogonal, oracles._possible_winners, [], [])
+
+        def counting_guard(vt):
+            guards.append(vt)
+            return guard(vt)
+
+        def counting_prune(t, best):
+            prunes.append(best)
+            return possible_winners(t, best)
+
+        monkeypatch.setattr(models, "_nearly_orthogonal", counting_guard)
+        # and wherever else the guard might be bound by name
+        monkeypatch.setattr(oracles, "_nearly_orthogonal", counting_guard, raising=False)
+        monkeypatch.setattr(oracles, "_possible_winners", counting_prune)
+        text = json.dumps({"space": "l2", "model": "matrix",
+                           "entries": np.random.default_rng(4).standard_normal((6, 6)).tolist()})
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert main(["verify", "--samples", "200", "--seed", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["pass"] is True
+        assert len(prunes) == 1  # the search pruned its trials
+        assert len(guards) == 1
+
     @pytest.mark.parametrize("scale", [0.0, 1e-150, 0.5])
     def test_search_at_distance_zero_draws_no_trial(self, scale, monkeypatch):
         # the construction is T itself and scores 0, the floor of a matrix
@@ -473,7 +519,7 @@ class TestEntryTrials:
         rng = np.random.default_rng(width)
         t = HilbertOperator.diagonal(rng.uniform(-3.0, 3.0, width - 4), TailRule.const(0.5))
         best = best_ball_approx_h(t).approximant
-        rows = _whole(oracles._random_entry_competitors(t, best, trials, np.random.default_rng(2)))
+        rows = _whole(oracles._random_entry_competitors(t, best, np.inf, trials, 2))
         assert same_bits(rows, ref_entry_rows(t, best, trials, np.random.default_rng(2)))
 
     @pytest.mark.parametrize("chunk_entries", [None, 2 * 11, 3 * 11, 1])
@@ -482,13 +528,13 @@ class TestEntryTrials:
         # with width 11, chunks of 2 and 3 rows split the free half mid-chunk
         if chunk_entries is not None:
             monkeypatch.setattr(oracles, "TRIAL_CHUNK_ENTRIES", chunk_entries)
-        fixed_candidates = oracles._fixed_candidates
+        fixed_candidates = oracles._ENTRY_SEARCH.fixed
 
         def zero_only(t, construction):
-            kinds, batch, top = fixed_candidates(t, construction)
-            return kinds[-1:], batch[-1:], top
+            kinds, batch = fixed_candidates(t, construction)
+            return kinds[-1:], batch[-1:]
 
-        monkeypatch.setattr(oracles, "_fixed_candidates", zero_only)
+        _patch_search(monkeypatch, "_ENTRY_SEARCH", fixed=zero_only)
         rng = np.random.default_rng(41)
         kinds = []
         for i in range(24):
@@ -513,8 +559,8 @@ class TestEntryTrials:
         t = HilbertOperator.diagonal(rng.uniform(-3.0, 3.0, 10**5), TailRule.const(1.0))
         pruned, report = _peak_bytes(lambda: competitor_search(t, trials=200, seed=0))
         assert report.passed
-        scorer, drawn = oracles._scorer, _count_entry_rows(monkeypatch)
-        monkeypatch.setattr(oracles, "_scorer", lambda op: (scorer(op)[0], -np.inf))
+        scorer, drawn = oracles._ENTRY_SEARCH.scorer, _count_entry_rows(monkeypatch)
+        _patch_search(monkeypatch, "_ENTRY_SEARCH", scorer=lambda op: (scorer(op)[0], -np.inf))
         peaks = []
         for trials in (20, 200):
             peak, report = _peak_bytes(lambda: competitor_search(t, trials=trials, seed=0))
@@ -533,9 +579,9 @@ class TestL1Trials:
         # small explicit columns, so that the tail columns decide most residuals
         cols = (tuple(rng.uniform(-0.1, 0.1, 4)), (), tuple(rng.uniform(-0.1, 0.1, 2)))
         t = L1Operator(cols, tuple(rng.uniform(-2.0, 2.0, n_weights)), TailRule.const(0.7))
-        rows = _whole(oracles._random_l1_competitors(t, 40, np.random.default_rng(9)))
+        rows = _whole(oracles._random_l1_competitors(t, None, np.inf, 40, 9))
         ref_residuals, ref_rows = ref_l1_trials(t, 40, 9)
-        assert same_bits(rows, ref_rows) and same_bits(oracles._scorer(t)[0](rows), ref_residuals)
+        assert same_bits(rows, ref_rows) and same_bits(oracles._l1_scorer(t)[0](rows), ref_residuals)
         assert rows.shape == (40, 4 + 2 + n_weights + 2)  # the empty column has no slot
 
     @pytest.mark.parametrize("chunk_entries", [None, 3 * 13, 1])
@@ -546,9 +592,9 @@ class TestL1Trials:
         rng = np.random.default_rng(12)
         cols = ((0.5, -2.0, 1.5), (), (3.0,), tuple(rng.uniform(-1.0, 1.0, 5)))
         t = L1Operator(cols, (1.5, -0.2), TailRule.const(0.3))
-        rows = _whole(oracles._random_l1_competitors(t, 10, np.random.default_rng(4)))
+        rows = _whole(oracles._random_l1_competitors(t, None, np.inf, 10, 4))
         ref_residuals, ref_rows = ref_l1_trials(t, 10, 4)
-        assert same_bits(rows, ref_rows) and same_bits(oracles._scorer(t)[0](rows), ref_residuals)
+        assert same_bits(rows, ref_rows) and same_bits(oracles._l1_scorer(t)[0](rows), ref_residuals)
 
     def test_wide_columns_add_left_to_right(self):
         # past 8 entries numpy's own sums add pairwise; the search's column
@@ -556,9 +602,9 @@ class TestL1Trials:
         rng = np.random.default_rng(13)
         cols = tuple(tuple(rng.uniform(-1.0, 1.0, n)) for n in (9, 40, 300))
         t = L1Operator(cols, (0.5,), TailRule.const(0.1))
-        rows = _whole(oracles._random_l1_competitors(t, 30, np.random.default_rng(6)))
+        rows = _whole(oracles._random_l1_competitors(t, None, np.inf, 30, 6))
         ref_residuals, ref_rows = ref_l1_trials(t, 30, 6)
-        assert same_bits(rows, ref_rows) and same_bits(oracles._scorer(t)[0](rows), ref_residuals)
+        assert same_bits(rows, ref_rows) and same_bits(oracles._l1_scorer(t)[0](rows), ref_residuals)
 
     @pytest.mark.parametrize("chunk_entries", [None, 2 * 7, 1])
     def test_report_equals_one_batch_when_trials_win(self, chunk_entries, monkeypatch):
@@ -566,13 +612,13 @@ class TestL1Trials:
         # on models with an empty explicit column and with none at all
         if chunk_entries is not None:
             monkeypatch.setattr(oracles, "TRIAL_CHUNK_ENTRIES", chunk_entries)
-        fixed_candidates = oracles._fixed_candidates
+        fixed_candidates = oracles._L1_SEARCH.fixed
 
         def zero_only(t, construction):
-            kinds, batch, top = fixed_candidates(t, construction)
-            return kinds[-1:], batch[-1:], top
+            kinds, batch = fixed_candidates(t, construction)
+            return kinds[-1:], batch[-1:]
 
-        monkeypatch.setattr(oracles, "_fixed_candidates", zero_only)
+        _patch_search(monkeypatch, "_L1_SEARCH", fixed=zero_only)
         rng = np.random.default_rng(47)
         wins = set()
         for i in range(24):
@@ -603,7 +649,7 @@ class TestL1Trials:
         rng = np.random.default_rng(8)
         t = L1Operator(tuple(rng.uniform(-1.0, 1.0, (10**4, 3))), (), TailRule.const(0.5))
         report = competitor_search(t, trials=1, seed=0)
-        assert report.passed and report.best_found > oracles._scorer(t)[1]
+        assert report.passed and report.best_found > oracles._l1_scorer(t)[1]
         peaks = []
         for trials in (20, 200):
             peak, report = _peak_bytes(lambda: competitor_search(t, trials=trials, seed=0))
@@ -655,16 +701,16 @@ class TestFloors:
     def test_entry_trials_score_at_least_the_floor(self):
         rng = np.random.default_rng(43)
         for i, t in enumerate(_entry_floor_cases(rng)):
-            score, floor = oracles._scorer(t)
+            score, floor = oracles._entry_scorer(t)
             best = best_ball_approx_h(t).approximant
-            rows = oracles._random_entry_competitors(t, best, 200, np.random.default_rng(i))
+            rows = oracles._random_entry_competitors(t, best, np.inf, 200, i)
             assert min(score(chunk).min() for chunk in rows) >= floor, i
 
     def test_l1_trials_score_at_least_the_floor(self):
         rng = np.random.default_rng(44)
         for i, t in enumerate(_l1_floor_cases(rng)):
-            score, floor = oracles._scorer(t)
-            trials = oracles._random_l1_competitors(t, 200, np.random.default_rng(i))
+            score, floor = oracles._l1_scorer(t)
+            trials = oracles._random_l1_competitors(t, None, np.inf, 200, i)
             assert min(score(chunk).min() for chunk in trials) >= floor, i
 
     @pytest.mark.parametrize("model", ["entry", "matrix", "l1"])
@@ -678,13 +724,13 @@ class TestFloors:
             construct = best_ball_approx_h
         else:
             cases, construct = _l1_floor_cases(rng), best_ball_approx_l1
-        for name in ("_random_entry_competitors", "_random_matrix_draws",
-                     "_random_l1_competitors"):
-            monkeypatch.setattr(oracles, name, _no_trial)
+        for name in ("_ENTRY_SEARCH", "_MATRIX_SEARCH", "_L1_SEARCH"):
+            _patch_search(monkeypatch, name, chunks=_no_trial)
         on_floor = 0
         for i, t in enumerate(cases):
-            score, floor = oracles._scorer(t)
-            fixed = oracles._fixed_candidates(t, construct(t).approximant)[1]
+            search = oracles._search_of(t)
+            score, floor = search.scorer(t)
+            fixed = search.fixed(t, construct(t).approximant)[1]
             if score(fixed).min() > floor:
                 continue
             on_floor += 1
@@ -754,8 +800,8 @@ class TestSvdClip:
         sv_map = oracles._sv_map
 
         def perturbed(t):
-            sigma_1, soft, clip, v_1 = sv_map(t)
-            return sigma_1, soft, clip + 1e-11 * t.entries, v_1
+            soft, clip = sv_map(t)
+            return soft, clip + 1e-11 * t.entries
 
         monkeypatch.setattr(oracles, "_sv_map", perturbed)
         m = np.random.default_rng(31).standard_normal((5, 5)) * scale
@@ -789,6 +835,28 @@ class TestSvdClip:
 
 
 class TestFiniteSectionBounds:
+    @pytest.mark.parametrize("scale", [1e3, 1e4, 1e5, 1e6, 1e7, 1e8])
+    def test_large_matrices_pass_at_the_certified_resolution(self, scale):
+        # LAPACK's section norm and the Jacobi-based formula differ by a few
+        # roundings of sigma_1: an absolute IDENTITY_TOL rejected 8 x 8
+        # Gaussian matrices once sigma_1 reached a few thousand
+        rng = np.random.default_rng(23)
+        for i in range(100):
+            t = HilbertOperator.finite_matrix(rng.standard_normal((8, 8)) * scale)
+            lower, formula = finite_section_bounds(t, 8)
+            assert abs(lower - formula) <= IDENTITY_TOL * formula, i
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8])
+    def test_section_norm_raised_by_1e_11_relative_is_rejected(self, scale, monkeypatch):
+        section = oracles.finite_section
+        monkeypatch.setattr(oracles, "finite_section",
+                            lambda t, n: section(t, n) * (1.0 + 1e-11))
+        rng = np.random.default_rng(24)
+        for i in range(10):
+            t = HilbertOperator.finite_matrix(rng.standard_normal((8, 8)) * scale)
+            with pytest.raises(CertificationError, match="section lower bound"):
+                finite_section_bounds(t, 8)
+
     def test_growing_sections_approach_norm_term(self):
         t = HilbertOperator.diagonal([0.5], TailRule.geometric(2, 0.5))
         lowers = []
