@@ -18,7 +18,8 @@ from .extreme import project_scalar_multiple, verify_unique_projection
 from .hilbert import best_ball_approx_h
 from .jacobi import NumericError
 from .l1 import best_ball_approx_l1
-from .models import CertificationError, HilbertOperator, L1Operator, Shape, ValidationError
+from .models import IDENTITY_TOL, CertificationError, HilbertOperator, L1Operator, Shape
+from .models import ValidationError
 from .models import ball_distance, ess_norm, op_norm
 from .oracles import DEFAULT_TOL, competitor_search
 from .serialize import certificate_to_doc, operator_from_doc, operator_to_doc, point_to_doc
@@ -58,6 +59,24 @@ def _approx_result(t, positive: bool):
     if (k.explicit < 0.0).any() or k.tail.limit < 0.0:
         raise ValidationError("construction produced a negative entry")
     return result
+
+
+def _lapack_checked(t, cmd: str, value: float) -> float:
+    """``value``, the printed ``norm`` or ``distball`` of ``t``; for a
+    matrix, checked first against LAPACK's ``sigma_1`` memoised on ``t``:
+    the norm at a relative ``IDENTITY_TOL``, the distance against ``max(sigma_1
+    - 1, 0)`` at ``make_result``'s band ``IDENTITY_TOL * max(1, value)``.
+    Raises :class:`CertificationError` when they disagree."""
+    if getattr(t, "shape", None) is not Shape.FINITE_MATRIX:
+        return value
+    sigma = float(t._svd[1][0])
+    expected, band = (sigma, IDENTITY_TOL * sigma) if cmd == "norm" else (
+        max(sigma - 1.0, 0.0), IDENTITY_TOL * max(1.0, value))
+    if not abs(value - expected) <= band:
+        raise CertificationError(
+            f"{cmd} {value!r} disagrees with LAPACK's {expected!r} for the matrix"
+        )
+    return value
 
 
 def run_command(args) -> tuple:
@@ -101,11 +120,12 @@ def run_command(args) -> tuple:
 
     t = _read_operator(args.source)
     if cmd == "norm":
-        return {"command": cmd, "value": op_norm(t), "pass": True}, 0
+        return {"command": cmd, "value": _lapack_checked(t, cmd, op_norm(t)), "pass": True}, 0
     if cmd == "essnorm":
         return {"command": cmd, "value": ess_norm(t), "pass": True}, 0
     if cmd == "distball":
-        return {"command": cmd, "value": ball_distance(t), "pass": True}, 0
+        value = _lapack_checked(t, cmd, ball_distance(t))
+        return {"command": cmd, "value": value, "pass": True}, 0
     if cmd == "approx":
         result = _approx_result(t, args.positive)
         doc = {

@@ -40,7 +40,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .jacobi import jacobi_singular_values
+from .jacobi import NumericError, jacobi_singular_values
 
 __all__ = [
     "ValidationError",
@@ -371,7 +371,13 @@ class HilbertOperator(_ByValue):
         # n^2 u sigma_1, 4.5e-13 each at n = 64.  With the guard at
         # IDENTITY_TOL / 10 the worst case is about 7e-13 relative, inside
         # IDENTITY_TOL.  A V that fails the guard preconditions nothing.
-        a = self.entries @ self._svd[2].T if self._orthogonal_v else self.entries
+        with np.errstate(over="ignore"):  # an overflowing T V is reported below
+            a = self.entries @ self._svd[2].T if self._orthogonal_v else self.entries
+        if not np.all(np.isfinite(a)):
+            raise NumericError(
+                f"the matrix times LAPACK's V overflows: entries up to "
+                f"{float(np.max(np.abs(self.entries))):.6g} in magnitude"
+            )
         return float(jacobi_singular_values(a)[0])
 
 

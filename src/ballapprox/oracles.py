@@ -24,23 +24,46 @@ candidate is scored by a fresh LAPACK ``sigma_1(T - K)``.
 
 Each model class has one search entry (``_Search``): diagonal and
 shift models, matrices, and l1 column models.  It holds the class's
-construction, fixed candidates, candidate builder, scorer with its floor,
+construction, fixed candidates, candidate builder, scorer, lower bound,
 trial stream and section norm, and :func:`_search_of` is the one place
 where the oracles tell the classes apart.  The search scores its
 candidates, the construction included, by one numpy function per model
-class, apart from the library's own residual code, next to a floor that
-no random trial's computed score falls below (:func:`_floor`).  A search
-whose best fixed score sits on the floor draws no trial, and a matrix
-search draws in full only the trials whose first column could beat the
-best fixed candidate (:func:`_possible_winners`), so the report is that
-of scoring every trial.  The trials of every model class are drawn,
-bounded, scaled and scored one chunk of at most ``TRIAL_CHUNK_ENTRIES``
-entries at a time, so the search holds one chunk of trials whatever their
-number or width.  Section norms use ``numpy.linalg`` too.
+class, apart from the library's own residual code.
+
+Every in-ball compact ``K`` has ``||T - K|| >= ||T|| - 1`` (the triangle
+inequality) and ``||T - K|| >= ||T||_e`` (a compact perturbation keeps the
+essential norm), so no competitor beats ``max(||T|| - 1, ||T||_e, 0)``
+but by rounding.  Each entry's ``lower`` computes that bound apart from
+the library's arithmetic, less a margin for the rounding of the trials'
+scaling into the ball and of their scores, so that no random trial's
+*computed* score falls below it:
+
+* diagonal and shift models: ``max(fl(max |w| - 1), ess)`` over the window
+  ``w`` of scored entries, margin 0 (:func:`_window_lower`);
+* l1 column models: the larger of that bound over the tail-column window
+  and, per explicit column of ``k`` entries, its ``math.fsum`` mass ``m``
+  less ``1 + gamma_{4k+4} (m + 1)`` (:func:`_l1_lower`);
+* matrices: ``max(sigma_1 - 1 - IDENTITY_TOL (1 + sigma_1), 0)`` with
+  LAPACK's ``sigma_1`` memoised on ``T`` (:func:`_matrix_margin`).
+
+The search draws no trial when its best fixed score is at or below that
+bound (no trial could score strictly lower: the report is that of
+scoring every trial) or when the bound closes the gap: it is at least
+``claimed - band``, so no competitor beats the claim by more than
+``band``, and the best fixed score is within ``band`` of both the bound
+and the claim, so no trial could beat that score by more than ``band``
+and the report passes, as that of scoring every trial would.  Otherwise
+a matrix search draws in full only the trials whose first column could
+beat the best fixed candidate (:func:`_possible_winners`), so the report
+is that of scoring every trial.  The trials of every model class are drawn, bounded, scaled and
+scored one chunk of at most ``TRIAL_CHUNK_ENTRIES`` entries at a time, so
+the search holds one chunk of trials whatever their number or width.
+Section norms use ``numpy.linalg`` too.
 """
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional
@@ -101,6 +124,8 @@ class SearchReport:
     tol: float
     best_kind: str
     best_candidate: Optional[Operator]
+    lower_bound: float
+    binding: str
 
 
 def _sv_map(t: HilbertOperator):
@@ -166,7 +191,7 @@ def _entry_scorer(t: HilbertOperator):
         diff = window - rows
         return np.maximum(np.max(np.abs(diff, out=diff), axis=1), ess)
 
-    return score, _floor(window, ess)
+    return score
 
 
 def _l1_scorer(t: L1Operator):
@@ -181,23 +206,7 @@ def _l1_scorer(t: L1Operator):
         # on a copy, one row per residual: a short last axis reduces row by row, slowly
         return np.max(residuals.T.copy(), axis=0, initial=ess)
 
-    return score, _floor(row[n:], ess)
-
-
-def _floor(window: np.ndarray, ess: float) -> float:
-    """``max(fl(max |window| - 1), ess)``: for trial entries in ``[-1, 1]``,
-    no computed score of a diagonal or shift model whose window of entries
-    is ``window``, or of a column model whose window of tail-column weights
-    it is, falls below it.
-
-    Round-to-nearest is monotone and odd, so at the largest ``|w_j|`` the
-    computed ``|w_j - r_j|`` is at least ``fl(|w_j| - 1)``; a score is the
-    largest of its residuals and ``ess``.  The l1 column masses are left
-    out: their bound ``mass - 1`` compares two rounded sums of different
-    terms, which rounding can put either way.  (A matrix score is a singular
-    value, so its floor is 0.)  The floors read only the input's data, not
-    the library's norm."""
-    return max(float(np.max(np.abs(window))) - 1.0, ess)
+    return score
 
 
 def _segment_sums(mags: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -216,8 +225,96 @@ def _segment_sums(mags: np.ndarray, starts: np.ndarray) -> np.ndarray:
 
 def _matrix_scorer(t: HilbertOperator):
     """Finite matrices: LAPACK's ``sigma_1(T - K)`` (each matrix decomposed
-    alone: the same values in any batch); a singular value's floor is 0."""
-    return (lambda mats: np.linalg.svd(t.entries - mats, compute_uv=False)[:, 0]), 0.0
+    alone: the same values in any batch)."""
+    return lambda mats: np.linalg.svd(t.entries - mats, compute_uv=False)[:, 0]
+
+
+def _bound(norm_term: float, ess: float):
+    """``(lower, binding)`` of a class's norm term and essential norm:
+    ``max(norm_term, ess, 0)`` and the term that sets it, ``"norm"``,
+    ``"essential"`` or ``"zero"`` (the essential norm on a tie)."""
+    if norm_term > ess and norm_term > 0.0:
+        return norm_term, "norm"
+    return (ess, "essential") if ess > 0.0 else (0.0, "zero")
+
+
+def _window_lower(window: np.ndarray, ess: float):
+    """:func:`_bound` of ``fl(max |window| - 1)`` and ``ess``: for trial
+    entries in ``[-1, 1]``, no computed score of a diagonal or shift model
+    whose window of entries is ``window``, or of a column model whose window
+    of tail-column weights it is, falls below it.
+
+    Round-to-nearest is monotone and odd, so at the largest ``|w_j|`` the
+    computed ``|w_j - r_j|`` is at least ``fl(|w_j| - 1)``; a score is the
+    largest of its residuals and ``ess``.  The margin is 0: the largest
+    ``|w_j|`` is exact."""
+    return _bound(float(np.max(np.abs(window))) - 1.0, ess)
+
+
+def _entry_lower(t: HilbertOperator):
+    """A diagonal or shift model's bound: :func:`_window_lower` over the
+    window that :func:`_entry_scorer` reads."""
+    return _window_lower(_slots(t.explicit, t.tail, 0, len(t.explicit) + 4), ess_norm(t))
+
+
+def _fsum_mass(col: np.ndarray) -> float:
+    """The correctly rounded mass of a column (``math.fsum``), or 0.0, a
+    mass no larger, if the exact sum overflows."""
+    try:
+        return math.fsum(np.abs(col).tolist())
+    except OverflowError:
+        return 0.0
+
+
+def _l1_lower(t: L1Operator):
+    """A column model's bound: the larger of :func:`_window_lower` over the
+    tail-column window and, for each explicit column of ``k`` entries and
+    ``math.fsum`` mass ``m``, ``m - 1 - gamma_{4k+4} (m + 1)``, with
+    ``gamma_j = j u / (1 - j u)`` and ``u = 2^-53`` (Higham 2002, *Accuracy
+    and Stability of Numerical Algorithms*, section 3.1).
+
+    The column's exact mass is ``M >= m (1 - u)``.  A trial scales its
+    entries ``x`` into the ball as ``r_i = fl(x_i / s)``, with ``s`` at
+    least 1 and at least the left-to-right sum of ``|x_i|``, so ``sum |x_i|
+    <= s / (1 - gamma_{k-1})`` and ``sum |r_i| <= (1 + u) / (1 - gamma_{k-1})
+    <= 1 + gamma_{2k}``.  By the triangle inequality the exact residual
+    mass is at least ``M - 1 - gamma_{2k}``; each ``|c_i - r_i|`` is
+    computed to a relative ``u`` and the left-to-right sum of ``k``
+    nonnegative terms loses at most a factor ``1 - gamma_{k-1}``, so the
+    computed residual mass is at least ``(1 - gamma_k) (M - 1 - gamma_{2k})``
+    when that is positive, hence at least ``m - 1 - gamma_{2k+1} (m + 1)``.
+    The remaining ``(gamma_{4k+4} - gamma_{2k+1}) (m + 1) >= 5 u (m + 1)``
+    covers the three roundings of the bound's own evaluation.  The masses
+    are summed here, not read from the library's ``column_masses``."""
+    ends, row = t._row_layout[0], t._row_layout[-1]
+    n, ess = ends[-1], ess_norm(t)
+    norm_term = float(np.max(np.abs(row[n:]))) - 1.0
+    if t.columns:
+        masses = np.array([_fsum_mass(col) for col in t.columns])
+        ju = (4.0 * np.diff(ends) + 4.0) * (np.finfo(float).eps / 2.0)
+        gamma = ju / (1.0 - ju)
+        norm_term = max(norm_term, float(np.max((masses - 1.0) - gamma * (masses + 1.0))))
+    return _bound(norm_term, ess)
+
+
+def _matrix_margin(t: HilbertOperator) -> float:
+    """``IDENTITY_TOL * (1 + sigma_1)``, with LAPACK's ``sigma_1`` memoised
+    on ``t``: the one rounding margin of the matrix search's two bounds,
+    :func:`_matrix_lower` and the first-column bound of
+    :func:`_possible_winners`, each argued there."""
+    return IDENTITY_TOL * (1.0 + float(t._svd[1][0]))
+
+
+def _matrix_lower(t: HilbertOperator):
+    """A matrix's bound: ``max(sigma_1 - 1 - margin, 0)``, with LAPACK's
+    ``sigma_1`` and :func:`_matrix_margin`.  A random competitor ``K = M /
+    max(sigma_1(M), 1)`` has ``sigma_1(K) <= 1``, so ``sigma_1(T - K) >=
+    sigma_1(T) - 1``, and a singular value is at least 0.  The divide,
+    LAPACK's ``sigma_1`` of the draw (so of the divisor) and of ``T - K``,
+    the subtraction ``T - K`` and LAPACK's ``sigma_1(T)`` itself are each off
+    by a few ``n * eps * (1 + sigma_1)`` at most, below 1e-14 of ``1 +
+    sigma_1`` for ``n <= 64``: inside the margin."""
+    return _bound(float(t._svd[1][0]) - 1.0 - _matrix_margin(t), 0.0)
 
 
 def _trial_chunks(trials: int, shape: tuple):
@@ -316,27 +413,28 @@ def _possible_winners(t: HilbertOperator, best: float):
     columns ``C_i e_1``, whose competitors could score at most ``best``,
     from LAPACK's ``sigma_1`` and ``v_1`` of ``T`` (memoised on ``t``).
 
-    A trial is dropped when the bound of :func:`_trial_lower_bounds` on
-    its first column exceeds ``best`` by more than ``IDENTITY_TOL * (1 +
-    sigma_1)``.  The first column stands in for ``M v_1``: with ``E = V^T
-    V - I``, ``M v_1 = C V^T v_1 = C e_1 + C E e_1``, and ``|C| <= sigma_1(M)
-    (1 + |E| / 2)``.  So, divided by ``s``, the proxy is off ``K v_1`` by
-    at most about ``|E|``, however large the columns that were not drawn,
-    and ``1 / max(|C e_1|, 1)`` caps ``1 / s`` up to a factor ``1 + |E| /
-    2``, which moves the bound by ``|E| / 2`` at most.  The guard of T's
-    norm, ``|E|_F <= IDENTITY_TOL / 10`` as computed
+    A trial is dropped when the bound of :func:`_trial_lower_bounds` on its
+    first column exceeds ``best`` by more than ``IDENTITY_TOL * (1 +
+    sigma_1)`` (:func:`_matrix_margin`).  The first column stands in for ``M
+    v_1``: with ``E = V^T V - I``, ``M v_1 = C V^T v_1 = C e_1 + C E e_1``,
+    and ``|C| <= sigma_1(M) (1 + |E| / 2)``.  So, divided by ``s``, the proxy
+    is off ``K v_1`` by at most about ``|E|``, however large the columns
+    that were not drawn, and ``1 / max(|C e_1|, 1)`` caps ``1 / s`` up to a
+    factor ``1 + |E| / 2``, which moves the bound by ``|E| / 2`` at most.
+    The guard of T's norm, ``|E|_F <= IDENTITY_TOL / 10`` as computed
     (:func:`~ballapprox.models._nearly_orthogonal`, memoised on ``t``),
     keeps ``1.5 |E|_2`` below 8.3e-13 at ``n = 64`` even if the rounding of
-    ``V^T V`` (``n^2 u``) hid that much of it.  The rounding of ``C V^T``, of the bound, of
-    LAPACK's ``sigma_1`` of the draw (so of ``s``) and of ``T - K``, and
-    the norm of ``v_1`` are each off by a few ``n * eps * (1 + ||T||)`` at
-    most, below 1e-14 of it for ``n <= 64``: inside the margin, a dropped
-    trial scores above ``best`` and could not have been the first minimum
-    below it.  A ``V`` that fails the guard drops nothing.  (A search whose
-    ``best`` is 0, the floor of a matrix score, draws no trial at all.)"""
+    ``V^T V`` (``n^2 u``) hid that much of it.  The rounding of ``C V^T``, of
+    the bound, of LAPACK's ``sigma_1`` of the draw (so of ``s``) and of ``T
+    - K``, and the norm of ``v_1`` are each off by a few ``n * eps * (1 +
+    ||T||)`` at most, below 1e-14 of it for ``n <= 64``: inside the margin,
+    a dropped trial scores above ``best`` and could not have been the first
+    minimum below it.  A ``V`` that fails the guard drops nothing.  (A search
+    whose ``best`` is at or below :func:`_matrix_lower` draws no trial at
+    all.)"""
     if not t._orthogonal_v:
         return lambda cols: np.ones(len(cols), dtype=bool)
-    tv, cutoff = t.entries @ t._svd[2][0], best + IDENTITY_TOL * (1.0 + t._svd[1][0])
+    tv, cutoff = t.entries @ t._svd[2][0], best + _matrix_margin(t)
     # a NaN bound drops nothing
     return lambda cols: ~(_trial_lower_bounds(tv, cols) > cutoff)
 
@@ -384,27 +482,29 @@ def _random_l1_competitors(t: L1Operator, construction: L1Operator, best_found: 
 #:   from the data of ``t`` with numpy;
 #: * ``build``, ``(t, row) -> Operator``: the candidate of a row, with a
 #:   const 0 tail;
-#: * ``scorer``, ``t -> (score, floor)``: ``score`` maps rows of candidates
-#:   to their residual norms ``||t - k||``, and no random trial's computed
-#:   score falls below ``floor`` (:func:`_floor`); what no row changes is
-#:   computed once;
+#: * ``scorer``, ``t -> score``: ``score`` maps rows of candidates to their
+#:   residual norms ``||t - k||``; what no row changes is computed once;
+#: * ``lower``, ``t -> (lower, binding)``: a value that no random trial's
+#:   computed score falls below, ``max(||t|| - 1, ||t||_e, 0)`` computed
+#:   apart from the library's arithmetic less the class's rounding margin,
+#:   and the term that sets it, ``"norm"``, ``"essential"`` or ``"zero"``;
 #: * ``chunks``, ``(t, construction, best_found, trials, seed) -> rows``: the
 #:   random trials, chunk by chunk (:func:`_trial_chunks`), in trial order,
 #:   leaving out only trials that cannot score at most ``best_found``;
 #: * ``section_ord``: the ``ord`` of ``numpy.linalg.norm`` that is the norm of
 #:   a leading section, spectral on l2 and the largest column mass on l1.
-_Search = namedtuple("_Search", "construct fixed build scorer chunks section_ord")
+_Search = namedtuple("_Search", "construct fixed build scorer lower chunks section_ord")
 
 # the constructions are looked up by name at each call, so that a wrapper
 # bound in this module (perfbench's tracer, a test's counter) sees them
 _ENTRY_SEARCH = _Search(lambda t: best_ball_approx_h(t), _entry_candidates,
                         lambda t, row: HilbertOperator(t.shape, row, TailRule.const(0.0)),
-                        _entry_scorer, _random_entry_competitors, 2)
+                        _entry_scorer, _entry_lower, _random_entry_competitors, 2)
 _MATRIX_SEARCH = _Search(lambda t: best_ball_approx_h(t), _matrix_candidates,
                          lambda t, row: HilbertOperator.finite_matrix(row),
-                         _matrix_scorer, _matrix_trials, 2)
+                         _matrix_scorer, _matrix_lower, _matrix_trials, 2)
 _L1_SEARCH = _Search(lambda t: best_ball_approx_l1(t), _l1_candidates, _l1_build, _l1_scorer,
-                     _random_l1_competitors, 1)
+                     _l1_lower, _random_l1_competitors, 1)
 
 
 def _search_of(t: Operator) -> _Search:
@@ -424,22 +524,38 @@ def competitor_search(
     """Try to beat a claimed ball distance with sampled competitors.
 
     Samples ``trials`` random compact in-ball operators from the model
-    class of ``t`` (but for l1, half unconstrained and half perturbations
+    class of ``t`` (half unconstrained and, but for l1, half perturbations
     of the optimal approximant).  These and the deterministic candidates,
     the construction included, are scored by the same numpy function,
     apart from the library's residual code; ``best_found`` is the first
     minimum of those scores.  Only a strictly lower score replaces the
-    best, so two shortcuts leave the report that of scoring every trial.
-    No trial is drawn when the best deterministic score is at or below the
-    floor of the model class, which no trial's computed score falls below
-    (:func:`_floor`); the floors read the input's data, not the library's
-    norm, so a fixed candidate that beats an inflated claim is found all
-    the same.  A random matrix trial ``M = C V^T`` (``V`` from the SVD of
-    ``t``) is drawn in full and scored only when the lower bound that its
-    first column gives comes within ``IDENTITY_TOL * (1 + sigma_1(t))`` of
-    the best deterministic score (:func:`_possible_winners`); its other
-    columns come from a generator keyed by ``seed`` and its index, so it
-    is the same whichever others are drawn.
+    best.
+
+    The class's lower bound ``lower_bound`` (``binding`` names its term) is
+    a value that no random trial's computed score falls below: ``max(||t|| -
+    1, ||t||_e, 0)``, which every in-ball compact competitor's residual
+    norm is at least, computed from the input's data apart from the
+    library's arithmetic, less a margin for rounding (see the module
+    docstring).  No trial is drawn
+
+    * when the best fixed score is at or below ``lower_bound``: no trial
+      scores strictly lower, so the report is that of scoring every trial;
+    * or when the bound closes the gap: ``claimed - band <= lower_bound``,
+      so no competitor beats the claim by more than ``band``, and
+      ``best_found <= lower_bound + band``, so none beats the best fixed
+      candidate by more than ``band``.  A trial could then win only by such
+      a rounding-level tie; as ``best_found <= claimed + band`` is asked
+      too, the report passes, as that of scoring every trial would.
+
+    The bound reads the input's data, not the library's norm, so a fixed
+    candidate that beats an inflated claim is found all the same, and an
+    inflated claim leaves the gap open.  Otherwise a random matrix trial
+    ``M = C V^T`` (``V`` from the SVD of ``t``) is drawn in full and scored
+    only when the lower bound that its first column gives comes within
+    ``IDENTITY_TOL * (1 + sigma_1(t))`` of the best deterministic score
+    (:func:`_possible_winners`); its other columns come from a generator
+    keyed by ``seed`` and its index, so it is the same whichever others are
+    drawn.
 
     The trials are drawn, bounded, scaled and scored in chunks of at most
     ``TRIAL_CHUNK_ENTRIES`` entries (1 MiB), keeping only the running
@@ -458,17 +574,20 @@ def competitor_search(
     seed = _require_int(seed, "seed", 0)
     tol = _require_tol(tol)
     claimed = ball_distance(t) if claimed is None else _require_finite(claimed, "claimed")
+    band = max(tol, IDENTITY_TOL * abs(claimed))
     search = _search_of(t)
     construction = search.construct(t).approximant
     # the fixed candidates, then the trials chunk by chunk: only a strictly
     # lower score replaces the best, so the first minimum wins
-    score, floor = search.scorer(t)
+    score = search.scorer(t)
     kinds, fixed = search.fixed(t, construction)
     scores = score(fixed)
     idx = int(np.argmin(scores))
     best_found, best_kind, best = float(scores[idx]), kinds[idx], search.build(t, fixed[idx])
-    # no trial can score strictly below a best on the floor
-    chunks = search.chunks(t, construction, best_found, trials, seed) if best_found > floor else ()
+    lower, binding = search.lower(t)
+    settled = best_found <= lower or (
+        claimed - band <= lower and best_found <= min(lower, claimed) + band)
+    chunks = () if settled else search.chunks(t, construction, best_found, trials, seed)
     for chunk in chunks:
         scores = score(chunk)
         if scores.min() < best_found:
@@ -476,7 +595,6 @@ def competitor_search(
             idx = int(np.argmin(scores))
             best_found, best_kind, best = float(scores[idx]), "random", search.build(t, chunk[idx])
 
-    band = max(tol, IDENTITY_TOL * abs(claimed))
     beaten = best_found < claimed - band
     attained = best_found <= claimed + band
     return SearchReport(
@@ -490,6 +608,8 @@ def competitor_search(
         tol=tol,
         best_kind=best_kind,
         best_candidate=best,
+        lower_bound=lower,
+        binding=binding,
     )
 
 
@@ -513,7 +633,7 @@ def svd_clip_oracle(matrix, tol: float = DEFAULT_TOL):
     distance = max(float(t._svd[1][0]) - 1.0, 0.0)
     band = max(tol, IDENTITY_TOL * distance)
 
-    achieved = float(_matrix_scorer(t)[0](k[None])[0])
+    achieved = float(_matrix_scorer(t)(k[None])[0])
     if not abs(achieved - distance) <= band:
         raise CertificationError(
             f"clip reconstruction achieves {achieved}, expected {distance}"

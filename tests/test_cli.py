@@ -18,7 +18,7 @@ from ballapprox import (
     models,
     svd_clip_oracle,
 )
-from ballapprox import cli
+from ballapprox import cli, oracles
 from ballapprox.cli import main
 from ballapprox.serialize import operator_from_doc, operator_to_doc
 
@@ -314,6 +314,7 @@ class TestRoundTrip:
 class TestFailClosed:
     OVERFLOW = '{"space":"l2","model":"matrix","entries":[[1e200, 0], [0, 1]]}'
     L1_OVERFLOW = '{"space":"l1","model":"columns","columns":[[1e308, 1e308]]}'
+    HUGE = '{"space":"l2","model":"matrix","entries":[[1.7e308, 1.7e308], [1.7e308, 1.7e308]]}'
 
     @pytest.mark.parametrize(
         "argv,payload,exit_code",
@@ -402,14 +403,51 @@ class TestFailClosed:
     def test_memory_error_fails_with_strict_json(self, target, argv, payload, message,
                                                  monkeypatch, capsys):
         # the patched step raises what numpy raises for an array it cannot
-        # allocate (--samples 100000000000 does), without allocating one
+        # allocate (--samples 100000000000 does), without allocating one; the
+        # l1 search's lower bound, at -inf, settles nothing before the trials
         def out_of_memory(*args):
             raise MemoryError(message)
 
         monkeypatch.setattr(target, out_of_memory)
+        monkeypatch.setattr(oracles, "_L1_SEARCH",
+                            oracles._L1_SEARCH._replace(lower=lambda t: (-math.inf, "zero")))
         code, doc = run(argv, payload, monkeypatch, capsys)
         expected = f"out of memory: {message}" if message else "out of memory"
         assert (code, doc) == (1, {"command": argv[0], "error": expected})
+
+    @pytest.mark.parametrize("command", ["norm", "distball", "approx", "verify"])
+    def test_overflowing_matrix_product_fails_with_strict_json(self, command, monkeypatch,
+                                                              capsys):
+        # sigma_1 is about 3.4e308: T V overflows before Jacobi runs
+        code, doc = run([command], self.HUGE, monkeypatch, capsys)
+        assert code == 2 and doc["command"] == command and "pass" not in doc
+        assert doc["error"].startswith("the matrix times LAPACK's V overflows"), doc
+
+    @pytest.mark.parametrize("entries", [[[1e-200, 0], [0, 3e-200]],
+                                         [[3e-162, 1e-162], [0, 2e-162]]])
+    def test_matrix_norm_off_lapack_fails(self, entries, monkeypatch, capsys):
+        # Jacobi's norm underflows here (0.0 and 3.1435e-162 against LAPACK's
+        # 3e-200 and 3.2566e-162); the distance 0.0 is right either way
+        payload = json.dumps({"space": "l2", "model": "matrix", "entries": entries})
+        code, doc = run(["norm"], payload, monkeypatch, capsys)
+        assert code == 2 and "pass" not in doc
+        assert re.match(r"^norm \S+ disagrees with LAPACK's \S+ for the matrix$", doc["error"])
+        assert run(["distball"], payload, monkeypatch, capsys) == (
+            0, {"command": "distball", "value": 0.0, "pass": True})
+
+    @pytest.mark.parametrize("bias", [1 + 1e-11, 1 - 1e-11])
+    def test_biased_matrix_norm_fails_norm_and_distball(self, bias, monkeypatch, capsys):
+        # a bias of 1e-11 in T's Jacobi norm, ten times the band, is caught
+        # against LAPACK's sigma_1 by both printed values
+        singular_values = models.jacobi_singular_values
+        monkeypatch.setattr(models, "jacobi_singular_values",
+                            lambda a: singular_values(a) * bias)
+        m = np.random.default_rng(24).standard_normal((5, 5))
+        payload = json.dumps({"space": "l2", "model": "matrix", "entries": m.tolist()})
+        for command in ("norm", "distball"):
+            code, doc = run([command], payload, monkeypatch, capsys)
+            assert code == 2, doc
+            assert re.match(rf"^{command} \S+ disagrees with LAPACK's \S+", doc["error"])
 
     @pytest.mark.parametrize("command", ["norm", "distball", "approx", "verify"])
     def test_overflowing_l1_mass_is_invalid_input(self, command, monkeypatch, capsys):

@@ -104,7 +104,7 @@ SEARCH_CASES = json.loads((Path(__file__).parent / "golden" / "search_reports.js
 def report_to_doc(report) -> dict:
     """Every field of a ``SearchReport``, floats by ``repr``."""
     doc = {f.name: getattr(report, f.name) for f in fields(report)}
-    doc.update({key: repr(doc[key]) for key in ("claimed", "best_found", "tol")})
+    doc.update({key: repr(doc[key]) for key in ("claimed", "best_found", "tol", "lower_bound")})
     doc["best_candidate"] = operator_to_doc(report.best_candidate)
     return doc
 
@@ -140,3 +140,13 @@ def test_search_cases_cover_every_class_and_path():
     assert {("matrix", "random"), ("diagonal", "random"), ("shift", "random"),
             ("columns", "random"), ("columns", "column_scaling"), ("matrix", "sv_clip"),
             ("matrix", "soft_threshold"), ("diagonal", "entry_clip")} <= kinds
+
+
+def test_zero_only_cases_draw_trials_off_the_bound():
+    # a zero-only search whose zero candidate scores above the class's lower
+    # bound still draws its trials, and a trial wins it; the others sit on
+    # the bound, where no trial could score strictly lower
+    for case in (case for case in SEARCH_CASES if case["zero_only"]):
+        report = case["report"]
+        on_bound = float(report["best_found"]) <= float(report["lower_bound"])
+        assert report["best_kind"] == "random" or (report["best_kind"] == "zero" and on_bound)

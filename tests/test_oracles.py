@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -21,6 +22,7 @@ from ballapprox import (
 
 from ballapprox import hilbert, l1, models, oracles
 from ballapprox.cli import main
+from ballapprox.oracles import DEFAULT_TOL
 from ballapprox.models import (
     IDENTITY_TOL,
     Shape,
@@ -55,23 +57,34 @@ def _every_trial(cols):
     return np.ones(len(cols), dtype=bool)
 
 
-def _count_entry_rows(monkeypatch):
-    """The list to which the diagonal and shift trial stream, patched,
-    appends the number of rows of each chunk it yields."""
-    entry_trials, drawn = oracles._ENTRY_SEARCH.chunks, []
+def _count_rows(monkeypatch, name="_ENTRY_SEARCH"):
+    """The list to which the trial stream of the search entry ``name``,
+    patched, appends the number of rows of each chunk it yields."""
+    trials, drawn = getattr(oracles, name).chunks, []
 
     def counting(*args):
-        for rows in entry_trials(*args):
+        for rows in trials(*args):
             drawn.append(len(rows))
             yield rows
 
-    _patch_search(monkeypatch, "_ENTRY_SEARCH", chunks=counting)
+    _patch_search(monkeypatch, name, chunks=counting)
     return drawn
 
 
 def _patch_search(monkeypatch, name, **fields):
     """The search entry ``name`` of ``oracles`` with ``fields`` replaced."""
     monkeypatch.setattr(oracles, name, getattr(oracles, name)._replace(**fields))
+
+
+def _patch_zero_only(monkeypatch, name):
+    """The zero operator as the only fixed candidate of the search entry
+    ``name``: random trials win."""
+    fixed_candidates = getattr(oracles, name).fixed
+
+    def zero_only(t, construction):
+        return ["zero"], np.zeros_like(fixed_candidates(t, construction)[1][:1])
+
+    _patch_search(monkeypatch, name, fixed=zero_only)
 
 
 def _peak_bytes(f):
@@ -202,7 +215,7 @@ class TestCompetitorSearch:
         ]:
             search = oracles._search_of(t)
             kinds, batch = search.fixed(t, search.construct(t).approximant)
-            scores = search.scorer(t)[0](batch)
+            scores = search.scorer(t)(batch)
             exact = isinstance(t, L1Operator) or t.shape is not Shape.FINITE_MATRIX
             for i, (kind, score) in enumerate(zip(kinds, scores.tolist())):
                 r = residual_norm(t, search.build(t, batch[i]))
@@ -261,7 +274,7 @@ class TestMatrixTrials:
         rng = np.random.default_rng(n)
         t = HilbertOperator.finite_matrix(rng.standard_normal((n, n)))
         best = best_ball_approx_h(t).approximant
-        score, draws, residuals = oracles._search_of(t).scorer(t)[0], [], []
+        score, draws, residuals = oracles._search_of(t).scorer(t), [], []
         for mats in oracles._random_matrix_draws(t, best, trials, 1, _every_trial):
             draws.append(mats.copy())
             residuals.append(score(oracles._into_ball(mats)))
@@ -326,14 +339,7 @@ class TestMatrixPruning:
     @pytest.mark.parametrize("trials", [7, 50, 200])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 9, 12, 16, 64])
     def test_report_equals_exhaustive_search_when_trials_win(self, n, trials, monkeypatch):
-        # the zero operator as the only fixed candidate: random trials win
-        fixed_candidates = oracles._MATRIX_SEARCH.fixed
-
-        def zero_only(t, construction):
-            batch = fixed_candidates(t, construction)[1]
-            return ["zero"], np.zeros_like(batch[:1])
-
-        _patch_search(monkeypatch, "_MATRIX_SEARCH", fixed=zero_only)
+        _patch_zero_only(monkeypatch, "_MATRIX_SEARCH")
         assert "random" in self._same_as_exhaustive(n, trials, monkeypatch)
 
     @pytest.mark.parametrize("norm", SEARCH_NORMS)
@@ -426,6 +432,8 @@ class TestMatrixPruning:
             return into_ball(mats)
 
         monkeypatch.setattr(oracles, "_into_ball", counting)
+        # with the bound at -inf, nothing but the pruning could spare a trial
+        _patch_search(monkeypatch, "_MATRIX_SEARCH", lower=lambda op: (-np.inf, "zero"))
         report = competitor_search(t, trials=50, seed=3)
         assert sum(seen) == 50
         found, kind, candidate = ref_matrix_search(t, 50, 3)
@@ -467,7 +475,10 @@ class TestMatrixPruning:
             assert np.isnan(per_row).any() or np.isinf(per_row).any(), (trials, n)
 
     def test_verify_guards_v_once(self, monkeypatch, capsys):
-        # T's norm and the search's pruning read one memoised guard of V
+        # T's norm and the search's pruning read one memoised guard of V; a
+        # natural verify is settled by the bound and opens no trial stream
+        # (which builds its pruning first), one whose only fixed candidate
+        # is zero prunes its trials
         guard, possible_winners, guards, prunes = (
             models._nearly_orthogonal, oracles._possible_winners, [], [])
 
@@ -488,14 +499,19 @@ class TestMatrixPruning:
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
         assert main(["verify", "--samples", "200", "--seed", "0"]) == 0
         assert json.loads(capsys.readouterr().out)["pass"] is True
-        assert len(prunes) == 1  # the search pruned its trials
-        assert len(guards) == 1
+        assert prunes == [] and len(guards) == 1
+        _patch_zero_only(monkeypatch, "_MATRIX_SEARCH")
+        guards.clear()
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        main(["verify", "--samples", "200", "--seed", "0"])
+        capsys.readouterr()
+        assert len(prunes) == 1 and len(guards) == 1  # the search pruned its trials
 
     @pytest.mark.parametrize("scale", [0.0, 1e-150, 0.5])
     def test_search_at_distance_zero_draws_no_trial(self, scale, monkeypatch):
-        # the construction is T itself and scores 0, the floor of a matrix
-        # score: no singular value comes strictly below 0, so no trial is
-        # drawn, not even its first column
+        # the construction is T itself and scores 0, the bound of a matrix
+        # in the ball: no singular value comes strictly below 0, so no trial
+        # is drawn, not even its first column
         t = _matrix_of_norm(np.random.default_rng(15), 4, 1.0)
         t = HilbertOperator.finite_matrix(t.entries * scale)
         monkeypatch.setattr(oracles, "_random_matrix_draws", None)
@@ -528,13 +544,7 @@ class TestEntryTrials:
         # with width 11, chunks of 2 and 3 rows split the free half mid-chunk
         if chunk_entries is not None:
             monkeypatch.setattr(oracles, "TRIAL_CHUNK_ENTRIES", chunk_entries)
-        fixed_candidates = oracles._ENTRY_SEARCH.fixed
-
-        def zero_only(t, construction):
-            kinds, batch = fixed_candidates(t, construction)
-            return kinds[-1:], batch[-1:]
-
-        _patch_search(monkeypatch, "_ENTRY_SEARCH", fixed=zero_only)
+        _patch_zero_only(monkeypatch, "_ENTRY_SEARCH")
         rng = np.random.default_rng(41)
         kinds = []
         for i in range(24):
@@ -553,14 +563,14 @@ class TestEntryTrials:
     def test_wide_search_memory_does_not_grow_with_trials(self, monkeypatch):
         # one row of 10^5 + 4 entries per chunk: ten times the trials, the
         # same peak, set by the four fixed candidates' rows and residuals;
-        # the construction sits on the floor, so the search draws no trial
-        # unless the floor is -inf, which makes it draw and score every one
+        # the construction sits on the lower bound, so the search draws no
+        # trial unless the bound is -inf, which makes it draw and score every one
         rng = np.random.default_rng(5)
         t = HilbertOperator.diagonal(rng.uniform(-3.0, 3.0, 10**5), TailRule.const(1.0))
         pruned, report = _peak_bytes(lambda: competitor_search(t, trials=200, seed=0))
         assert report.passed
-        scorer, drawn = oracles._ENTRY_SEARCH.scorer, _count_entry_rows(monkeypatch)
-        _patch_search(monkeypatch, "_ENTRY_SEARCH", scorer=lambda op: (scorer(op)[0], -np.inf))
+        drawn = _count_rows(monkeypatch)
+        _patch_search(monkeypatch, "_ENTRY_SEARCH", lower=lambda op: (-np.inf, "zero"))
         peaks = []
         for trials in (20, 200):
             peak, report = _peak_bytes(lambda: competitor_search(t, trials=trials, seed=0))
@@ -581,7 +591,7 @@ class TestL1Trials:
         t = L1Operator(cols, tuple(rng.uniform(-2.0, 2.0, n_weights)), TailRule.const(0.7))
         rows = _whole(oracles._random_l1_competitors(t, None, np.inf, 40, 9))
         ref_residuals, ref_rows = ref_l1_trials(t, 40, 9)
-        assert same_bits(rows, ref_rows) and same_bits(oracles._l1_scorer(t)[0](rows), ref_residuals)
+        assert same_bits(rows, ref_rows) and same_bits(oracles._l1_scorer(t)(rows), ref_residuals)
         assert rows.shape == (40, 4 + 2 + n_weights + 2)  # the empty column has no slot
 
     @pytest.mark.parametrize("chunk_entries", [None, 3 * 13, 1])
@@ -594,7 +604,7 @@ class TestL1Trials:
         t = L1Operator(cols, (1.5, -0.2), TailRule.const(0.3))
         rows = _whole(oracles._random_l1_competitors(t, None, np.inf, 10, 4))
         ref_residuals, ref_rows = ref_l1_trials(t, 10, 4)
-        assert same_bits(rows, ref_rows) and same_bits(oracles._l1_scorer(t)[0](rows), ref_residuals)
+        assert same_bits(rows, ref_rows) and same_bits(oracles._l1_scorer(t)(rows), ref_residuals)
 
     def test_wide_columns_add_left_to_right(self):
         # past 8 entries numpy's own sums add pairwise; the search's column
@@ -604,7 +614,7 @@ class TestL1Trials:
         t = L1Operator(cols, (0.5,), TailRule.const(0.1))
         rows = _whole(oracles._random_l1_competitors(t, None, np.inf, 30, 6))
         ref_residuals, ref_rows = ref_l1_trials(t, 30, 6)
-        assert same_bits(rows, ref_rows) and same_bits(oracles._l1_scorer(t)[0](rows), ref_residuals)
+        assert same_bits(rows, ref_rows) and same_bits(oracles._l1_scorer(t)(rows), ref_residuals)
 
     @pytest.mark.parametrize("chunk_entries", [None, 2 * 7, 1])
     def test_report_equals_one_batch_when_trials_win(self, chunk_entries, monkeypatch):
@@ -612,13 +622,7 @@ class TestL1Trials:
         # on models with an empty explicit column and with none at all
         if chunk_entries is not None:
             monkeypatch.setattr(oracles, "TRIAL_CHUNK_ENTRIES", chunk_entries)
-        fixed_candidates = oracles._L1_SEARCH.fixed
-
-        def zero_only(t, construction):
-            kinds, batch = fixed_candidates(t, construction)
-            return kinds[-1:], batch[-1:]
-
-        _patch_search(monkeypatch, "_L1_SEARCH", fixed=zero_only)
+        _patch_zero_only(monkeypatch, "_L1_SEARCH")
         rng = np.random.default_rng(47)
         wins = set()
         for i in range(24):
@@ -640,21 +644,24 @@ class TestL1Trials:
                 wins.add("empty column" if () in cols else "no column" if not cols else "full")
         assert wins == {"empty column", "no column", "full"}, wins
 
-    def test_search_memory_does_not_grow_with_trials(self):
+    def test_search_memory_does_not_grow_with_trials(self, monkeypatch):
         # 10^4 columns of 3 entries, four rows of trials per chunk: ten
         # times the trials, the same peak (7.1 MiB, the construction
-        # included); a column mass sets the best score, above the floor, so
-        # every trial is drawn; the operator's norm and row layout are
-        # memoised beforehand
+        # included); a column mass sets the best score and its bound settles
+        # the search, so every trial is drawn only with the bound at -inf;
+        # the operator's norm and row layout are memoised beforehand
         rng = np.random.default_rng(8)
         t = L1Operator(tuple(rng.uniform(-1.0, 1.0, (10**4, 3))), (), TailRule.const(0.5))
         report = competitor_search(t, trials=1, seed=0)
-        assert report.passed and report.best_found > oracles._l1_scorer(t)[1]
+        assert report.passed and report.binding == "norm"
+        drawn = _count_rows(monkeypatch, "_L1_SEARCH")
+        _patch_search(monkeypatch, "_L1_SEARCH", lower=lambda op: (-np.inf, "zero"))
         peaks = []
         for trials in (20, 200):
             peak, report = _peak_bytes(lambda: competitor_search(t, trials=trials, seed=0))
             assert report.passed, trials
             peaks.append(peak)
+        assert sum(drawn) == 220
         assert peaks[1] <= 1.1 * peaks[0], peaks
         assert max(peaks) < 10 * 2**20, peaks
 
@@ -693,25 +700,94 @@ def _no_trial(*args):
     raise AssertionError("a trial was drawn")
 
 
+def _band(claimed: float, tol: float = DEFAULT_TOL) -> float:
+    return max(tol, IDENTITY_TOL * abs(claimed))
+
+
+def _verdicts(found: float, claimed: float, tol: float = DEFAULT_TOL) -> tuple:
+    """``(passed, beaten, attained)`` of a search whose best score is ``found``."""
+    beaten, attained = found < claimed - _band(claimed, tol), found <= claimed + _band(claimed, tol)
+    return (not beaten) and attained, beaten, attained
+
+
+def _exhaustive(t, trials: int, seed: int):
+    """``(best_found, best_kind, arrays of the best candidate)`` of the
+    exhaustive reference search of the model class of ``t``."""
+    if isinstance(t, L1Operator):
+        found, kind, cols, weights = ref_l1_search(t, trials, seed)
+        return found, kind, [*cols, weights]
+    ref = ref_matrix_search if t.shape is Shape.FINITE_MATRIX else ref_entry_search
+    found, kind, candidate = ref(t, trials, seed)
+    return found, kind, [candidate]
+
+
+def _candidate_arrays(t, report) -> list:
+    k = report.best_candidate
+    if isinstance(t, L1Operator):
+        return [*k.columns, k.tail_weights]
+    return [k.entries if t.shape is Shape.FINITE_MATRIX else k.explicit]
+
+
+def _bound_cases(rng, model):
+    """The corpora of the bound's tests: the entry and l1 floor cases, and
+    matrices of dimension 1 to 64 at every norm of ``SEARCH_NORMS``."""
+    if model == "entry":
+        return _entry_floor_cases(rng)
+    if model == "l1":
+        return _l1_floor_cases(rng)
+    return [_matrix_of_norm(rng, n, norm) for n in (1, 2, 3, 5, 8, 16, 33, 64)
+            for norm in SEARCH_NORMS]
+
+
 class TestFloors:
-    """No random trial's computed score falls below the floor of its model
-    class, so a search whose best fixed score sits on the floor draws no
-    trial and still reports what scoring every trial would."""
+    """No random trial's computed score falls below the lower bound of its
+    model class, so a search whose best fixed score sits on the bound draws
+    no trial and still reports what scoring every trial would; nor does a
+    search whose bound closes the gap to the claim, which then keeps the
+    verdicts of scoring every trial."""
 
     def test_entry_trials_score_at_least_the_floor(self):
         rng = np.random.default_rng(43)
         for i, t in enumerate(_entry_floor_cases(rng)):
-            score, floor = oracles._entry_scorer(t)
+            score, lower = oracles._entry_scorer(t), oracles._entry_lower(t)[0]
             best = best_ball_approx_h(t).approximant
             rows = oracles._random_entry_competitors(t, best, np.inf, 200, i)
-            assert min(score(chunk).min() for chunk in rows) >= floor, i
+            assert min(score(chunk).min() for chunk in rows) >= lower, i
 
     def test_l1_trials_score_at_least_the_floor(self):
         rng = np.random.default_rng(44)
         for i, t in enumerate(_l1_floor_cases(rng)):
-            score, floor = oracles._l1_scorer(t)
+            score, lower = oracles._l1_scorer(t), oracles._l1_lower(t)[0]
             trials = oracles._random_l1_competitors(t, None, np.inf, 200, i)
-            assert min(score(chunk).min() for chunk in trials) >= floor, i
+            assert min(score(chunk).min() for chunk in trials) >= lower, i
+
+    @pytest.mark.parametrize("norm", SEARCH_NORMS)
+    @pytest.mark.parametrize("n", [1, 2, 5, 16, 64])
+    def test_matrix_trials_score_at_least_the_bound(self, n, norm):
+        rng = np.random.default_rng(n)
+        t = _matrix_of_norm(rng, n, norm)
+        best = best_ball_approx_h(t).approximant
+        score, lower = oracles._matrix_scorer(t), oracles._matrix_lower(t)[0]
+        for mats in oracles._random_matrix_draws(t, best, 200, 7, _every_trial):
+            assert score(oracles._into_ball(mats)).min() >= lower
+
+    def test_l1_bound_sits_just_below_the_heaviest_column(self):
+        # a column of k entries: its fsum mass less 1 + gamma_{4k+4} (mass + 1)
+        for k in (1, 3, 300):
+            col = np.full(k, 2.0 / k)
+            t = L1Operator((col, (0.1,)), (0.5,), TailRule.const(0.2))
+            lower, binding = oracles._l1_lower(t)
+            mass = math.fsum(col)
+            u = np.finfo(float).eps / 2
+            assert binding == "norm"
+            assert mass - 1.0 - 2 * (4 * k + 4) * u * (mass + 1) < lower < mass - 1.0, k
+
+    def test_l1_column_whose_exact_mass_overflows_adds_no_term(self):
+        # its left-to-right mass rounds down to the largest float, but
+        # math.fsum's exact one overflows: the bound falls back on the rest
+        t = L1Operator(((1.7976931348623157e308, 8e291, 8e291),), (), TailRule.const(0.5))
+        assert oracles._l1_lower(t) == (0.5, "essential")
+        assert competitor_search(t, trials=10, seed=0).passed
 
     @pytest.mark.parametrize("model", ["entry", "matrix", "l1"])
     def test_search_on_the_floor_draws_no_trial(self, model, monkeypatch):
@@ -726,34 +802,30 @@ class TestFloors:
             cases, construct = _l1_floor_cases(rng), best_ball_approx_l1
         for name in ("_ENTRY_SEARCH", "_MATRIX_SEARCH", "_L1_SEARCH"):
             _patch_search(monkeypatch, name, chunks=_no_trial)
-        on_floor = 0
         for i, t in enumerate(cases):
             search = oracles._search_of(t)
-            score, floor = search.scorer(t)
-            fixed = search.fixed(t, construct(t).approximant)[1]
-            if score(fixed).min() > floor:
-                continue
-            on_floor += 1
+            lower = search.lower(t)[0]
+            best = float(search.scorer(t)(search.fixed(t, construct(t).approximant)[1]).min())
+            claimed = ball_distance(t)
+            band = _band(claimed)
+            # every case is settled: a diagonal or shift model sits on its bound
+            assert best <= lower or (claimed - band <= lower
+                                     and best <= min(lower, claimed) + band), i
+            assert best <= lower or model != "entry", i
             report = competitor_search(t, trials=100, seed=i)
-            if model == "entry":
-                found, kind, candidate = ref_entry_search(t, 100, i)
-                got, want = [report.best_candidate.explicit], [candidate]
-            elif model == "matrix":
-                found, kind, candidate = ref_matrix_search(t, 100, i)
-                got, want = [report.best_candidate.entries], [candidate]
-            else:
-                found, kind, cols, weights = ref_l1_search(t, 100, i)
-                got = [*report.best_candidate.columns, report.best_candidate.tail_weights]
-                want = [*cols, weights]
-            assert repr(report.best_found) == repr(found), i
-            assert report.best_kind == kind, i
-            assert [a.tobytes() for a in got] == [a.tobytes() for a in want], i
-        assert on_floor >= len(cases) // 3, (on_floor, len(cases))
+            found, kind, want = _exhaustive(t, 100, i)
+            assert _verdicts(report.best_found, claimed) == _verdicts(found, claimed), i
+            assert found <= report.best_found <= found + band, i
+            if best <= lower:  # on the bound: the report of scoring every trial
+                assert repr(report.best_found) == repr(found), i
+                assert report.best_kind == kind, i
+                got = _candidate_arrays(t, report)
+                assert [a.tobytes() for a in got] == [a.tobytes() for a in want], i
 
     @pytest.mark.parametrize("model", ["diagonal", "shift"])
     def test_benchmark_shaped_verify_draws_no_trial(self, model, monkeypatch, capsys):
         # 10^3 entries at 200 trials, one model per construction branch
-        drawn = _count_entry_rows(monkeypatch)
+        drawn = _count_rows(monkeypatch)
         rng = np.random.default_rng(46)
         tails = [{"kind": "const", "value": 0.0},
                  {"kind": "const", "value": float(rng.uniform(0.3, 0.9))},
@@ -769,6 +841,45 @@ class TestFloors:
             assert main(["verify", "--samples", "200", "--seed", "0", "--tol", "1e-10"]) == 0
             assert json.loads(capsys.readouterr().out)["pass"] is True
         assert drawn == []
+
+
+class TestLowerBound:
+    """The report's ``lower_bound`` decides the search without changing its
+    verdict: on every corpus case ``passed``, ``beaten`` and ``attained``
+    are those of the exhaustive reference, a passing report's bound is
+    not above ``claimed + band``, and a claim off by 1e-11 relative still
+    fails."""
+
+    @pytest.mark.parametrize("model", ["entry", "matrix", "l1"])
+    def test_verdicts_equal_the_exhaustive_search(self, model):
+        rng = np.random.default_rng(48)
+        for i, t in enumerate(_bound_cases(rng, model)):
+            report = competitor_search(t, trials=60, seed=i)
+            found = _exhaustive(t, 60, i)[0]
+            claimed, band = report.claimed, _band(report.claimed)
+            got = (report.passed, report.beaten, report.attained)
+            assert got == _verdicts(found, claimed), i
+            assert found <= report.best_found <= found + band, i
+            assert report.binding in ("norm", "essential", "zero"), i
+            if report.passed:
+                assert report.lower_bound <= claimed + band, i
+
+    @pytest.mark.parametrize("model", ["entry", "matrix", "l1"])
+    def test_claims_off_by_1e_11_fail(self, model):
+        # a relative 1e-11 at tol 0 is 10 times make_result's band; below a
+        # distance of 1e-3 it is finer than the rounding of T - K itself
+        rng = np.random.default_rng(49)
+        checked = 0
+        for i, t in enumerate(_bound_cases(rng, model)):
+            d = ball_distance(t)
+            if d < 1e-3:
+                continue
+            checked += 1
+            inflated = competitor_search(t, claimed=d * (1 + 1e-11), trials=20, seed=i, tol=0.0)
+            deflated = competitor_search(t, claimed=d * (1 - 1e-11), trials=20, seed=i, tol=0.0)
+            assert inflated.beaten and not inflated.passed, i
+            assert not deflated.attained and not deflated.passed, i
+        assert checked >= 20, checked
 
 
 class TestSvdClip:
