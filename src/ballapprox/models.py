@@ -703,6 +703,21 @@ def _singular_values(a: np.ndarray) -> np.ndarray:
     return np.linalg.svd(a, compute_uv=False)
 
 
+def _lapack_checked_norm(t: Operator, name: str, value: float) -> float:
+    """``value``, the norm of ``t``; for a matrix, checked first against
+    LAPACK's ``sigma_1`` memoised on ``t``, at a relative ``IDENTITY_TOL``.
+    Raises :class:`CertificationError`, naming the value ``name``, when they
+    disagree (also on NaN)."""
+    if getattr(t, "shape", None) is not Shape.FINITE_MATRIX:
+        return value
+    sigma = float(t._svd[1][0])
+    if not abs(value - sigma) <= IDENTITY_TOL * sigma:
+        raise CertificationError(
+            f"{name} {value!r} disagrees with LAPACK's {sigma!r} for the matrix"
+        )
+    return value
+
+
 def _is_compact(k: Operator) -> bool:
     if isinstance(k, HilbertOperator) and k.shape is Shape.FINITE_MATRIX:
         return True
@@ -718,7 +733,9 @@ def make_result(t: Operator, approximant: Operator, branch: Branch) -> BallAppro
     are written so that a NaN or an overflowed norm fails them.  A
     failed ball or residual check raises :class:`CertificationError`, a
     non-compact approximant :class:`ValidationError`.  For a matrix both
-    checks read LAPACK singular values, against ``T``'s Jacobi norm.
+    checks read LAPACK singular values, against ``T``'s Jacobi norm, and
+    that norm, the certificate's ``op_norm``, is then checked against
+    LAPACK's ``sigma_1`` (:func:`_lapack_checked_norm`).
     """
     nrm, ess = op_norm(t), ess_norm(t)
     formula = max(nrm - 1.0, ess, 0.0)
@@ -735,5 +752,6 @@ def make_result(t: Operator, approximant: Operator, branch: Branch) -> BallAppro
         raise CertificationError(
             f"residual norm {res_norm} disagrees with the distance formula {formula}"
         )
+    _lapack_checked_norm(t, "op_norm", nrm)
     cert = Certificate(nrm, ess, formula, residuals, tail_res, res_norm)
     return BallApproxResult(res_norm, approximant, branch, cert)

@@ -109,7 +109,11 @@ def point_to_doc(p: NormedSpacePoint) -> dict:
     return {"space": p.space.value, "coords": list(p.coords)}
 
 
-def certificate_to_doc(cert: Certificate) -> dict:
-    out = {f.name: getattr(cert, f.name) for f in fields(cert)}
-    out["residuals"] = cert.residuals.tolist()
+def certificate_to_doc(cert: Certificate, residuals: bool = True) -> dict:
+    """Every field of ``cert``, in field order; with ``residuals`` false,
+    all but its per-entry ``residuals``, which are then not converted."""
+    out = {f.name: getattr(cert, f.name) for f in fields(cert)
+           if residuals or f.name != "residuals"}
+    if residuals:
+        out["residuals"] = cert.residuals.tolist()
     return out

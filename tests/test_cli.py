@@ -20,7 +20,8 @@ from ballapprox import (
 )
 from ballapprox import cli, oracles
 from ballapprox.cli import main
-from ballapprox.serialize import operator_from_doc, operator_to_doc
+from ballapprox.serialize import certificate_to_doc, operator_from_doc, operator_to_doc
+from helpers import same_bits
 
 DIAG_DOC = '{"space":"l2","model":"diagonal","explicit":[3,2,0.5],"tail":{"kind":"const","value":1}}'
 L1_DOC = '{"space":"l1","model":"columns","columns":[[0.6,0.9,0.9]],"tail":{"kind":"const","value":1}}'
@@ -435,6 +436,18 @@ class TestFailClosed:
         assert run(["distball"], payload, monkeypatch, capsys) == (
             0, {"command": "distball", "value": 0.0, "pass": True})
 
+    @pytest.mark.parametrize("command", ["approx", "verify"])
+    @pytest.mark.parametrize("entries", [[[1e-200, 0], [0, 3e-200]],
+                                         [[3e-162, 1e-162], [0, 2e-162]]])
+    def test_matrix_op_norm_off_lapack_fails_certification(self, command, entries,
+                                                           monkeypatch, capsys):
+        # the same underflowed norms in the certificate: make_result checks
+        # its op_norm against LAPACK's sigma_1, so approx prints no certificate
+        payload = json.dumps({"space": "l2", "model": "matrix", "entries": entries})
+        code, doc = run([command], payload, monkeypatch, capsys)
+        assert code == 2 and doc["command"] == command and "pass" not in doc
+        assert re.match(r"^op_norm \S+ disagrees with LAPACK's \S+ for the matrix$", doc["error"])
+
     @pytest.mark.parametrize("bias", [1 + 1e-11, 1 - 1e-11])
     def test_biased_matrix_norm_fails_norm_and_distball(self, bias, monkeypatch, capsys):
         # a bias of 1e-11 in T's Jacobi norm, ten times the band, is caught
@@ -454,6 +467,38 @@ class TestFailClosed:
         code, doc = run([command], self.L1_OVERFLOW, monkeypatch, capsys)
         assert code == 1
         assert doc == {"command": command, "error": "columns[0] must have a finite mass, got inf"}
+
+
+class TestWideApprox:
+    """``approx`` prints the certificate's scalars; its per-entry residuals,
+    as wide as the model, stay in the library's ``Certificate.residuals``."""
+
+    WIDE = json.dumps({
+        "space": "l2", "model": "diagonal",
+        "explicit": np.random.default_rng(27).uniform(-3.0, 3.0, 10**5).tolist(),
+        "tail": {"kind": "const", "value": 0.5},
+    })
+
+    def test_wide_approx_sends_the_approximant_once(self, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", io.StringIO(self.WIDE))
+        assert main(["approx"]) == 0
+        text = capsys.readouterr().out
+        doc = json.loads(text, parse_constant=refuse_constant)
+        assert len(text) < 1.1 * len(json.dumps(doc["approximant"]))
+        result = best_ball_approx_h(operator_from_doc(json.loads(self.WIDE)))
+        cert = result.certificate
+        assert len(cert.residuals) >= 10**5
+        assert doc["certificate"] == {f.name: getattr(cert, f.name)
+                                      for f in dataclasses.fields(cert) if f.name != "residuals"}
+        assert doc["approximant"] == operator_to_doc(result.approximant)
+
+    def test_library_serializer_keeps_the_residuals(self):
+        cert = best_ball_approx_h(operator_from_doc(json.loads(DIAG_DOC))).certificate
+        doc = certificate_to_doc(cert)
+        assert list(doc) == [f.name for f in dataclasses.fields(cert)]
+        assert same_bits(doc["residuals"], cert.residuals)
+        assert certificate_to_doc(cert, residuals=False) == {
+            k: v for k, v in doc.items() if k != "residuals"}
 
 
 class TestParserReuse:

@@ -413,6 +413,25 @@ class TestMakeResultRejects:
         with pytest.raises(CertificationError, match="^approximant norm nan exceeds the unit ball$"):
             make_result(t, k, Branch.COMPACT_INPUT)
 
+    @pytest.mark.parametrize("bias", [1 + 1e-11, 1 - 1e-11])
+    def test_matrix_op_norm_off_lapack(self, bias, monkeypatch):
+        # below norm 1 the distance is 0 whatever the norm, so only the check
+        # against LAPACK's sigma_1 sees a bias of 1e-11 in T's Jacobi norm
+        singular_values = models.jacobi_singular_values
+        monkeypatch.setattr(models, "jacobi_singular_values",
+                            lambda a: singular_values(a) * bias)
+        t = HilbertOperator.finite_matrix(_gaussian_matrix(4, 5, norm=0.5))
+        with pytest.raises(CertificationError,
+                           match=r"^op_norm \S+ disagrees with LAPACK's \S+ for the matrix$"):
+            make_result(t, t, Branch.COMPACT_INPUT)
+
+    def test_underflowed_matrix_op_norm(self):
+        # Jacobi's norm of this matrix underflows to 0.0, LAPACK's is 3e-200
+        t = HilbertOperator.finite_matrix([[1e-200, 0.0], [0.0, 3e-200]])
+        with pytest.raises(CertificationError,
+                           match=r"^op_norm 0\.0 disagrees with LAPACK's 3e-200 for the matrix$"):
+            best_ball_approx_h(t)
+
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_nan_residual(self, kind, monkeypatch):
         t, build = _make_result_instances(3.0)[kind]
