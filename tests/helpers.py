@@ -1,8 +1,9 @@
 """Seeded instance generators shared by unit and acceptance tests, a
 scalar reference for the model layer's whole-array arithmetic, a
 second optimal l2 approximant that cross-checks the construction, and
-the whole-array pairwise spread that the projection check's is compared
-with."""
+the seeded sampler of near-minimizers around a radial projection (with
+its pairwise spread and that spread's whole-array reference), which the
+closed-form projection check must dominate."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import math
 
 import numpy as np
 
-from ballapprox import HilbertOperator, L1Operator, Shape, TailKind, TailRule, ball_distance
+from ballapprox import HilbertOperator, L1Operator, Shape, Space, TailKind, TailRule, ball_distance
 
 
 def random_tail(rng, allow_const_zero=True) -> TailRule:
@@ -433,3 +434,123 @@ def ref_spread(space: str, pts) -> float:
     if space == "l2":
         return float(np.sqrt(np.sum(diffs * diffs, axis=1)).max())
     return float(np.max(np.abs(diffs), axis=1).max())
+
+
+def extreme_coords(space, dim: int, rng) -> tuple:
+    """A random extreme point of the unit ball of ``space`` in R^dim."""
+    if space is Space.L1:
+        coords = [0.0] * dim
+        coords[int(rng.integers(dim))] = float(rng.choice([-1.0, 1.0]))
+        return tuple(coords)
+    if space is Space.L2:
+        g = rng.standard_normal(dim)
+        return tuple(float(c) for c in g / np.linalg.norm(g))
+    return tuple(float(c) for c in rng.choice([-1.0, 1.0], dim))
+
+
+# The seeded sampler that verify_unique_projection used before its closed
+# forms: the reference that the exact radius must dominate.
+
+
+def _ball_samples(space, dim: int, n: int, rng) -> np.ndarray:
+    """Roughly uniform samples from the unit ball, n x dim."""
+    if space is Space.LINF:
+        return rng.uniform(-1.0, 1.0, (n, dim))
+    if space is Space.L2:
+        return _boundary_samples(space, dim, n, rng) * rng.uniform(0.0, 1.0, (n, 1)) ** (1.0 / dim)
+    mass = rng.exponential(1.0, (n, dim))
+    mass /= space.norm_rows(mass)[:, None]
+    radius = rng.uniform(0.0, 1.0, (n, 1)) ** (1.0 / dim)
+    signs = 2.0 * rng.integers(0, 2, (n, dim)) - 1.0
+    return signs * mass * radius
+
+
+def _boundary_samples(space, dim: int, n: int, rng) -> np.ndarray:
+    if space is Space.LINF:
+        pts = rng.uniform(-1.0, 1.0, (n, dim))
+        idx = rng.integers(0, dim, n)
+        pts[np.arange(n), idx] = 2.0 * rng.integers(0, 2, n) - 1.0
+        return pts
+    if space is Space.L2:
+        g = rng.standard_normal((n, dim))
+        g /= np.maximum(space.norm_rows(g), 1e-300)[:, None]
+        return g
+    mass = rng.exponential(1.0, (n, dim))
+    mass /= space.norm_rows(mass)[:, None]
+    return (2.0 * rng.integers(0, 2, (n, dim)) - 1.0) * mass
+
+
+def _pull_into_ball(space, pts: np.ndarray) -> np.ndarray:
+    if space is Space.LINF:
+        return np.clip(pts, -1.0, 1.0)
+    norms = space.norm_rows(pts)
+    factor = np.where(norms > 1.0, 1.0 / np.maximum(norms, 1e-300), 1.0)
+    return pts * factor[:, None]
+
+
+def _spread(space, pts: np.ndarray) -> float:
+    """Largest distance between two rows of ``pts`` (n x d, n <= 202).
+
+    l1 and l2 add ``|c_i - c_j|`` or ``(c_i - c_j)**2`` into one n x n array,
+    one coordinate at a time and left to right as :meth:`Space.norm_rows`
+    sums, never holding an n x n x d one; l2 takes the root of the largest
+    sum only, which is the largest root bit for bit, since the square root
+    is monotone and correctly rounded.
+    """
+    if space is Space.LINF:
+        # fl(a - b) rises with a and falls with b, so each coordinate's
+        # largest pairwise difference is its max minus its min: same bits
+        return float(np.max(pts.max(axis=0) - pts.min(axis=0)))
+    acc = np.zeros((len(pts), len(pts)))
+    for c in pts.T:
+        diff = np.subtract.outer(c, c)
+        acc += np.multiply(diff, diff, out=diff) if space is Space.L2 else np.abs(diff, out=diff)
+    top = float(acc.max())
+    return math.sqrt(top) if space is Space.L2 else top
+
+
+def ref_sampled_projection(alpha: float, point, samples: int, seed: int, tol: float) -> dict:
+    """The sampled check of a radial projection: ``samples`` ball points
+    (generic, boundary, and a cluster of half-side ``radius_bound`` around
+    the projection, plus the projection itself), their smallest distance
+    from ``alpha * e``, and among the near-minimizers (computed distance
+    within ``|alpha| - 1 + tol - 2 r``) their count, the largest distance
+    from the projection, the point at it, and the spread of a strided
+    subset.  Every radius it finds is a lower bound on the true one."""
+    space, dim = point.space, point.dim
+    e = np.array(point.coords)
+    target = alpha * e
+    proj = (1.0 if alpha > 0 else -1.0) * e
+    lower = abs(alpha) - 1.0
+    tol_l2 = math.sqrt(2.0 * tol + tol * tol) + 1e-9
+    bound = tol_l2 if space is Space.L2 else tol + 1e-9
+    r = (dim + 4) * np.finfo(float).eps * (abs(alpha) + 1.0)
+
+    rng = np.random.default_rng(seed)
+    n_generic = (6 * samples) // 10
+    n_face = (2 * samples) // 10
+    n_local = samples - n_generic - n_face
+    local = proj[None, :] + rng.uniform(-1.0, 1.0, (n_local, dim)) * bound
+    pts = np.vstack(
+        [
+            _ball_samples(space, dim, n_generic, rng),
+            _boundary_samples(space, dim, n_face, rng),
+            _pull_into_ball(space, local),
+            proj[None, :],
+        ]
+    )
+    dists = space.norm_rows(target[None, :] - pts)
+    near = pts[dists <= lower + tol - 2.0 * r]
+    offsets = space.norm_rows(near - proj[None, :])
+    far = int(np.argmax(offsets)) if len(near) else None
+    spread = 0.0
+    if len(near) >= 2:
+        stride = max(len(near) // 200, 1)
+        spread = _spread(space, np.vstack([near[::stride][:201], near[far]]))
+    return {
+        "min_distance": float(dists.min()),
+        "near_count": len(near),
+        "radius": float(offsets[far]) if len(near) else 0.0,
+        "worst_offender": near[far] if len(near) else proj,
+        "spread": spread,
+    }

@@ -198,7 +198,6 @@ def test_06_radial_projection_uniqueness_grid():
     rng = np.random.default_rng(606)
     failures = []
     t0 = time.perf_counter()
-    run = 0
     for space in (Space.L1, Space.L2, Space.LINF):
         for dim in range(2, 7):
             for _ in range(50):
@@ -210,8 +209,7 @@ def test_06_radial_projection_uniqueness_grid():
                     s = 1.0 if a > 0 else -1.0
                     if proj.coords != tuple(s * c for c in pt.coords):
                         failures.append(f"{space} dim={dim} a={a}: projection off-ray")
-                    rep = verify_unique_projection(a, pt, samples=10_000, seed=run, tol=1e-3)
-                    run += 1
+                    rep = verify_unique_projection(a, pt, tol=1e-3)
                     if not rep.passed:
                         failures.append(
                             f"{space} dim={dim} a={a} pt={pt.coords}: "
@@ -223,9 +221,7 @@ def test_06_radial_projection_uniqueness_grid():
                                 time.perf_counter() - t0, budget=30.0)
 
     # face midpoint on the sup-norm ball: a whole segment of minimizers
-    demo = verify_unique_projection(
-        2.0, NormedSpacePoint(Space.LINF, (1.0, 0.0)), samples=10_000, seed=0, tol=1e-3
-    )
+    demo = verify_unique_projection(2.0, NormedSpacePoint(Space.LINF, (1.0, 0.0)), tol=1e-3)
     if demo.extreme_input:
         failures.append("demo point unexpectedly classified extreme")
     if demo.spread < 0.1:
@@ -235,7 +231,7 @@ def test_06_radial_projection_uniqueness_grid():
     _finish(
         6,
         "radial projection uniqueness (3 spaces x dims 2-6 x 50 points x 6 alphas, "
-        "10^4 samples) plus the non-extreme counterexample",
+        "closed-form near sets) plus the non-extreme counterexample",
         failures,
         time.perf_counter() - t0,
         budget=30.0,

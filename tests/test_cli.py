@@ -12,6 +12,7 @@ from ballapprox import (
     HilbertOperator,
     L1Operator,
     NumericError,
+    Space,
     TailRule,
     ValidationError,
     best_ball_approx_h,
@@ -21,7 +22,7 @@ from ballapprox import (
 from ballapprox import cli, oracles
 from ballapprox.cli import main
 from ballapprox.serialize import certificate_to_doc, operator_from_doc, operator_to_doc
-from helpers import same_bits
+from helpers import extreme_coords, same_bits
 
 DIAG_DOC = '{"space":"l2","model":"diagonal","explicit":[3,2,0.5],"tail":{"kind":"const","value":1}}'
 L1_DOC = '{"space":"l1","model":"columns","columns":[[0.6,0.9,0.9]],"tail":{"kind":"const","value":1}}'
@@ -246,6 +247,23 @@ class TestCommands:
         assert doc["pass"] is False
         assert doc["report"]["spread"] > 0.1
 
+    @pytest.mark.parametrize("dim", range(2, 7))
+    @pytest.mark.parametrize("space", ["l1", "l2", "linf"])
+    def test_project_extreme_benchmark_request_shape(self, space, dim, capsys):
+        # the benchmark's projection requests: an extreme point, |alpha| in
+        # [1.2, 3] of either sign, --samples 2000 and a seed per request
+        rng = np.random.default_rng(dim)
+        for seed in range(4):
+            point = list(extreme_coords(Space(space), dim, rng))
+            alpha = float(rng.uniform(1.2, 3.0)) * (1.0 if seed % 2 else -1.0)
+            argv = ["project-extreme", "--space", space, "--alpha", repr(alpha),
+                    "--point", json.dumps(point), "--samples", "2000", "--seed", str(seed)]
+            code, doc = run(argv, capsys=capsys)
+            assert code == 0 and doc["pass"] is True, (argv, doc)
+            assert doc["value"] == abs(alpha) - 1.0
+            assert doc["approximant"]["coords"] == [math.copysign(1.0, alpha) * c for c in point]
+            assert doc["report"]["extreme_input"] is True
+
     def test_project_extreme_large_alpha_passes(self, capsys):
         argv = ["project-extreme", "--space", "l2", "--alpha", "56234.13251903491",
                 "--point", "[0.6,0.8]", "--samples", "1000"]
@@ -342,13 +360,16 @@ class TestFailClosed:
             (["verify", "--seed", "-1"], "verify", "seed must be >= 0, got -1"),
             (["project-extreme", "--space", "l2", "--alpha", "2", "--point", "[1, 0]",
               "--samples", "10", "--seed", "-1"], "project-extreme", "seed must be >= 0, got -1"),
+            (["project-extreme", "--space", "l2", "--alpha", "2", "--point", "[1, 0]",
+              "--samples", "0"], "project-extreme", "samples must be >= 1, got 0"),
             (["verify", "--samples", "abc"], None,
              "ballapprox verify: argument --samples: invalid int value: 'abc'"),
             (["project-extreme", "--space", "l2", "--alpha", "2"], None,
              "ballapprox project-extreme: the following arguments are required: --point"),
             (["nonsense"], None, "ballapprox: argument command: invalid choice: 'nonsense'"),
         ],
-        ids=["verify_seed", "project_seed", "samples_not_int", "missing_point", "no_command"],
+        ids=["verify_seed", "project_seed", "project_samples", "samples_not_int", "missing_point",
+             "no_command"],
     )
     def test_bad_arguments_fail_with_json(self, argv, command, message, monkeypatch, capsys):
         code, doc = run(argv, DIAG_DOC, monkeypatch, capsys)
@@ -392,13 +413,10 @@ class TestFailClosed:
     @pytest.mark.parametrize(
         "target,argv,payload",
         [
-            ("ballapprox.extreme._ball_samples",
-             ["project-extreme", "--space", "l2", "--alpha", "2", "--point", "[1, 0]",
-              "--samples", "100"], None),
             ("ballapprox.oracles._trial_chunks",
              ["verify", "--samples", "100"], L1_DOC),
         ],
-        ids=["project_extreme", "verify_l1"],
+        ids=["verify_l1"],
     )
     @pytest.mark.parametrize("message", ["Unable to allocate 745. GiB for an array", ""])
     def test_memory_error_fails_with_strict_json(self, target, argv, payload, message,

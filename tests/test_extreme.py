@@ -14,8 +14,9 @@ from ballapprox import (
     project_scalar_multiple,
     verify_unique_projection,
 )
-from ballapprox.extreme import _ball_samples, _boundary_samples, _spread
-from helpers import ref_spread, same_bits
+from ballapprox.extreme import EXTREME_TOL
+from helpers import _ball_samples, _boundary_samples, _spread, ref_sampled_projection
+from helpers import extreme_coords, ref_spread, same_bits
 
 
 def pt(space, *coords):
@@ -78,70 +79,57 @@ class TestVerification:
     )
     @pytest.mark.parametrize("alpha", [1.1, 2.0, -2.0, 10.0])
     def test_extreme_points_pass(self, space, coords, alpha):
-        report = verify_unique_projection(
-            alpha, NormedSpacePoint(space, coords), samples=4000, seed=7, tol=1e-3
-        )
+        report = verify_unique_projection(alpha, NormedSpacePoint(space, coords), tol=1e-3)
         assert report.passed
         assert report.lower_ok
         assert report.min_distance >= abs(alpha) - 1.0 - 1e-12
-        assert report.near_count >= 1  # the projection itself is sampled
         assert report.radius <= report.radius_bound
 
     def test_radius_bound_scales_with_space(self):
         tol = 1e-3
-        linf = verify_unique_projection(2.0, pt(Space.LINF, 1, 1), samples=100, tol=tol)
-        l2 = verify_unique_projection(2.0, pt(Space.L2, 1, 0), samples=100, tol=tol)
+        linf = verify_unique_projection(2.0, pt(Space.LINF, 1, 1), tol=tol)
+        l2 = verify_unique_projection(2.0, pt(Space.L2, 1, 0), tol=tol)
         assert linf.radius_bound == pytest.approx(tol, abs=1e-8)
         assert l2.radius_bound == pytest.approx(math.sqrt(2 * tol + tol * tol), abs=1e-8)
 
     def test_non_extreme_face_demo_fails_with_spread(self):
-        report = verify_unique_projection(
-            2.0, pt(Space.LINF, 1, 0), samples=10_000, seed=0, tol=1e-3
-        )
+        report = verify_unique_projection(2.0, pt(Space.LINF, 1, 0), tol=1e-3)
         assert not report.passed
         assert report.lower_ok  # the distance itself is still optimal
         assert not report.radius_ok
         assert report.spread > 0.1  # two genuinely different minimizers
-        assert report.near_count > 10
 
     def test_determinism(self):
-        a = verify_unique_projection(2.0, pt(Space.L2, 1, 0), samples=500, seed=3)
-        b = verify_unique_projection(2.0, pt(Space.L2, 1, 0), samples=500, seed=3)
+        a = verify_unique_projection(2.0, pt(Space.L2, 1, 0))
+        b = verify_unique_projection(2.0, pt(Space.L2, 1, 0))
         assert a == b
 
     def test_validation(self):
         with pytest.raises(ValidationError):
             verify_unique_projection(1.0, pt(Space.L2, 1, 0))
         with pytest.raises(ValidationError):
-            verify_unique_projection(2.0, pt(Space.L2, 1, 0), samples=0)
-        with pytest.raises(ValidationError):
             verify_unique_projection(2.0, pt(Space.L2, 1, 0), tol=0.0)
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"tol": "0.5"}, {"tol": float("nan")}, {"samples": True}, {"samples": 2.5},
-         {"seed": 1.5}, {"seed": -1}],
-        ids=["tol_str", "tol_nan", "samples_bool", "samples_float", "seed_float", "seed_negative"],
+        [{"tol": "0.5"}, {"tol": float("nan")}],
+        ids=["tol_str", "tol_nan"],
     )
     def test_arguments_validated(self, kwargs):
         with pytest.raises(ValidationError):
-            verify_unique_projection(2.0, pt(Space.L2, 1, 0), **{"samples": 10, **kwargs})
+            verify_unique_projection(2.0, pt(Space.L2, 1, 0), **kwargs)
 
     def test_negative_alpha_projection_checked(self):
-        report = verify_unique_projection(
-            -3.0, pt(Space.LINF, 1.0, 1.0), samples=3000, seed=1, tol=1e-3
-        )
+        report = verify_unique_projection(-3.0, pt(Space.LINF, 1.0, 1.0), tol=1e-3)
         assert report.passed
         assert report.lower_bound == 2.0
 
     def test_large_alpha_within_rounding_passes(self):
         # distances round at about |alpha| * eps, here 7e-12 below lower - 1e-12
-        report = verify_unique_projection(
-            56234.13251903491, pt(Space.L2, 0.6, 0.8), samples=1000, seed=0
-        )
+        report = verify_unique_projection(56234.13251903491, pt(Space.L2, 0.6, 0.8))
         assert report.passed and report.lower_ok and report.radius_ok
         assert report.radius_bound == verify_unique_projection(
-            2.0, pt(Space.L2, 0.6, 0.8), samples=10
+            2.0, pt(Space.L2, 0.6, 0.8)
         ).radius_bound
 
     @pytest.mark.parametrize(
@@ -155,11 +143,76 @@ class TestVerification:
     def test_alpha_too_large_for_the_band_rejected(self, space, coords, alpha):
         # (dim + 4) eps (|alpha| + 1) >= tol / 4 leaves no provable near band
         with pytest.raises(ValidationError, match="too large"):
-            verify_unique_projection(alpha, NormedSpacePoint(space, coords), samples=10)
-        report = verify_unique_projection(
-            alpha / 10, NormedSpacePoint(space, coords), samples=1000, seed=1
-        )
+            verify_unique_projection(alpha, NormedSpacePoint(space, coords))
+        report = verify_unique_projection(alpha / 10, NormedSpacePoint(space, coords))
         assert report.passed
+
+
+def in_near_set(alpha, point, y, tol) -> bool:
+    """In exact rationals: ``||y|| <= 1`` and ``||alpha e - y|| <= (|alpha| - 1)
+    ||e|| + tol - 2 r``, the near set that verify_unique_projection
+    describes, with the same rounding allowance r; l2 compares squares."""
+    r = (point.dim + 4) * np.finfo(float).eps * (abs(alpha) + 1.0)
+    tau, a = Fraction(tol) - 2 * Fraction(r), abs(Fraction(alpha))
+    e, y = [Fraction(c) for c in point.coords], [Fraction(c) for c in y]
+    gap = [Fraction(alpha) * ei - yi for ei, yi in zip(e, y)]
+    if point.space is Space.L2:
+        ee = sum(c * c for c in e)
+        excess = sum(c * c for c in gap) - (a - 1) ** 2 * ee - tau**2
+        # sqrt(gg) <= (a - 1) sqrt(ee) + tau, squared: excess <= 2 tau (a - 1) sqrt(ee)
+        near = excess <= 0 or excess**2 <= 4 * tau**2 * (a - 1) ** 2 * ee
+        return sum(c * c for c in y) <= 1 and near
+    norm = (lambda v: sum(abs(c) for c in v)) if point.space is Space.L1 else (
+        lambda v: max(abs(c) for c in v))
+    return norm(y) <= 1 and norm(gap) <= (a - 1) * norm(e) + tau
+
+
+class TestExactRadius:
+    """The closed forms against the seeded sampler, which finds near-minimizers
+    at most as far out as the exact radius; its witness in exact arithmetic."""
+
+    @pytest.mark.parametrize("dim", range(1, 9))
+    @pytest.mark.parametrize("space", list(Space), ids=lambda s: s.value)
+    def test_sampled_radius_within_exact_within_bound(self, space, dim):
+        rng = np.random.default_rng(dim)
+        corners = [(1.01, 1e-6), (1.01, 0.99), (1e6, 1e-6), (1e6, 0.99)]
+        drawn = [(10.0 ** rng.uniform(0.005, 6.0), 10.0 ** rng.uniform(-6.0, -0.005))
+                 for _ in range(4)]
+        for seed, (a, tol) in enumerate(corners + drawn):
+            for alpha in (a, -a):
+                point = NormedSpacePoint(space, extreme_coords(space, dim, rng))
+                report = verify_unique_projection(alpha, point, tol=tol)
+                sampled = ref_sampled_projection(alpha, point, 4000, seed, tol)
+                assert sampled["radius"] <= report.radius <= report.radius_bound, (alpha, tol)
+                assert report.passed, (alpha, tol)
+                assert in_near_set(alpha, point, report.worst_offender, tol), (alpha, tol)
+
+    @pytest.mark.parametrize("alpha", [1.1, 1.5, -1.5, 2.0, -2.0])
+    @pytest.mark.parametrize("dim", [5, 7])
+    def test_l1_radius_is_the_band_in_high_dimension(self, dim, alpha):
+        # here the sampler drew no near-minimizer besides the projection
+        # itself (at d = 7), and passed without probing; the near set
+        # reaches the band tau from the projection in every dimension
+        coords = [0.0] * dim
+        coords[dim // 2] = 1.0
+        report = verify_unique_projection(alpha, NormedSpacePoint(Space.L1, coords), tol=1e-3)
+        r = (dim + 4) * np.finfo(float).eps * (abs(alpha) + 1.0)
+        tau = 1e-3 - 2.0 * r
+        proj = np.copysign(1.0, alpha) * np.array(coords)
+        offset = Space.L1.norm(np.array(report.worst_offender) - proj)
+        assert report.passed
+        assert tau <= report.radius <= tau + 3.0 * r
+        assert tau - 2.0 * r <= offset <= report.radius
+
+    @pytest.mark.parametrize("space,coords", [(Space.L2, (0.6, 0.79999999999995)),
+                                              (Space.L1, (0.9999999999995, 0.0))])
+    def test_lower_check_allows_the_extreme_tolerance(self, space, coords):
+        # min_distance is |alpha| ||e|| - 1, below the projection's distance
+        # (|alpha| - 1) ||e|| by 1 - ||e||, which EXTREME_TOL allows
+        report = verify_unique_projection(1e6, NormedSpacePoint(space, coords))
+        n = space.norm(coords)
+        assert report.min_distance == 1e6 * n - 1.0 < report.lower_bound
+        assert report.lower_ok and report.passed and 1.0 - n <= EXTREME_TOL
 
 
 @pytest.mark.parametrize("space", list(Space))
