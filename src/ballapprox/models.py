@@ -114,9 +114,9 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 def _nearly_orthogonal(vt: np.ndarray) -> bool:
     """Whether ``V^T V`` is within ``IDENTITY_TOL / 10`` of the identity in
-    the Frobenius norm, which bounds the spectral norm: the one guard on the
+    the Frobenius norm, which bounds the spectral norm: the guard on the
     ``V`` of a memoised LAPACK SVD before it stands in for an orthogonal
-    matrix, in a matrix's norm and in the competitor search's pruning."""
+    matrix in a matrix's norm."""
     return bool(np.linalg.norm(vt @ vt.T - np.eye(len(vt))) <= IDENTITY_TOL / 10)
 
 
@@ -355,11 +355,6 @@ class HilbertOperator(_ByValue):
         return tuple(map(_readonly, np.linalg.svd(self.entries)))
 
     @functools.cached_property
-    def _orthogonal_v(self) -> bool:
-        """:func:`_nearly_orthogonal` of the ``V`` of :attr:`_svd`, computed once."""
-        return _nearly_orthogonal(self._svd[2])
-
-    @functools.cached_property
     def _norm(self) -> float:  # op_norm, computed on first use
         if self.shape is not Shape.FINITE_MATRIX:
             return max(self.tail.sup_abs, _max_abs(self.explicit))
@@ -372,7 +367,8 @@ class HilbertOperator(_ByValue):
         # IDENTITY_TOL / 10 the worst case is about 7e-13 relative, inside
         # IDENTITY_TOL.  A V that fails the guard preconditions nothing.
         with np.errstate(over="ignore"):  # an overflowing T V is reported below
-            a = self.entries @ self._svd[2].T if self._orthogonal_v else self.entries
+            vt = self._svd[2]
+            a = self.entries @ vt.T if _nearly_orthogonal(vt) else self.entries
         if not np.all(np.isfinite(a)):
             raise NumericError(
                 f"the matrix times LAPACK's V overflows: entries up to "
@@ -457,18 +453,16 @@ class L1Operator(_ByValue):
 
     @functools.cached_property
     def _row_layout(self) -> tuple:
-        """``(ends, starts, widths, row)``, computed once: this model as one
-        flat row, the form of the oracles' l1 trials: the support of every
+        """``(ends, starts, row)``, computed once: this model as one flat
+        row, the form of the oracles' l1 candidates: the support of every
         explicit column end to end, then the window of the first
         ``len(tail_weights) + 2`` tail-column weights.  Column ``j + 1`` is
         ``row[ends[j]:ends[j + 1]]`` and the window ``row[ends[-1]:]``; each
-        nonempty column opens at ``starts`` and spans ``widths``."""
+        nonempty column opens at ``starts``."""
         lengths = np.array([len(c) for c in self.columns], dtype=np.intp)
         ends = np.concatenate([[0], np.cumsum(lengths)])
         window = _slots(self.tail_weights, self.tail, 0, len(self.tail_weights) + 2)
-        nonempty = lengths > 0
-        return (ends.tolist(), ends[:-1][nonempty], lengths[nonempty],
-                np.concatenate([*self.columns, window]))
+        return (ends.tolist(), ends[:-1][lengths > 0], np.concatenate([*self.columns, window]))
 
     def column_mass(self, j: int) -> float:
         if j < 1:

@@ -3,9 +3,9 @@
 Three oracles, deliberately built on different machinery than the
 constructions they certify:
 
-* :func:`competitor_search` tries to beat a claimed distance with
-  randomly sampled in-ball compact competitors from the same model
-  class, after scoring the deterministic candidates;
+* :func:`competitor_search` scores deterministic in-ball compact
+  competitors from the same model class against a claimed distance, and
+  bounds every competitor below from the input's data;
 * :func:`svd_clip_oracle` solves the finite matrix case directly by
   clipping singular values at 1 and cross-checks the construction;
 * :func:`finite_section_bounds` turns leading compressions into
@@ -24,19 +24,19 @@ candidate is scored by a fresh LAPACK ``sigma_1(T - K)``.
 
 Each model class has one search entry (``_Search``): diagonal and
 shift models, matrices, and l1 column models.  It holds the class's
-construction, fixed candidates, candidate builder, scorer, lower bound,
-trial stream and section norm, and :func:`_search_of` is the one place
-where the oracles tell the classes apart.  The search scores its
-candidates, the construction included, by one numpy function per model
-class, apart from the library's own residual code.
+construction, fixed candidates, candidate builder, scorer, lower bound
+and section norm, and :func:`_search_of` is the one place where the
+oracles tell the classes apart.  The search scores its candidates, the
+construction included, by one numpy function per model class, apart from
+the library's own residual code.
 
 Every in-ball compact ``K`` has ``||T - K|| >= ||T|| - 1`` (the triangle
 inequality) and ``||T - K|| >= ||T||_e`` (a compact perturbation keeps the
 essential norm), so no competitor beats ``max(||T|| - 1, ||T||_e, 0)``
 but by rounding.  Each entry's ``lower`` computes that bound apart from
-the library's arithmetic, less a margin for the rounding of the trials'
-scaling into the ball and of their scores, so that no random trial's
-*computed* score falls below it:
+the library's arithmetic, less a margin for the rounding of a
+competitor's scaling into the ball and of its score, so that no in-ball
+competitor's *computed* score falls below it:
 
 * diagonal and shift models: ``max(fl(max |w| - 1), ess)`` over the window
   ``w`` of scored entries, margin 0 (:func:`_window_lower`);
@@ -44,21 +44,11 @@ scaling into the ball and of their scores, so that no random trial's
   and, per explicit column of ``k`` entries, its ``math.fsum`` mass ``m``
   less ``1 + gamma_{4k+4} (m + 1)`` (:func:`_l1_lower`);
 * matrices: ``max(sigma_1 - 1 - IDENTITY_TOL (1 + sigma_1), 0)`` with
-  LAPACK's ``sigma_1`` memoised on ``T`` (:func:`_matrix_margin`).
+  LAPACK's ``sigma_1`` memoised on ``T`` (:func:`_matrix_lower`).
 
-The search draws no trial when its best fixed score is at or below that
-bound (no trial could score strictly lower: the report is that of
-scoring every trial) or when the bound closes the gap: it is at least
-``claimed - band``, so no competitor beats the claim by more than
-``band``, and the best fixed score is within ``band`` of both the bound
-and the claim, so no trial could beat that score by more than ``band``
-and the report passes, as that of scoring every trial would.  Otherwise
-a matrix search draws in full only the trials whose first column could
-beat the best fixed candidate (:func:`_possible_winners`), so the report
-is that of scoring every trial.  The trials of every model class are drawn, bounded, scaled and
-scored one chunk of at most ``TRIAL_CHUNK_ENTRIES`` entries at a time, so
-the search holds one chunk of trials whatever their number or width.
-Section norms use ``numpy.linalg`` too.
+When the bound is at least ``claimed - band``, it proves that no
+competitor beats the claim by more than ``band``.  Section norms use
+``numpy.linalg`` too.
 """
 
 from __future__ import annotations
@@ -82,7 +72,6 @@ from .models import (
     TailRule,
     ValidationError,
     _require_finite,
-    _require_int,
     _slots,
     ball_distance,
     ess_norm,
@@ -98,10 +87,6 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-10
-
-#: Entries per chunk of random trials (1 MiB of float64, at least one
-#: trial): the search draws, bounds, scales and scores one chunk at a time.
-TRIAL_CHUNK_ENTRIES = 1 << 17
 
 
 def _require_tol(tol) -> float:
@@ -119,8 +104,6 @@ class SearchReport:
     attained: bool
     beaten: bool
     passed: bool
-    trials: int
-    seed: int
     tol: float
     best_kind: str
     best_candidate: Optional[Operator]
@@ -197,7 +180,7 @@ def _entry_scorer(t: HilbertOperator):
 def _l1_scorer(t: L1Operator):
     """Column models: the largest residual column mass, masses added left to
     right (:func:`_segment_sums`), then ``ess_norm(t)``."""
-    ends, starts, _, row = t._row_layout
+    ends, starts, row = t._row_layout
     n, ess = ends[-1], ess_norm(t)
 
     def score(rows: np.ndarray) -> np.ndarray:
@@ -210,8 +193,8 @@ def _l1_scorer(t: L1Operator):
 
 
 def _segment_sums(mags: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """The mass of each column of each trial, ``(trials, columns)``, from
-    ``mags``, the magnitudes of a chunk's column supports (overwritten),
+    """The mass of each column of each row, ``(rows, columns)``, from
+    ``mags``, the magnitudes of the rows' column supports (overwritten),
     whose nonempty columns open at ``starts``.  ``np.subtract.reduceat`` of
     each first magnitude and the others negated adds left to right, the
     order of the library's column masses, at any width (``x - (-y)`` rounds
@@ -239,7 +222,7 @@ def _bound(norm_term: float, ess: float):
 
 
 def _window_lower(window: np.ndarray, ess: float):
-    """:func:`_bound` of ``fl(max |window| - 1)`` and ``ess``: for trial
+    """:func:`_bound` of ``fl(max |window| - 1)`` and ``ess``: for competitor
     entries in ``[-1, 1]``, no computed score of a diagonal or shift model
     whose window of entries is ``window``, or of a column model whose window
     of tail-column weights it is, falls below it.
@@ -273,9 +256,9 @@ def _l1_lower(t: L1Operator):
     ``gamma_j = j u / (1 - j u)`` and ``u = 2^-53`` (Higham 2002, *Accuracy
     and Stability of Numerical Algorithms*, section 3.1).
 
-    The column's exact mass is ``M >= m (1 - u)``.  A trial scales its
-    entries ``x`` into the ball as ``r_i = fl(x_i / s)``, with ``s`` at
-    least 1 and at least the left-to-right sum of ``|x_i|``, so ``sum |x_i|
+    The column's exact mass is ``M >= m (1 - u)``.  A competitor's column
+    scaled into the ball from entries ``x`` is ``r_i = fl(x_i / s)``, with
+    ``s`` at least 1 and at least the left-to-right sum of ``|x_i|``, so ``sum |x_i|
     <= s / (1 - gamma_{k-1})`` and ``sum |r_i| <= (1 + u) / (1 - gamma_{k-1})
     <= 1 + gamma_{2k}``.  By the triangle inequality the exact residual
     mass is at least ``M - 1 - gamma_{2k}``; each ``|c_i - r_i|`` is
@@ -297,214 +280,48 @@ def _l1_lower(t: L1Operator):
     return _bound(norm_term, ess)
 
 
-def _matrix_margin(t: HilbertOperator) -> float:
-    """``IDENTITY_TOL * (1 + sigma_1)``, with LAPACK's ``sigma_1`` memoised
-    on ``t``: the one rounding margin of the matrix search's two bounds,
-    :func:`_matrix_lower` and the first-column bound of
-    :func:`_possible_winners`, each argued there."""
-    return IDENTITY_TOL * (1.0 + float(t._svd[1][0]))
-
-
 def _matrix_lower(t: HilbertOperator):
-    """A matrix's bound: ``max(sigma_1 - 1 - margin, 0)``, with LAPACK's
-    ``sigma_1`` and :func:`_matrix_margin`.  A random competitor ``K = M /
+    """A matrix's bound: ``max(sigma_1 - 1 - IDENTITY_TOL (1 + sigma_1), 0)``,
+    with LAPACK's ``sigma_1`` memoised on ``t``.  A competitor ``K = M /
     max(sigma_1(M), 1)`` has ``sigma_1(K) <= 1``, so ``sigma_1(T - K) >=
     sigma_1(T) - 1``, and a singular value is at least 0.  The divide,
-    LAPACK's ``sigma_1`` of the draw (so of the divisor) and of ``T - K``,
-    the subtraction ``T - K`` and LAPACK's ``sigma_1(T)`` itself are each off
-    by a few ``n * eps * (1 + sigma_1)`` at most, below 1e-14 of ``1 +
-    sigma_1`` for ``n <= 64``: inside the margin."""
-    return _bound(float(t._svd[1][0]) - 1.0 - _matrix_margin(t), 0.0)
-
-
-def _trial_chunks(trials: int, shape: tuple):
-    """Consecutive views of one buffer of trials of ``shape``, of any model
-    class, with at most ``TRIAL_CHUNK_ENTRIES`` entries (at least one trial)
-    each, covering ``trials`` trials, with the number of trials of each
-    chunk in the first, free half (``trials // 2``; l1 trials have no other
-    half).  A chunk may span both halves; the next one overwrites it."""
-    step = max(1, TRIAL_CHUNK_ENTRIES // int(np.prod(shape)))
-    buf = np.empty((min(step, trials),) + shape)
-    n_free = trials // 2
-    for s in range(0, trials, step):
-        e = min(s + step, trials)
-        yield buf[: e - s], min(max(n_free - s, 0), e - s)
-
-
-def _random_entry_competitors(t: HilbertOperator, construction: HilbertOperator,
-                              best_found: float, trials: int, seed: int):
-    """Random diagonal/shift competitors in chunks (:func:`_trial_chunks`):
-    each row is an in-ball competitor on the first ``len(t.explicit) + 4``
-    slots with const 0 tail; the second half perturb ``construction``.  The
-    rows of all chunks are those of one whole draw from ``default_rng(seed)``;
-    none is left out, whatever ``best_found``."""
-    width, rng = len(t.explicit) + 4, np.random.default_rng(seed)
-    opt = _slots(construction.explicit, construction.tail, 0, width)  # a const 0 tail
-    for rows, n_free in _trial_chunks(trials, (width,)):
-        rows[:n_free] = rng.uniform(-1.1, 1.1, (n_free, width))
-        np.add(opt, rng.uniform(-0.6, 0.6, (len(rows) - n_free, width)), out=rows[n_free:])
-        rows /= np.maximum(np.max(np.abs(rows), axis=1), 1.0)[:, None]
-        yield rows
-
-
-def _random_matrix_draws(t: HilbertOperator, best: HilbertOperator, trials: int,
-                         seed: int, keep):
-    """Raw ``n x n`` draws ``M_i = C_i V^T`` of the trials that ``keep``
-    selects, in chunks (:func:`_trial_chunks`), in trial order; the
-    competitor of ``M`` is ``M / max(sigma_1(M), 1)`` (:func:`_into_ball`).
-
-    ``V`` is the right factor of the SVD memoised on ``t``, ``G_i`` is
-    standard normal, and ``C_i`` is ``0.6 / sqrt(n) G_i`` in the first,
-    free half and ``B V + 0.3 / sqrt(n) G_i`` in the half perturbing
-    ``best``, whose entries are ``B``: for an orthogonal ``V``, ``G_i V^T``
-    is standard normal too, so ``M_i`` has the law of ``0.6 / sqrt(n) G``
-    or ``B + 0.3 / sqrt(n) G``.  Each chunk draws the first columns ``C_i
-    e_1`` of its trials from ``default_rng(seed)``, in trial order, and
-    ``keep`` maps them, ``(trials of the chunk, n)``, to a boolean mask.
-    The other columns of a kept trial ``i`` come from its own generator,
-    keyed by ``SeedSequence(seed, spawn_key=(i,))``, so a trial is the same
-    whichever others are kept and whatever the chunk size.  The buffer is
-    overwritten by the next chunk."""
-    n = len(t.entries)
-    vt = t._svd[2]
-    sd = np.array([0.6, 0.3]) / np.sqrt(n)  # free, near
-    mean = np.stack([np.zeros((n, n)), best.entries @ vt.T])  # of C: 0, B V
-    rng, first = np.random.default_rng(seed), 0
-    for mats, n_free in _trial_chunks(trials, (n, n)):
-        near = (np.arange(len(mats)) >= n_free).astype(int)
-        cols = rng.standard_normal((len(mats), n)) * sd[near, None] + mean[near, :, 0]
-        kept = np.flatnonzero(keep(cols))
-        for m, j in zip(mats, kept):
-            keyed = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(first + j,)))
-            m[:, 0] = cols[j]
-            m[:, 1:] = keyed.standard_normal((n, n - 1)) * sd[near[j]] + mean[near[j], :, 1:]
-            m[...] = m @ vt
-        first += len(mats)
-        yield mats[: len(kept)]
-
-
-def _into_ball(mats: np.ndarray) -> np.ndarray:
-    """Each draw ``M`` divided in place by ``max(sigma_1(M), 1)``, with
-    LAPACK's ``sigma_1`` (each matrix decomposed alone)."""
-    top = np.linalg.svd(mats, compute_uv=False)[:, 0]
-    mats /= np.maximum(top, 1.0)[:, None, None]
-    return mats
-
-
-def _trial_lower_bounds(tv: np.ndarray, mv: np.ndarray) -> np.ndarray:
-    """Lower bounds on ``sigma_1(T - K)`` for the competitors ``K = M / s``,
-    ``s = max(sigma_1(M), 1)``, of raw draws ``M``, from ``Tv`` and the rows
-    ``Mv`` for one unit vector ``v``: as ``s >= max(|Mv|, 1)`` and ``|T - K|
-    >= |Tv - Mv / s|``, the score is at least ``min |Tv - c Mv|`` over ``0
-    <= c <= 1 / max(|Mv|, 1)``.  The minimising ``c`` is ``<Tv, Mv> /
-    |Mv|^2``, clipped to that interval; the bound is the norm of the
-    residual vector itself (``hypot``: no overflow, and no cancellation of
-    a difference of squares), folded left to right over a copy with one row
-    per coordinate: a short last axis reduces row by row, slowly."""
-    mv2 = np.einsum("ij,ij->i", mv, mv)
-    c = np.divide(mv @ tv, mv2, out=np.zeros(len(mv)), where=mv2 > 0.0)
-    np.clip(c, 0.0, 1.0 / np.maximum(np.sqrt(mv2), 1.0), out=c)
-    return np.hypot.reduce((tv - c[:, None] * mv).T.copy(), axis=0)
-
-
-def _possible_winners(t: HilbertOperator, best: float):
-    """The ``keep`` of :func:`_random_matrix_draws` in a search whose best
-    fixed score is ``best``: the mask of the trials, in a chunk of first
-    columns ``C_i e_1``, whose competitors could score at most ``best``,
-    from LAPACK's ``sigma_1`` and ``v_1`` of ``T`` (memoised on ``t``).
-
-    A trial is dropped when the bound of :func:`_trial_lower_bounds` on its
-    first column exceeds ``best`` by more than ``IDENTITY_TOL * (1 +
-    sigma_1)`` (:func:`_matrix_margin`).  The first column stands in for ``M
-    v_1``: with ``E = V^T V - I``, ``M v_1 = C V^T v_1 = C e_1 + C E e_1``,
-    and ``|C| <= sigma_1(M) (1 + |E| / 2)``.  So, divided by ``s``, the proxy
-    is off ``K v_1`` by at most about ``|E|``, however large the columns
-    that were not drawn, and ``1 / max(|C e_1|, 1)`` caps ``1 / s`` up to a
-    factor ``1 + |E| / 2``, which moves the bound by ``|E| / 2`` at most.
-    The guard of T's norm, ``|E|_F <= IDENTITY_TOL / 10`` as computed
-    (:func:`~ballapprox.models._nearly_orthogonal`, memoised on ``t``),
-    keeps ``1.5 |E|_2`` below 8.3e-13 at ``n = 64`` even if the rounding of
-    ``V^T V`` (``n^2 u``) hid that much of it.  The rounding of ``C V^T``, of
-    the bound, of LAPACK's ``sigma_1`` of the draw (so of ``s``) and of ``T
-    - K``, and the norm of ``v_1`` are each off by a few ``n * eps * (1 +
-    ||T||)`` at most, below 1e-14 of it for ``n <= 64``: inside the margin,
-    a dropped trial scores above ``best`` and could not have been the first
-    minimum below it.  A ``V`` that fails the guard drops nothing.  (A search
-    whose ``best`` is at or below :func:`_matrix_lower` draws no trial at
-    all.)"""
-    if not t._orthogonal_v:
-        return lambda cols: np.ones(len(cols), dtype=bool)
-    tv, cutoff = t.entries @ t._svd[2][0], best + _matrix_margin(t)
-    # a NaN bound drops nothing
-    return lambda cols: ~(_trial_lower_bounds(tv, cols) > cutoff)
-
-
-def _matrix_trials(t: HilbertOperator, construction: HilbertOperator, best_found: float,
-                   trials: int, seed: int):
-    """The random matrix competitors that could score at most ``best_found``
-    (:func:`_possible_winners`), drawn (:func:`_random_matrix_draws`) and
-    divided into the ball (:func:`_into_ball`) chunk by chunk."""
-    keep = _possible_winners(t, best_found)
-    return (_into_ball(mats) for mats in
-            _random_matrix_draws(t, construction, trials, seed, keep) if len(mats))
-
-
-def _random_l1_competitors(t: L1Operator, construction: L1Operator, best_found: float,
-                           trials: int, seed: int):
-    """Random column-model competitors in chunks (:func:`_trial_chunks`),
-    one flat row per trial in the form of ``t._row_layout``: the support
-    of each explicit column, entries uniform on ``[-0.9, 0.9]`` and each
-    column divided by ``max(mass, 1)``, then the window, uniform on ``[-1,
-    1]``.  An empty column gets no slot: an entry there could only add to
-    its residual mass, so no trial that could win is left out.  The rows
-    of all chunks are those of one whole draw from ``default_rng(seed)``;
-    none depends on ``construction`` or is left out, whatever
-    ``best_found``."""
-    ends, starts, widths, row = t._row_layout
-    n, rng = ends[-1], np.random.default_rng(seed)
-    high = np.where(np.arange(len(row)) < n, 0.9, 1.0)
-    span = 2.0 * high
-    for rows, _ in _trial_chunks(trials, (len(row),)):
-        # rng.uniform(-high, high) in place: -high + 2 high u, the same bits
-        rng.random(out=rows)
-        rows *= span
-        rows -= high
-        masses = _segment_sums(np.abs(rows[:, :n]), starts)
-        rows[:, :n] /= np.repeat(np.maximum(masses, 1.0), widths, axis=1)
-        yield rows
+    LAPACK's ``sigma_1`` of ``M`` (so of the divisor) and of ``T - K``, the
+    subtraction ``T - K`` and LAPACK's ``sigma_1(T)`` itself are each off by
+    a few ``n * eps * (1 + sigma_1)`` at most, below 1e-14 of ``1 + sigma_1``
+    for ``n <= 64``: inside the margin."""
+    sigma_1 = float(t._svd[1][0])
+    return _bound(sigma_1 - 1.0 - IDENTITY_TOL * (1.0 + sigma_1), 0.0)
 
 
 #: What the search of one model class does its own way:
 #:
 #: * ``construct``, ``t -> BallApproxResult``: the construction;
 #: * ``fixed``, ``(t, construction) -> (kinds, rows)``: the named fixed
-#:   candidates, in the array form of the class's random trials, built here
-#:   from the data of ``t`` with numpy;
+#:   candidates, one row of an array each, built here from the data of ``t``
+#:   with numpy;
 #: * ``build``, ``(t, row) -> Operator``: the candidate of a row, with a
 #:   const 0 tail;
 #: * ``scorer``, ``t -> score``: ``score`` maps rows of candidates to their
 #:   residual norms ``||t - k||``; what no row changes is computed once;
-#: * ``lower``, ``t -> (lower, binding)``: a value that no random trial's
-#:   computed score falls below, ``max(||t|| - 1, ||t||_e, 0)`` computed
-#:   apart from the library's arithmetic less the class's rounding margin,
-#:   and the term that sets it, ``"norm"``, ``"essential"`` or ``"zero"``;
-#: * ``chunks``, ``(t, construction, best_found, trials, seed) -> rows``: the
-#:   random trials, chunk by chunk (:func:`_trial_chunks`), in trial order,
-#:   leaving out only trials that cannot score at most ``best_found``;
+#: * ``lower``, ``t -> (lower, binding)``: a value that no in-ball
+#:   competitor's computed score falls below, ``max(||t|| - 1, ||t||_e, 0)``
+#:   computed apart from the library's arithmetic less the class's rounding
+#:   margin, and the term that sets it, ``"norm"``, ``"essential"`` or
+#:   ``"zero"``;
 #: * ``section_ord``: the ``ord`` of ``numpy.linalg.norm`` that is the norm of
 #:   a leading section, spectral on l2 and the largest column mass on l1.
-_Search = namedtuple("_Search", "construct fixed build scorer lower chunks section_ord")
+_Search = namedtuple("_Search", "construct fixed build scorer lower section_ord")
 
 # the constructions are looked up by name at each call, so that a wrapper
 # bound in this module (perfbench's tracer, a test's counter) sees them
 _ENTRY_SEARCH = _Search(lambda t: best_ball_approx_h(t), _entry_candidates,
                         lambda t, row: HilbertOperator(t.shape, row, TailRule.const(0.0)),
-                        _entry_scorer, _entry_lower, _random_entry_competitors, 2)
+                        _entry_scorer, _entry_lower, 2)
 _MATRIX_SEARCH = _Search(lambda t: best_ball_approx_h(t), _matrix_candidates,
                          lambda t, row: HilbertOperator.finite_matrix(row),
-                         _matrix_scorer, _matrix_lower, _matrix_trials, 2)
+                         _matrix_scorer, _matrix_lower, 2)
 _L1_SEARCH = _Search(lambda t: best_ball_approx_l1(t), _l1_candidates, _l1_build, _l1_scorer,
-                     _l1_lower, _random_l1_competitors, 1)
+                     _l1_lower, 1)
 
 
 def _search_of(t: Operator) -> _Search:
@@ -517,97 +334,54 @@ def _search_of(t: Operator) -> _Search:
 def competitor_search(
     t: Operator,
     claimed: Optional[float] = None,
-    trials: int = 1000,
-    seed: int = 0,
     tol: float = DEFAULT_TOL,
 ) -> SearchReport:
-    """Try to beat a claimed ball distance with sampled competitors.
+    """Try to beat a claimed ball distance, and bound every competitor.
 
-    Samples ``trials`` random compact in-ball operators from the model
-    class of ``t`` (half unconstrained and, but for l1, half perturbations
-    of the optimal approximant).  These and the deterministic candidates,
-    the construction included, are scored by the same numpy function,
-    apart from the library's residual code; ``best_found`` is the first
-    minimum of those scores.  Only a strictly lower score replaces the
-    best.
+    Scores the deterministic in-ball compact candidates of the model class
+    of ``t``, the construction included, by one numpy function, apart from
+    the library's residual code; ``best_found`` is the first minimum of
+    those scores and ``best_candidate`` the operator behind it.
 
     The class's lower bound ``lower_bound`` (``binding`` names its term) is
-    a value that no random trial's computed score falls below: ``max(||t|| -
-    1, ||t||_e, 0)``, which every in-ball compact competitor's residual
-    norm is at least, computed from the input's data apart from the
-    library's arithmetic, less a margin for rounding (see the module
-    docstring).  No trial is drawn
+    a value that no in-ball compact competitor's computed score falls
+    below: ``max(||t|| - 1, ||t||_e, 0)``, which every such competitor's
+    residual norm is at least, computed from the input's data apart from
+    the library's arithmetic, less a margin for rounding (see the module
+    docstring).  When ``claimed - band <= lower_bound``, the bound proves
+    that no competitor beats the claim by more than ``band``.  A matrix of
+    norm above about 100 leaves that gap open, as its margin ``IDENTITY_TOL
+    * (1 + sigma_1)`` is then wider than ``band``; its verdict rests on the
+    fixed candidates.  The bound reads the input's data, not the library's
+    norm, so an inflated claim leaves it below ``claimed - band``, and a
+    fixed candidate beats that claim.
 
-    * when the best fixed score is at or below ``lower_bound``: no trial
-      scores strictly lower, so the report is that of scoring every trial;
-    * or when the bound closes the gap: ``claimed - band <= lower_bound``,
-      so no competitor beats the claim by more than ``band``, and
-      ``best_found <= lower_bound + band``, so none beats the best fixed
-      candidate by more than ``band``.  A trial could then win only by such
-      a rounding-level tie; as ``best_found <= claimed + band`` is asked
-      too, the report passes, as that of scoring every trial would.
-
-    The bound reads the input's data, not the library's norm, so a fixed
-    candidate that beats an inflated claim is found all the same, and an
-    inflated claim leaves the gap open.  Otherwise a random matrix trial
-    ``M = C V^T`` (``V`` from the SVD of ``t``) is drawn in full and scored
-    only when the lower bound that its first column gives comes within
-    ``IDENTITY_TOL * (1 + sigma_1(t))`` of the best deterministic score
-    (:func:`_possible_winners`); its other columns come from a generator
-    keyed by ``seed`` and its index, so it is the same whichever others are
-    drawn.
-
-    The trials are drawn, bounded, scaled and scored in chunks of at most
-    ``TRIAL_CHUNK_ENTRIES`` entries (1 MiB), keeping only the running
-    first minimum and its candidate, so memory does not grow with
-    ``trials``; the draws do not depend on the chunk size and a strict
-    ``<`` across chunks keeps the first minimum, so the report is the one
-    of a single batch.
-
-    The report passes when nothing beats ``claimed`` by more than
-    ``band`` and some candidate attains it within ``band``, where
-    ``band = max(tol, IDENTITY_TOL * |claimed|)`` is no finer than the
-    resolution at which :func:`~ballapprox.models.make_result` certifies
-    a distance; the report keeps ``tol`` as given.
+    The report passes when no candidate beats ``claimed`` by more than
+    ``band`` and some candidate attains it within ``band``, where ``band =
+    max(tol, IDENTITY_TOL * |claimed|)`` is no finer than the resolution at
+    which :func:`~ballapprox.models.make_result` certifies a distance; the
+    report keeps ``tol`` as given.
     """
-    trials = _require_int(trials, "trials", 1)
-    seed = _require_int(seed, "seed", 0)
     tol = _require_tol(tol)
     claimed = ball_distance(t) if claimed is None else _require_finite(claimed, "claimed")
     band = max(tol, IDENTITY_TOL * abs(claimed))
     search = _search_of(t)
-    construction = search.construct(t).approximant
-    # the fixed candidates, then the trials chunk by chunk: only a strictly
-    # lower score replaces the best, so the first minimum wins
-    score = search.scorer(t)
-    kinds, fixed = search.fixed(t, construction)
-    scores = score(fixed)
-    idx = int(np.argmin(scores))
-    best_found, best_kind, best = float(scores[idx]), kinds[idx], search.build(t, fixed[idx])
+    kinds, fixed = search.fixed(t, search.construct(t).approximant)
+    scores = search.scorer(t)(fixed)
+    idx = int(np.argmin(scores))  # the first minimum
+    best_found = float(scores[idx])
     lower, binding = search.lower(t)
-    settled = best_found <= lower or (
-        claimed - band <= lower and best_found <= min(lower, claimed) + band)
-    chunks = () if settled else search.chunks(t, construction, best_found, trials, seed)
-    for chunk in chunks:
-        scores = score(chunk)
-        if scores.min() < best_found:
-            # built now, which copies the row: the next chunk reuses the buffer
-            idx = int(np.argmin(scores))
-            best_found, best_kind, best = float(scores[idx]), "random", search.build(t, chunk[idx])
-
     beaten = best_found < claimed - band
     attained = best_found <= claimed + band
     return SearchReport(
         claimed=claimed,
-        best_found=float(best_found),
+        best_found=best_found,
         attained=attained,
         beaten=beaten,
         passed=(not beaten) and attained,
-        trials=trials,
-        seed=seed,
         tol=tol,
-        best_kind=best_kind,
-        best_candidate=best,
+        best_kind=kinds[idx],
+        best_candidate=search.build(t, fixed[idx]),
         lower_bound=lower,
         binding=binding,
     )

@@ -208,13 +208,17 @@ def ref_l1_mass(values) -> float:
     return lr_sum(abs(float(v)) for v in values)
 
 
+# Seeded random in-ball competitors of each model class, and exhaustive
+# searches that score them after competitor_search's fixed candidates: a
+# sampled falsification that the search's lower bound must survive.
+
+
 def _ref_l1_draws(t, trials: int, seed: int) -> list:
-    """The random l1 competitors of ``competitor_search``, ``(columns,
-    window)`` each, drawn one trial at a time from one ``default_rng(seed)``
-    stream: every explicit column in turn, ``len(col)`` entries uniform on
-    ``[-0.9, 0.9]`` divided by ``max(mass, 1)`` (an empty column draws
-    nothing), then the ``len(t.tail_weights) + 2`` window slots, uniform on
-    ``[-1, 1]``."""
+    """Random l1 competitors, ``(columns, window)`` each, drawn one trial at
+    a time from one ``default_rng(seed)`` stream: every explicit column in
+    turn, ``len(col)`` entries uniform on ``[-0.9, 0.9]`` divided by
+    ``max(mass, 1)`` (an empty column draws nothing), then the
+    ``len(t.tail_weights) + 2`` window slots, uniform on ``[-1, 1]``."""
     rng, draws = np.random.default_rng(seed), []
     for _ in range(trials):
         cols = []
@@ -248,9 +252,9 @@ def _ref_l1_split(t, row):
 
 
 def ref_l1_trials(t, trials: int, seed: int):
-    """``(residuals, rows)`` of the random l1 competitors of
-    ``competitor_search`` (:func:`_ref_l1_draws`), each trial as one flat
-    row: its columns end to end, then its window."""
+    """``(residuals, rows)`` of the random l1 competitors
+    (:func:`_ref_l1_draws`), each trial as one flat row in the form of
+    ``t._row_layout``: its columns end to end, then its window."""
     draws = _ref_l1_draws(t, trials, seed)
     rows = np.array([np.concatenate([*cols, window]) for cols, window in draws])
     return np.array([_ref_l1_residual(t, *draw) for draw in draws]), rows
@@ -258,8 +262,9 @@ def ref_l1_trials(t, trials: int, seed: int):
 
 def ref_l1_search(t, trials: int, seed: int):
     """``(best_found, best_kind, columns, tail weights)`` of an exhaustive
-    l1 ``competitor_search``: the search's fixed candidates, then every
-    trial, scored one at a time, column by column; the first minimum wins."""
+    l1 search: ``competitor_search``'s fixed candidates, then every trial of
+    :func:`_ref_l1_draws`, scored one at a time, column by column; the first
+    minimum wins."""
     from ballapprox import best_ball_approx_l1, oracles
 
     construction = best_ball_approx_l1(t).approximant
@@ -277,8 +282,8 @@ def same_bits(a, b) -> bool:
 
 
 def _ref_matrix_trial(t, best, trials: int, seed: int, head, i: int) -> np.ndarray:
-    """``C_i`` of trial ``i`` of a matrix ``competitor_search``
-    (:func:`ref_matrix_draws`), whose first column of ``G_i`` is ``head``."""
+    """``C_i`` of matrix trial ``i`` (:func:`ref_matrix_draws`), whose first
+    column of ``G_i`` is ``head``."""
     n, vt = len(t.entries), t._svd[2]
     sd, mean = (0.6 / np.sqrt(n), np.zeros((n, n))) if i < trials // 2 else (
         0.3 / np.sqrt(n), best.entries @ vt.T)
@@ -287,15 +292,15 @@ def _ref_matrix_trial(t, best, trials: int, seed: int, head, i: int) -> np.ndarr
 
 
 def ref_matrix_draws(t, best, trials: int, seed: int):
-    """``(first columns, raw draws)`` of every trial of a matrix
-    ``competitor_search``, built one trial at a time: trial ``i`` is ``M_i =
-    C_i V^T``, with ``V^T`` from the SVD memoised on ``t``, and ``C_i = sd G_i
-    + mean``: ``sd = 0.6 / sqrt(n)`` and ``mean = 0`` in the free half,
-    ``sd = 0.3 / sqrt(n)`` and ``mean = B V`` (``B`` the entries of ``best``)
-    after it.  Column 1 of every ``G_i`` comes from one ``default_rng(seed)``
-    stream, in trial order; columns 2..n of ``G_i`` from
-    ``default_rng(SeedSequence(seed, spawn_key=(i,)))``.  The first columns
-    are those of the ``C_i``."""
+    """``(first columns, raw draws)`` of random matrix trials, built one
+    trial at a time: trial ``i`` is ``M_i = C_i V^T``, with ``V^T`` from the
+    SVD memoised on ``t``, and ``C_i = sd G_i + mean``: ``sd = 0.6 /
+    sqrt(n)`` and ``mean = 0`` in the free half, ``sd = 0.3 / sqrt(n)`` and
+    ``mean = B V`` (``B`` the entries of ``best``) after it.  Column 1 of
+    every ``G_i`` comes from one ``default_rng(seed)`` stream, in trial
+    order; columns 2..n of ``G_i`` from ``default_rng(SeedSequence(seed,
+    spawn_key=(i,)))``.  The first columns are those of the ``C_i``.  The
+    competitor of a draw ``M`` is ``M / max(sigma_1(M), 1)``."""
     n = len(t.entries)
     heads = np.random.default_rng(seed).standard_normal((trials, n))
     cols, mats = np.empty((trials, n)), np.empty((trials, n, n))
@@ -306,8 +311,9 @@ def ref_matrix_draws(t, best, trials: int, seed: int):
 
 
 def ref_entry_rows(t, best, trials: int, rng) -> np.ndarray:
-    """The in-ball trial rows of a diagonal or shift ``competitor_search``
-    in one batch: the free half, then the half perturbing ``best``."""
+    """Random in-ball diagonal or shift competitors, one row each over the
+    first ``len(t.explicit) + 4`` slots: the free half, then the half
+    perturbing ``best``."""
     from ballapprox.models import _slots
 
     width, n_free = len(t.explicit) + 4, trials // 2
@@ -329,9 +335,10 @@ _MATRIX_SCORES = {}
 
 def ref_matrix_search(t, trials: int, seed: int):
     """``(best_found, best_kind, best candidate array)`` of an exhaustive
-    matrix ``competitor_search``: the same draws, every one scaled into
-    the ball by LAPACK's ``sigma_1`` and scored by LAPACK's ``sigma_1(T - K)``,
-    after the search's fixed candidates; the first minimum wins.
+    matrix search: the draws of :func:`ref_matrix_draws`, every one scaled
+    into the ball by LAPACK's ``sigma_1`` and scored by LAPACK's
+    ``sigma_1(T - K)``, after ``competitor_search``'s fixed candidates; the
+    first minimum wins.
 
     Each matrix is decomposed alone, so no fixed candidate changes the
     trials' scores: they are drawn and scored once per ``(T, V, B,
@@ -361,10 +368,10 @@ def ref_matrix_search(t, trials: int, seed: int):
 
 
 def ref_entry_search(t, trials: int, seed: int):
-    """``(best_found, best_kind, best candidate row)`` of a diagonal or
-    shift ``competitor_search`` drawn and scored in one batch: ``max |t -
-    k|`` over the window, then ``ess_norm(t)``, after the search's fixed
-    candidates; the first minimum wins."""
+    """``(best_found, best_kind, best candidate row)`` of an exhaustive
+    diagonal or shift search, the trials of :func:`ref_entry_rows` scored
+    in one batch: ``max |t - k|`` over the window, then ``ess_norm(t)``,
+    after ``competitor_search``'s fixed candidates; the first minimum wins."""
     from ballapprox import best_ball_approx_h, oracles
     from ballapprox.models import _slots
 

@@ -35,6 +35,9 @@ from helpers import (
     random_matrix_operator,
     random_nonattaining,
     random_positive_diagonal,
+    ref_entry_search,
+    ref_l1_search,
+    ref_matrix_search,
     soft_threshold_approx,
 )
 
@@ -73,22 +76,38 @@ def test_01_distance_formula_on_seeded_l2_models():
     )
 
 
+def _sampled_best(t, trials: int, seed: int) -> float:
+    """The best score of the exhaustive reference search of the model class
+    of ``t``: its fixed candidates, then ``trials`` seeded random ones."""
+    if isinstance(t, L1Operator):
+        return ref_l1_search(t, trials, seed)[0]
+    ref = ref_matrix_search if t.shape is Shape.FINITE_MATRIX else ref_entry_search
+    return ref(t, trials, seed)[0]
+
+
 def test_02_competitor_search_certifies_optimality():
     rng = np.random.default_rng(202)
     failures = []
     t0 = time.perf_counter()
     for i in range(100):
         t = random_l1(rng) if i % 10 < 3 else random_hilbert(rng)
-        rep = competitor_search(t, trials=10_000, seed=i, tol=1e-10)
+        rep = competitor_search(t, tol=1e-10)
+        band = max(1e-10, 1e-12 * abs(rep.claimed))
         if rep.beaten:
             failures.append(
                 f"#{i}: beaten, best {rep.best_found} < claimed {rep.claimed} ({rep.best_kind})"
             )
         if not rep.attained:
             failures.append(f"#{i}: claimed {rep.claimed} not attained, best {rep.best_found}")
+        sampled = _sampled_best(t, 10_000, i)
+        if sampled < rep.lower_bound:
+            failures.append(f"#{i}: a sampled score {sampled} < lower bound {rep.lower_bound}")
+        if sampled < rep.claimed - band:
+            failures.append(f"#{i}: a sampled score {sampled} beats claimed {rep.claimed}")
     _finish(
         2,
-        "competitor search (10^4 trials x 100 instances) never beaten, always attained",
+        "competitor search never beaten, always attained, and its lower bound and"
+        " claim never beaten by 10^4 sampled trials x 100 instances",
         failures,
         time.perf_counter() - t0,
         budget=60.0,

@@ -19,7 +19,7 @@ from ballapprox import (
     models,
     svd_clip_oracle,
 )
-from ballapprox import cli, oracles
+from ballapprox import cli
 from ballapprox.cli import main
 from ballapprox.serialize import certificate_to_doc, operator_from_doc, operator_to_doc
 from helpers import extreme_coords, same_bits
@@ -207,6 +207,13 @@ class TestCommands:
         second = capsys.readouterr().out
         assert first == second
 
+    def test_verify_echoes_samples_it_does_not_draw(self, monkeypatch, capsys):
+        # the lower bound decides the search: 10^12 trials are validated and
+        # echoed, and nothing of that size is drawn or held
+        code, doc = run(["verify", "--samples", "1000000000000", "--seed", "9"], L1_DOC,
+                        monkeypatch, capsys)
+        assert (code, doc["pass"], doc["trials"], doc["seed"]) == (0, True, 10**12, 9)
+
     def test_project_extreme(self, capsys):
         code, doc = run(
             ["project-extreme", "--space", "linf", "--alpha", "2", "--point", "[1,-1]"],
@@ -358,6 +365,7 @@ class TestFailClosed:
         "argv,command,message",
         [
             (["verify", "--seed", "-1"], "verify", "seed must be >= 0, got -1"),
+            (["verify", "--samples", "0"], "verify", "trials must be >= 1, got 0"),
             (["project-extreme", "--space", "l2", "--alpha", "2", "--point", "[1, 0]",
               "--samples", "10", "--seed", "-1"], "project-extreme", "seed must be >= 0, got -1"),
             (["project-extreme", "--space", "l2", "--alpha", "2", "--point", "[1, 0]",
@@ -368,8 +376,8 @@ class TestFailClosed:
              "ballapprox project-extreme: the following arguments are required: --point"),
             (["nonsense"], None, "ballapprox: argument command: invalid choice: 'nonsense'"),
         ],
-        ids=["verify_seed", "project_seed", "project_samples", "samples_not_int", "missing_point",
-             "no_command"],
+        ids=["verify_seed", "verify_samples", "project_seed", "project_samples", "samples_not_int",
+             "missing_point", "no_command"],
     )
     def test_bad_arguments_fail_with_json(self, argv, command, message, monkeypatch, capsys):
         code, doc = run(argv, DIAG_DOC, monkeypatch, capsys)
@@ -413,7 +421,7 @@ class TestFailClosed:
     @pytest.mark.parametrize(
         "target,argv,payload",
         [
-            ("ballapprox.oracles._trial_chunks",
+            ("ballapprox.oracles._segment_sums",
              ["verify", "--samples", "100"], L1_DOC),
         ],
         ids=["verify_l1"],
@@ -421,15 +429,12 @@ class TestFailClosed:
     @pytest.mark.parametrize("message", ["Unable to allocate 745. GiB for an array", ""])
     def test_memory_error_fails_with_strict_json(self, target, argv, payload, message,
                                                  monkeypatch, capsys):
-        # the patched step raises what numpy raises for an array it cannot
-        # allocate (--samples 100000000000 does), without allocating one; the
-        # l1 search's lower bound, at -inf, settles nothing before the trials
+        # the patched step, the l1 search's column masses, raises what numpy
+        # raises for an array it cannot allocate, without allocating one
         def out_of_memory(*args):
             raise MemoryError(message)
 
         monkeypatch.setattr(target, out_of_memory)
-        monkeypatch.setattr(oracles, "_L1_SEARCH",
-                            oracles._L1_SEARCH._replace(lower=lambda t: (-math.inf, "zero")))
         code, doc = run(argv, payload, monkeypatch, capsys)
         expected = f"out of memory: {message}" if message else "out of memory"
         assert (code, doc) == (1, {"command": argv[0], "error": expected})
@@ -676,3 +681,67 @@ class TestVerifyScoresApartFromTheLibrary:
             for argv in (["approx"], ["verify", "--samples", "50"]):
                 code, doc = self.run_matrix(argv, m, monkeypatch, capsys)
                 assert code == 2 and re.match(message, doc["error"]), doc
+
+
+class TestVerifySamplingArguments:
+    """``verify`` samples nothing, as the search's lower bound decides it:
+    ``--samples`` and ``--seed`` are validated after the document is read,
+    as ``trials`` and ``seed``, and echoed, and nothing else of the output
+    depends on them."""
+
+    DOCS = {
+        "diagonal": DIAG_DOC,
+        "shift": '{"space":"l2","model":"shift","explicit":[0.4,-2.5,1.5],'
+                 '"tail":{"kind":"geometric","limit":-1.2,"ratio":0.5}}',
+        "matrix": '{"space":"l2","model":"matrix","entries":[[1.2,0.4,0.0],[-0.3,0.9,2.0],'
+                  '[0.5,0.0,-0.7]]}',
+        "l1": L1_DOC,
+    }
+
+    @pytest.mark.parametrize("samples,seed", [(1, 0), (7, 3), (1000, 0), (10**12, 2**63)])
+    @pytest.mark.parametrize("model", list(DOCS))
+    def test_output_does_not_depend_on_samples_or_seed(self, model, samples, seed,
+                                                       monkeypatch, capsys):
+        code, default = run(["verify"], self.DOCS[model], monkeypatch, capsys)
+        assert (code, default["pass"], default["trials"], default["seed"]) == (0, True, 1000, 0)
+        code, doc = run(["verify", "--samples", str(samples), "--seed", str(seed)],
+                        self.DOCS[model], monkeypatch, capsys)
+        assert code == 0
+        assert (doc.pop("trials"), doc.pop("seed")) == (samples, seed)
+        assert list(doc) == [key for key in default if key not in ("trials", "seed")]
+        assert doc == {key: value for key, value in default.items()
+                       if key not in ("trials", "seed")}
+
+    @pytest.mark.parametrize(
+        "argv,command,message",
+        [
+            (["--samples", "0"], "verify", "trials must be >= 1, got 0"),
+            (["--samples", "-3"], "verify", "trials must be >= 1, got -3"),
+            (["--seed", "-1"], "verify", "seed must be >= 0, got -1"),
+            (["--samples", "5", "--seed", "-9"], "verify", "seed must be >= 0, got -9"),
+            (["--samples", "2.5"], None,
+             "ballapprox verify: argument --samples: invalid int value: '2.5'"),
+            (["--seed", "x"], None, "ballapprox verify: argument --seed: invalid int value: 'x'"),
+        ],
+        ids=["samples_zero", "samples_negative", "seed_negative", "seed_negative_with_samples",
+             "samples_float", "seed_not_int"],
+    )
+    @pytest.mark.parametrize("model", list(DOCS))
+    def test_bad_samples_or_seed_fail_with_json(self, model, argv, command, message,
+                                                monkeypatch, capsys):
+        code, doc = run(["verify", *argv], self.DOCS[model], monkeypatch, capsys)
+        assert (code, doc) == (1, {"command": command, "error": message})
+
+    @pytest.mark.parametrize(
+        "payload,fragment",
+        [("{not json", "invalid JSON"), ('{"space":"l3"}', "unknown space"),
+         ('{"space":"l2","model":"banana"}', "unknown l2 model")],
+        ids=["not_json", "unknown_space", "unknown_model"],
+    )
+    @pytest.mark.parametrize("argv", [["--samples", "0"], ["--seed", "-1"]],
+                             ids=["samples_zero", "seed_negative"])
+    def test_document_is_read_first(self, argv, payload, fragment, monkeypatch, capsys):
+        code, doc = run(["verify", *argv], payload, monkeypatch, capsys)
+        assert code == 1 and doc["command"] == "verify"
+        assert fragment in doc["error"]
+        assert "trials" not in doc["error"] and "seed" not in doc["error"]

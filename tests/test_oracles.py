@@ -1,7 +1,6 @@
 import io
 import json
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,10 +22,10 @@ from ballapprox import (
 from ballapprox import hilbert, l1, models, oracles
 from ballapprox.cli import main
 from ballapprox.oracles import DEFAULT_TOL
+from ballapprox.serialize import operator_from_doc
 from ballapprox.models import (
     IDENTITY_TOL,
     Shape,
-    _nearly_orthogonal,
     make_result,
     residual_norm,
 )
@@ -46,103 +45,52 @@ from helpers import (
 )
 
 
-def _whole(chunks) -> np.ndarray:
-    """The chunks of a trial stream, each copied before the next one
-    overwrites its buffer, as one array."""
-    return np.concatenate([c.copy() for c in chunks])
-
-
-def _every_trial(cols):
-    """The ``keep`` of ``oracles._random_matrix_draws`` that draws every trial."""
-    return np.ones(len(cols), dtype=bool)
-
-
-def _count_rows(monkeypatch, name="_ENTRY_SEARCH"):
-    """The list to which the trial stream of the search entry ``name``,
-    patched, appends the number of rows of each chunk it yields."""
-    trials, drawn = getattr(oracles, name).chunks, []
-
-    def counting(*args):
-        for rows in trials(*args):
-            drawn.append(len(rows))
-            yield rows
-
-    _patch_search(monkeypatch, name, chunks=counting)
-    return drawn
-
-
-def _patch_search(monkeypatch, name, **fields):
-    """The search entry ``name`` of ``oracles`` with ``fields`` replaced."""
-    monkeypatch.setattr(oracles, name, getattr(oracles, name)._replace(**fields))
-
-
-def _patch_zero_only(monkeypatch, name):
-    """The zero operator as the only fixed candidate of the search entry
-    ``name``: random trials win."""
-    fixed_candidates = getattr(oracles, name).fixed
-
-    def zero_only(t, construction):
-        return ["zero"], np.zeros_like(fixed_candidates(t, construction)[1][:1])
-
-    _patch_search(monkeypatch, name, fixed=zero_only)
-
-
-def _peak_bytes(f):
-    """``f()``'s peak traced allocation in bytes, and what it returned."""
-    tracemalloc.start()
-    try:
-        result = f()
-        return tracemalloc.get_traced_memory()[1], result
-    finally:
-        tracemalloc.stop()
-
-
 class TestCompetitorSearch:
     def test_diagonal_worked_instance(self):
         t = HilbertOperator.diagonal([3, 2, 0.5], TailRule.const(1))
-        report = competitor_search(t, trials=3000, seed=0)
+        report = competitor_search(t)
         assert report.passed
         assert not report.beaten and report.attained
         assert report.best_found == pytest.approx(2.0, abs=1e-10)
 
     def test_l1_worked_instance(self):
         t = L1Operator(((0.6, 0.9, 0.9),), (), TailRule.const(1))
-        report = competitor_search(t, trials=3000, seed=1)
+        report = competitor_search(t)
         assert report.passed
         assert report.best_found == pytest.approx(1.4, abs=1e-10)
 
     def test_matrix_instance(self):
         rng = np.random.default_rng(2)
         t = HilbertOperator.finite_matrix(rng.standard_normal((5, 5)))
-        report = competitor_search(t, trials=2000, seed=2)
+        report = competitor_search(t)
         assert report.passed
 
     def test_nonattaining_instance(self):
         t = HilbertOperator.diagonal([0.5], TailRule.geometric(2, 0.5))
-        report = competitor_search(t, trials=2000, seed=3)
+        report = competitor_search(t)
         assert report.passed
         assert report.best_found == pytest.approx(2.0, abs=1e-10)
 
     def test_inflated_claim_is_beaten(self):
         t = HilbertOperator.diagonal([3], TailRule.const(0))
-        report = competitor_search(t, claimed=5.0, trials=200, seed=0)
+        report = competitor_search(t, claimed=5.0)
         assert not report.passed and report.beaten
 
     def test_deflated_claim_not_attained(self):
         t = HilbertOperator.diagonal([3], TailRule.const(0))
-        report = competitor_search(t, claimed=1.0, trials=200, seed=0)
+        report = competitor_search(t, claimed=1.0)
         assert not report.passed and not report.attained and not report.beaten
 
     def test_best_candidate_is_reported_in_ball(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
             t = random_hilbert(rng, max_len=6, max_dim=4)
-            report = competitor_search(t, trials=500, seed=11)
+            report = competitor_search(t)
             assert report.passed
             assert report.best_candidate is not None
         for _ in range(10):
             t = random_l1(rng)
-            report = competitor_search(t, trials=500, seed=13)
+            report = competitor_search(t)
             assert report.passed
 
     @pytest.mark.parametrize("scale", [1e2, 1e5, 1e6, 1e8])
@@ -153,39 +101,40 @@ class TestCompetitorSearch:
         for i in range(40):
             n = int(rng.integers(2, 7))
             t = HilbertOperator.finite_matrix(rng.standard_normal((n, n)) * scale)
-            report = competitor_search(t, trials=20, seed=i)
+            report = competitor_search(t)
             assert report.passed, i
             assert report.tol == 1e-10
 
     def test_band_still_catches_a_claim_off_at_large_scale(self):
         t = HilbertOperator.diagonal([3e8], TailRule.const(0))
         d = ball_distance(t)
-        assert competitor_search(t, claimed=d * (1 + 1e-11), trials=20).beaten
-        assert not competitor_search(t, claimed=d * (1 - 1e-11), trials=20).attained
-        assert competitor_search(t, claimed=d * (1 + 5e-13), trials=20, tol=0.0).passed
-
-    def test_trials_validated(self):
-        t = HilbertOperator.diagonal([1], TailRule.const(0))
-        with pytest.raises(ValidationError):
-            competitor_search(t, trials=0)
+        assert competitor_search(t, claimed=d * (1 + 1e-11)).beaten
+        assert not competitor_search(t, claimed=d * (1 - 1e-11)).attained
+        assert competitor_search(t, claimed=d * (1 + 5e-13), tol=0.0).passed
 
     @pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1e-10, "1e-10"])
     def test_tol_validated(self, tol):
         t = HilbertOperator.diagonal([1], TailRule.const(0))
         with pytest.raises(ValidationError):
-            competitor_search(t, trials=10, tol=tol)
+            competitor_search(t, tol=tol)
 
     @pytest.mark.parametrize(
-        "kwargs",
-        [{"claimed": "2"}, {"claimed": float("nan")}, {"trials": 2.5}, {"trials": True},
-         {"seed": 1.5}, {"seed": -1}, {"seed": True}],
-        ids=["claimed_str", "claimed_nan", "trials_float", "trials_bool", "seed_float",
-             "seed_negative", "seed_bool"],
+        "kwargs", [{"claimed": "2"}, {"claimed": float("nan")}],
+        ids=["claimed_str", "claimed_nan"],
     )
     def test_arguments_validated(self, kwargs):
         t = HilbertOperator.diagonal([3], TailRule.const(0))
         with pytest.raises(ValidationError):
-            competitor_search(t, **{"trials": 10, **kwargs})
+            competitor_search(t, **kwargs)
+
+    @pytest.mark.parametrize("name", ["trials", "seed"])
+    def test_search_samples_nothing(self, name):
+        # the lower bound decides the search: it takes no sampling argument,
+        # and its report records none
+        t = HilbertOperator.diagonal([3], TailRule.const(0))
+        with pytest.raises(TypeError):
+            competitor_search(t, **{name: 10})
+        assert not hasattr(competitor_search(t), name)
 
     @pytest.mark.parametrize(
         "t",
@@ -202,7 +151,7 @@ class TestCompetitorSearch:
             return best_ball_approx_h(op)
 
         monkeypatch.setattr(oracles, "best_ball_approx_h", counting)
-        assert competitor_search(t, trials=50, seed=1).passed
+        assert competitor_search(t).passed
         assert len(calls) == 1
 
     def test_candidate_scores_are_their_residual_norms(self):
@@ -226,12 +175,12 @@ class TestCompetitorSearch:
 
     def test_best_candidate_is_the_scored_one(self):
         # the reported operator is the candidate behind best_found, built
-        # back from its row of the fixed or random batch
+        # back from its row of the fixed batch
         rng = np.random.default_rng(19)
         for t in [random_hilbert(rng, max_len=6, max_dim=6) for _ in range(20)] + [
             random_l1(rng) for _ in range(20)
         ]:
-            report = competitor_search(t, trials=100, seed=3)
+            report = competitor_search(t)
             r = residual_norm(t, report.best_candidate)
             d = ball_distance(t)
             assert abs(r - report.best_found) <= IDENTITY_TOL * max(1.0, d), report.best_kind
@@ -257,46 +206,45 @@ class TestCompetitorSearch:
 
         for module in (hilbert, l1):
             monkeypatch.setattr(module, "make_result", counting)
-        assert competitor_search(t, trials=50, seed=1).passed
+        assert competitor_search(t).passed
         (certified,) = calls
         construct = best_ball_approx_l1 if isinstance(t, L1Operator) else best_ball_approx_h
         assert certified == construct(t).approximant
 
+    def test_matrix_search_decomposes_t_once(self, monkeypatch):
+        m = np.random.default_rng(3).standard_normal((64, 64))
+        svd, seen = np.linalg.svd, []
 
-class TestMatrixTrials:
-    @pytest.mark.parametrize(
-        "n,trials,chunk_entries",
-        [(64, 200, None), (16, 200, 16 * 16 * 7), (5, 500, 25 * 3), (2, 7, 4)],
-    )
-    def test_chunked_residuals_equal_one_batch(self, n, trials, chunk_entries, monkeypatch):
-        if chunk_entries is not None:
-            monkeypatch.setattr(oracles, "TRIAL_CHUNK_ENTRIES", chunk_entries)
-        rng = np.random.default_rng(n)
-        t = HilbertOperator.finite_matrix(rng.standard_normal((n, n)))
-        best = best_ball_approx_h(t).approximant
-        score, draws, residuals = oracles._search_of(t).scorer(t), [], []
-        for mats in oracles._random_matrix_draws(t, best, trials, 1, _every_trial):
-            draws.append(mats.copy())
-            residuals.append(score(oracles._into_ball(mats)))
-        raw = ref_matrix_draws(t, best, trials, 1)[1]
-        assert same_bits(np.concatenate(draws), raw)
-        one_batch = np.linalg.svd(t.entries[None] - oracles._into_ball(raw),
-                                  compute_uv=False)[:, 0]
-        assert same_bits(np.concatenate(residuals), one_batch)
+        def counting(a, full_matrices=True, compute_uv=True):
+            seen.extend((compute_uv, x) for x in np.reshape(a, (-1, 64, 64)))
+            return svd(a, full_matrices=full_matrices, compute_uv=compute_uv)
 
-    def test_search_memory_does_not_grow_with_trials(self):
-        # one chunk of trials (1 MiB) at a time: ten times the trials, the
-        # same peak; the operator's norm and SVD are memoised beforehand
-        rng = np.random.default_rng(3)
-        t = HilbertOperator.finite_matrix(rng.standard_normal((64, 64)) * 0.3)
-        assert competitor_search(t, trials=1, seed=0).passed
-        peaks = []
-        for trials in (200, 2000):
-            peak, report = _peak_bytes(lambda: competitor_search(t, trials=trials, seed=0))
-            assert report.passed, trials
-            peaks.append(peak)
-        assert peaks[1] <= 1.1 * peaks[0], peaks
-        assert max(peaks) < 4 * 2**20, peaks
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        assert competitor_search(HilbertOperator.finite_matrix(m)).passed
+        # one decomposition of T, for the fixed candidates and the bound: a
+        # matrix search has no zero candidate
+        assert [uv for uv, a in seen if np.array_equal(a, m)] == [True]
+        # with the three fixed residuals and the construction's norm and
+        # residual, six matrices
+        assert len(seen) == 6
+
+    def test_verify_guards_v_once(self, monkeypatch, capsys):
+        # T's norm reads the memoised guard of V, and nothing else does
+        guard, guards = models._nearly_orthogonal, []
+
+        def counting(vt):
+            guards.append(vt)
+            return guard(vt)
+
+        monkeypatch.setattr(models, "_nearly_orthogonal", counting)
+        # and wherever else the guard might be bound by name
+        monkeypatch.setattr(oracles, "_nearly_orthogonal", counting, raising=False)
+        text = json.dumps({"space": "l2", "model": "matrix",
+                           "entries": np.random.default_rng(4).standard_normal((6, 6)).tolist()})
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert main(["verify", "--samples", "200", "--seed", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["pass"] is True
+        assert len(guards) == 1
 
 
 def _matrix_of_norm(rng, n, norm):
@@ -307,363 +255,6 @@ def _matrix_of_norm(rng, n, norm):
 # in the ball, at its edge, just above it (where the bound's residual
 # cancels) and far above it
 SEARCH_NORMS = [1e-3, 0.5, 1.0, 1.0 + 1e-6, 3.0, 1e3, 1e6]
-
-
-class TestMatrixPruning:
-    """Only the random matrix trials that could win are decomposed; the
-    report is the one of scoring every trial."""
-
-    def _same_as_exhaustive(self, n, trials, monkeypatch):
-        # the default chunks, chunks of three matrices and one matrix per chunk
-        rng = np.random.default_rng(100 + n)
-        kinds = []
-        for i, norm in enumerate(SEARCH_NORMS):
-            t = _matrix_of_norm(rng, n, norm)
-            found, kind, candidate = ref_matrix_search(t, trials, i)
-            for chunk_entries in (oracles.TRIAL_CHUNK_ENTRIES, 3 * n * n, 1):
-                with monkeypatch.context() as m:
-                    m.setattr(oracles, "TRIAL_CHUNK_ENTRIES", chunk_entries)
-                    report = competitor_search(t, trials=trials, seed=i)
-                case = (norm, i, chunk_entries)
-                assert repr(report.best_found) == repr(found), case
-                assert report.best_kind == kind, case
-                assert report.best_candidate.entries.tobytes() == candidate.tobytes(), case
-            kinds.append(kind)
-        return kinds
-
-    @pytest.mark.parametrize("trials", [7, 50, 200])
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 9, 12, 16, 64])
-    def test_report_equals_exhaustive_search(self, n, trials, monkeypatch):
-        self._same_as_exhaustive(n, trials, monkeypatch)
-
-    @pytest.mark.parametrize("trials", [7, 50, 200])
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 9, 12, 16, 64])
-    def test_report_equals_exhaustive_search_when_trials_win(self, n, trials, monkeypatch):
-        _patch_zero_only(monkeypatch, "_MATRIX_SEARCH")
-        assert "random" in self._same_as_exhaustive(n, trials, monkeypatch)
-
-    @pytest.mark.parametrize("norm", SEARCH_NORMS)
-    @pytest.mark.parametrize("n", [1, 2, 5, 16, 64])
-    def test_lower_bounds_hold_for_any_unit_vector(self, n, norm):
-        rng = np.random.default_rng(n)
-        t = _matrix_of_norm(rng, n, norm)
-        best = best_ball_approx_h(t).approximant
-        raw = _whole(oracles._random_matrix_draws(t, best, 200, 7, _every_trial))
-        assert same_bits(raw, ref_matrix_draws(t, best, 200, 7)[1])
-        scores = np.linalg.svd(t.entries - oracles._into_ball(raw.copy()),
-                               compute_uv=False)[:, 0]
-        other = rng.standard_normal(n)
-        for v in (np.linalg.svd(t.entries)[2][0], other / np.linalg.norm(other)):
-            lower = oracles._trial_lower_bounds(t.entries @ v, raw @ v)
-            assert np.all(lower <= scores * (1 + 1e-12) + 1e-15)
-
-    @pytest.mark.parametrize("norm", SEARCH_NORMS)
-    @pytest.mark.parametrize("n", [1, 2, 5, 16, 64])
-    def test_first_column_bounds_hold(self, n, norm):
-        # the search bounds a trial on its first column C e_1, which stands
-        # in for M v_1: the bound stays below the LAPACK score of every trial
-        rng = np.random.default_rng(n)
-        t = _matrix_of_norm(rng, n, norm)
-        best = best_ball_approx_h(t).approximant
-        cols, raw = ref_matrix_draws(t, best, 200, 7)
-        scores = np.linalg.svd(t.entries - oracles._into_ball(raw), compute_uv=False)[:, 0]
-        v_1 = t._svd[2][0]
-        lower = oracles._trial_lower_bounds(t.entries @ v_1, cols)
-        assert np.all(lower <= scores * (1 + 1e-12) + 1e-15)
-
-    @pytest.mark.parametrize("chunk_entries", [None, 16 * 16 * 7])
-    def test_possible_winners_keep_trial_order(self, chunk_entries, monkeypatch):
-        if chunk_entries is not None:
-            monkeypatch.setattr(oracles, "TRIAL_CHUNK_ENTRIES", chunk_entries)
-        rng = np.random.default_rng(8)
-        t = _matrix_of_norm(rng, 16, 1.5)
-        best_k = best_ball_approx_h(t).approximant
-        cols, raw = ref_matrix_draws(t, best_k, 100, 8)
-        sigma_1, v_1 = t._svd[1][0], t._svd[2][0]
-        lower = oracles._trial_lower_bounds(t.entries @ v_1, cols)
-        margin = IDENTITY_TOL * (1.0 + sigma_1)
-        # the median trial's bound lies within the margin above best: it stays
-        best = float(np.sort(lower)[50]) - margin / 2
-        keep = oracles._possible_winners(t, best)
-        kept = _whole(oracles._random_matrix_draws(t, best_k, 100, 8, keep))
-        assert 0 < len(kept) < 100
-        assert same_bits(kept, raw[lower <= best + margin])
-
-    @pytest.mark.parametrize("pattern", ["every_third", "last_only", "random"])
-    @pytest.mark.parametrize("chunk_entries", [None, 3 * 5 * 5, 1])
-    def test_kept_trials_do_not_depend_on_the_others(self, pattern, chunk_entries,
-                                                     monkeypatch):
-        # a kept trial's columns 2..n come from a generator keyed by its
-        # index: the same matrix whichever other trials are kept
-        if chunk_entries is not None:
-            monkeypatch.setattr(oracles, "TRIAL_CHUNK_ENTRIES", chunk_entries)
-        rng = np.random.default_rng(12)
-        t = _matrix_of_norm(rng, 5, 2.0)
-        best = best_ball_approx_h(t).approximant
-        masks, picker = [], np.random.default_rng(13)
-
-        def keep(cols):
-            first = sum(map(len, masks))
-            index = np.arange(first, first + len(cols))
-            mask = {"every_third": index % 3 == 1, "last_only": index == 39,
-                    "random": picker.random(len(cols)) < 0.3}[pattern]
-            masks.append(mask)
-            return mask
-
-        kept = _whole(oracles._random_matrix_draws(t, best, 40, 5, keep))
-        mask = np.concatenate(masks)
-        assert 0 < mask.sum() < 40
-        assert same_bits(kept, ref_matrix_draws(t, best, 40, 5)[1][mask])
-
-    @pytest.mark.parametrize("norm", [1.0 + 1e-6, 3.0, 1e3])
-    def test_an_unorthogonal_v_prunes_nothing(self, norm, monkeypatch):
-        # V scaled by 1 + 1e-12 fails the guard shared with T's norm: every
-        # trial is decomposed, and the report is still the exhaustive one
-        # (above norm 1, where the construction scores above 0)
-        t = _matrix_of_norm(np.random.default_rng(14), 16, norm)
-        u, sv, vt = t._svd
-        vt = vt * (1 + 1e-12)
-        assert not _nearly_orthogonal(vt)
-        t.__dict__["_svd"] = (u, sv, vt)
-        into_ball, seen = oracles._into_ball, []
-
-        def counting(mats):
-            seen.append(len(mats))
-            return into_ball(mats)
-
-        monkeypatch.setattr(oracles, "_into_ball", counting)
-        # with the bound at -inf, nothing but the pruning could spare a trial
-        _patch_search(monkeypatch, "_MATRIX_SEARCH", lower=lambda op: (-np.inf, "zero"))
-        report = competitor_search(t, trials=50, seed=3)
-        assert sum(seen) == 50
-        found, kind, candidate = ref_matrix_search(t, 50, 3)
-        assert repr(report.best_found) == repr(found)
-        assert report.best_kind == kind
-        assert report.best_candidate.entries.tobytes() == candidate.tobytes()
-
-    def test_search_decomposes_no_random_trial(self, monkeypatch):
-        m = np.random.default_rng(3).standard_normal((64, 64))
-        svd, seen = np.linalg.svd, []
-
-        def counting(a, full_matrices=True, compute_uv=True):
-            seen.extend((compute_uv, x) for x in np.reshape(a, (-1, 64, 64)))
-            return svd(a, full_matrices=full_matrices, compute_uv=compute_uv)
-
-        monkeypatch.setattr(np.linalg, "svd", counting)
-        assert competitor_search(HilbertOperator.finite_matrix(m), trials=200, seed=0).passed
-        # one decomposition of T, for the fixed candidates and the bound's
-        # vector: a matrix search has no zero candidate
-        assert [uv for uv, a in seen if np.array_equal(a, m)] == [True]
-        # with the three fixed residuals and the construction's norm and
-        # residual, six matrices: none of the 200 trials
-        assert len(seen) == 6
-
-    def test_lower_bounds_fold_as_row_by_row(self):
-        # the bounds fold hypot over a copy with one row per coordinate: the
-        # bits of folding each trial's row left to right, inf and NaN included
-        rng = np.random.default_rng(18)
-        for trials, n in [(1, 1), (32, 64), (200, 16), (5, 3), (64, 2)]:
-            tv = rng.standard_normal(n)
-            mv = rng.standard_normal((trials, n)) * 10.0 ** rng.integers(-150, 150, (trials, 1))
-            mv[rng.integers(0, trials, 2), rng.integers(0, n, 2)] = [np.inf, np.nan]
-            with np.errstate(all="ignore"):
-                mv2 = np.einsum("ij,ij->i", mv, mv)
-                c = np.divide(mv @ tv, mv2, out=np.zeros(trials), where=mv2 > 0.0)
-                np.clip(c, 0.0, 1.0 / np.maximum(np.sqrt(mv2), 1.0), out=c)
-                per_row = np.hypot.reduce(tv - c[:, None] * mv, axis=1)
-                assert same_bits(oracles._trial_lower_bounds(tv, mv), per_row), (trials, n)
-            assert np.isnan(per_row).any() or np.isinf(per_row).any(), (trials, n)
-
-    def test_verify_guards_v_once(self, monkeypatch, capsys):
-        # T's norm and the search's pruning read one memoised guard of V; a
-        # natural verify is settled by the bound and opens no trial stream
-        # (which builds its pruning first), one whose only fixed candidate
-        # is zero prunes its trials
-        guard, possible_winners, guards, prunes = (
-            models._nearly_orthogonal, oracles._possible_winners, [], [])
-
-        def counting_guard(vt):
-            guards.append(vt)
-            return guard(vt)
-
-        def counting_prune(t, best):
-            prunes.append(best)
-            return possible_winners(t, best)
-
-        monkeypatch.setattr(models, "_nearly_orthogonal", counting_guard)
-        # and wherever else the guard might be bound by name
-        monkeypatch.setattr(oracles, "_nearly_orthogonal", counting_guard, raising=False)
-        monkeypatch.setattr(oracles, "_possible_winners", counting_prune)
-        text = json.dumps({"space": "l2", "model": "matrix",
-                           "entries": np.random.default_rng(4).standard_normal((6, 6)).tolist()})
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))
-        assert main(["verify", "--samples", "200", "--seed", "0"]) == 0
-        assert json.loads(capsys.readouterr().out)["pass"] is True
-        assert prunes == [] and len(guards) == 1
-        _patch_zero_only(monkeypatch, "_MATRIX_SEARCH")
-        guards.clear()
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))
-        main(["verify", "--samples", "200", "--seed", "0"])
-        capsys.readouterr()
-        assert len(prunes) == 1 and len(guards) == 1  # the search pruned its trials
-
-    @pytest.mark.parametrize("scale", [0.0, 1e-150, 0.5])
-    def test_search_at_distance_zero_draws_no_trial(self, scale, monkeypatch):
-        # the construction is T itself and scores 0, the bound of a matrix
-        # in the ball: no singular value comes strictly below 0, so no trial
-        # is drawn, not even its first column
-        t = _matrix_of_norm(np.random.default_rng(15), 4, 1.0)
-        t = HilbertOperator.finite_matrix(t.entries * scale)
-        monkeypatch.setattr(oracles, "_random_matrix_draws", None)
-        monkeypatch.setattr(oracles, "_into_ball", None)
-        report = competitor_search(t, trials=200, seed=0)
-        assert report.passed and report.best_found == 0.0
-        assert report.best_kind == "construction"
-        assert repr(ref_matrix_search(t, 200, 0)[:2]) == repr((0.0, "construction"))
-
-
-class TestEntryTrials:
-    @pytest.mark.parametrize(
-        "width,trials,chunk_entries",
-        # one chunk; two rows per chunk with the free half ending mid-chunk;
-        # three rows per chunk across 25 free rows; one row per chunk
-        [(9, 7, None), (9, 7, 18), (10, 50, 30), (14, 9, 1)],
-    )
-    def test_chunked_rows_equal_one_batch(self, width, trials, chunk_entries, monkeypatch):
-        if chunk_entries is not None:
-            monkeypatch.setattr(oracles, "TRIAL_CHUNK_ENTRIES", chunk_entries)
-        rng = np.random.default_rng(width)
-        t = HilbertOperator.diagonal(rng.uniform(-3.0, 3.0, width - 4), TailRule.const(0.5))
-        best = best_ball_approx_h(t).approximant
-        rows = _whole(oracles._random_entry_competitors(t, best, np.inf, trials, 2))
-        assert same_bits(rows, ref_entry_rows(t, best, trials, np.random.default_rng(2)))
-
-    @pytest.mark.parametrize("chunk_entries", [None, 2 * 11, 3 * 11, 1])
-    def test_report_equals_one_batch_when_trials_win(self, chunk_entries, monkeypatch):
-        # the zero operator as the only fixed candidate: random trials win;
-        # with width 11, chunks of 2 and 3 rows split the free half mid-chunk
-        if chunk_entries is not None:
-            monkeypatch.setattr(oracles, "TRIAL_CHUNK_ENTRIES", chunk_entries)
-        _patch_zero_only(monkeypatch, "_ENTRY_SEARCH")
-        rng = np.random.default_rng(41)
-        kinds = []
-        for i in range(24):
-            ctor = HilbertOperator.diagonal if i % 2 else HilbertOperator.weighted_shift
-            tail = TailRule.const(0.0) if i % 3 else TailRule.geometric(1.5, 0.5)
-            t = ctor(rng.uniform(-3.0, 3.0, 7), tail)
-            trials = int(rng.integers(1, 40))
-            report = competitor_search(t, trials=trials, seed=i)
-            found, kind, candidate = ref_entry_search(t, trials, i)
-            assert repr(report.best_found) == repr(found), i
-            assert report.best_kind == kind, i
-            assert report.best_candidate.explicit.tobytes() == candidate.tobytes(), i
-            kinds.append(kind)
-        assert "random" in kinds
-
-    def test_wide_search_memory_does_not_grow_with_trials(self, monkeypatch):
-        # one row of 10^5 + 4 entries per chunk: ten times the trials, the
-        # same peak, set by the four fixed candidates' rows and residuals;
-        # the construction sits on the lower bound, so the search draws no
-        # trial unless the bound is -inf, which makes it draw and score every one
-        rng = np.random.default_rng(5)
-        t = HilbertOperator.diagonal(rng.uniform(-3.0, 3.0, 10**5), TailRule.const(1.0))
-        pruned, report = _peak_bytes(lambda: competitor_search(t, trials=200, seed=0))
-        assert report.passed
-        drawn = _count_rows(monkeypatch)
-        _patch_search(monkeypatch, "_ENTRY_SEARCH", lower=lambda op: (-np.inf, "zero"))
-        peaks = []
-        for trials in (20, 200):
-            peak, report = _peak_bytes(lambda: competitor_search(t, trials=trials, seed=0))
-            assert report.passed, trials
-            peaks.append(peak)
-        assert sum(drawn) == 220
-        assert peaks[1] <= 1.1 * peaks[0], peaks
-        assert max(peaks) < 12 * 2**20, peaks
-        assert pruned <= min(peaks), (pruned, peaks)
-
-
-class TestL1Trials:
-    @pytest.mark.parametrize("n_weights", [0, 1, 50])
-    def test_one_draw_equals_a_draw_per_column(self, n_weights):
-        rng = np.random.default_rng(n_weights)
-        # small explicit columns, so that the tail columns decide most residuals
-        cols = (tuple(rng.uniform(-0.1, 0.1, 4)), (), tuple(rng.uniform(-0.1, 0.1, 2)))
-        t = L1Operator(cols, tuple(rng.uniform(-2.0, 2.0, n_weights)), TailRule.const(0.7))
-        rows = _whole(oracles._random_l1_competitors(t, None, np.inf, 40, 9))
-        ref_residuals, ref_rows = ref_l1_trials(t, 40, 9)
-        assert same_bits(rows, ref_rows) and same_bits(oracles._l1_scorer(t)(rows), ref_residuals)
-        assert rows.shape == (40, 4 + 2 + n_weights + 2)  # the empty column has no slot
-
-    @pytest.mark.parametrize("chunk_entries", [None, 3 * 13, 1])
-    def test_chunked_rows_equal_one_draw(self, chunk_entries, monkeypatch):
-        # one chunk; three rows of 13 entries per chunk; one row per chunk
-        if chunk_entries is not None:
-            monkeypatch.setattr(oracles, "TRIAL_CHUNK_ENTRIES", chunk_entries)
-        rng = np.random.default_rng(12)
-        cols = ((0.5, -2.0, 1.5), (), (3.0,), tuple(rng.uniform(-1.0, 1.0, 5)))
-        t = L1Operator(cols, (1.5, -0.2), TailRule.const(0.3))
-        rows = _whole(oracles._random_l1_competitors(t, None, np.inf, 10, 4))
-        ref_residuals, ref_rows = ref_l1_trials(t, 10, 4)
-        assert same_bits(rows, ref_rows) and same_bits(oracles._l1_scorer(t)(rows), ref_residuals)
-
-    def test_wide_columns_add_left_to_right(self):
-        # past 8 entries numpy's own sums add pairwise; the search's column
-        # masses still add left to right, as the reference does
-        rng = np.random.default_rng(13)
-        cols = tuple(tuple(rng.uniform(-1.0, 1.0, n)) for n in (9, 40, 300))
-        t = L1Operator(cols, (0.5,), TailRule.const(0.1))
-        rows = _whole(oracles._random_l1_competitors(t, None, np.inf, 30, 6))
-        ref_residuals, ref_rows = ref_l1_trials(t, 30, 6)
-        assert same_bits(rows, ref_rows) and same_bits(oracles._l1_scorer(t)(rows), ref_residuals)
-
-    @pytest.mark.parametrize("chunk_entries", [None, 2 * 7, 1])
-    def test_report_equals_one_batch_when_trials_win(self, chunk_entries, monkeypatch):
-        # the zero operator as the only fixed candidate: random trials win,
-        # on models with an empty explicit column and with none at all
-        if chunk_entries is not None:
-            monkeypatch.setattr(oracles, "TRIAL_CHUNK_ENTRIES", chunk_entries)
-        _patch_zero_only(monkeypatch, "_L1_SEARCH")
-        rng = np.random.default_rng(47)
-        wins = set()
-        for i in range(24):
-            cols = [tuple(rng.uniform(-1.5, 1.5, int(rng.integers(1, 4)))) for _ in range(i % 4)]
-            if cols and i % 3 == 0:
-                cols[0] = ()  # an empty explicit column
-            weights = tuple(rng.uniform(-2.0, 2.0, int(rng.integers(0, 3))))
-            t = L1Operator(tuple(cols), weights, TailRule.const(float(rng.uniform(-0.5, 0.5))))
-            trials = int(rng.integers(1, 40))
-            report = competitor_search(t, trials=trials, seed=i)
-            found, kind, ref_cols, ref_weights = ref_l1_search(t, trials, i)
-            assert repr(report.best_found) == repr(found), i
-            assert report.best_kind == kind, i
-            got = [*report.best_candidate.columns, report.best_candidate.tail_weights]
-            assert [a.tobytes() for a in got] == [a.tobytes() for a in [*ref_cols, ref_weights]], i
-            r = residual_norm(t, report.best_candidate)
-            assert abs(r - report.best_found) <= IDENTITY_TOL * max(1.0, r), i
-            if kind == "random":
-                wins.add("empty column" if () in cols else "no column" if not cols else "full")
-        assert wins == {"empty column", "no column", "full"}, wins
-
-    def test_search_memory_does_not_grow_with_trials(self, monkeypatch):
-        # 10^4 columns of 3 entries, four rows of trials per chunk: ten
-        # times the trials, the same peak (7.1 MiB, the construction
-        # included); a column mass sets the best score and its bound settles
-        # the search, so every trial is drawn only with the bound at -inf;
-        # the operator's norm and row layout are memoised beforehand
-        rng = np.random.default_rng(8)
-        t = L1Operator(tuple(rng.uniform(-1.0, 1.0, (10**4, 3))), (), TailRule.const(0.5))
-        report = competitor_search(t, trials=1, seed=0)
-        assert report.passed and report.binding == "norm"
-        drawn = _count_rows(monkeypatch, "_L1_SEARCH")
-        _patch_search(monkeypatch, "_L1_SEARCH", lower=lambda op: (-np.inf, "zero"))
-        peaks = []
-        for trials in (20, 200):
-            peak, report = _peak_bytes(lambda: competitor_search(t, trials=trials, seed=0))
-            assert report.passed, trials
-            peaks.append(peak)
-        assert sum(drawn) == 220
-        assert peaks[1] <= 1.1 * peaks[0], peaks
-        assert max(peaks) < 10 * 2**20, peaks
 
 
 def _entry_floor_cases(rng):
@@ -696,10 +287,6 @@ def _l1_floor_cases(rng):
     return cases
 
 
-def _no_trial(*args):
-    raise AssertionError("a trial was drawn")
-
-
 def _band(claimed: float, tol: float = DEFAULT_TOL) -> float:
     return max(tol, IDENTITY_TOL * abs(claimed))
 
@@ -708,6 +295,14 @@ def _verdicts(found: float, claimed: float, tol: float = DEFAULT_TOL) -> tuple:
     """``(passed, beaten, attained)`` of a search whose best score is ``found``."""
     beaten, attained = found < claimed - _band(claimed, tol), found <= claimed + _band(claimed, tol)
     return (not beaten) and attained, beaten, attained
+
+
+def _settled(report) -> bool:
+    """Whether the report's lower bound meets its best fixed score, or closes
+    the gap to its claim within the band."""
+    lower, best, claimed = report.lower_bound, report.best_found, report.claimed
+    band = _band(claimed)
+    return best <= lower or (claimed - band <= lower and best <= min(lower, claimed) + band)
 
 
 def _exhaustive(t, trials: int, seed: int):
@@ -740,26 +335,26 @@ def _bound_cases(rng, model):
 
 
 class TestFloors:
-    """No random trial's computed score falls below the lower bound of its
-    model class, so a search whose best fixed score sits on the bound draws
-    no trial and still reports what scoring every trial would; nor does a
-    search whose bound closes the gap to the claim, which then keeps the
-    verdicts of scoring every trial."""
+    """No sampled competitor's computed score (the reference trials of
+    ``helpers``) falls below the lower bound of its model class, so a search
+    whose best fixed score sits on the bound reports what scoring every
+    trial as well would; a search whose bound closes the gap to the claim
+    keeps the verdicts of scoring every trial."""
 
     def test_entry_trials_score_at_least_the_floor(self):
         rng = np.random.default_rng(43)
         for i, t in enumerate(_entry_floor_cases(rng)):
             score, lower = oracles._entry_scorer(t), oracles._entry_lower(t)[0]
             best = best_ball_approx_h(t).approximant
-            rows = oracles._random_entry_competitors(t, best, np.inf, 200, i)
-            assert min(score(chunk).min() for chunk in rows) >= lower, i
+            rows = ref_entry_rows(t, best, 200, np.random.default_rng(i))
+            assert score(rows).min() >= lower, i
 
     def test_l1_trials_score_at_least_the_floor(self):
         rng = np.random.default_rng(44)
         for i, t in enumerate(_l1_floor_cases(rng)):
             score, lower = oracles._l1_scorer(t), oracles._l1_lower(t)[0]
-            trials = oracles._random_l1_competitors(t, None, np.inf, 200, i)
-            assert min(score(chunk).min() for chunk in trials) >= lower, i
+            rows = ref_l1_trials(t, 200, i)[1]
+            assert score(rows).min() >= lower, i
 
     @pytest.mark.parametrize("norm", SEARCH_NORMS)
     @pytest.mark.parametrize("n", [1, 2, 5, 16, 64])
@@ -768,8 +363,31 @@ class TestFloors:
         t = _matrix_of_norm(rng, n, norm)
         best = best_ball_approx_h(t).approximant
         score, lower = oracles._matrix_scorer(t), oracles._matrix_lower(t)[0]
-        for mats in oracles._random_matrix_draws(t, best, 200, 7, _every_trial):
-            assert score(oracles._into_ball(mats)).min() >= lower
+        mats = ref_matrix_draws(t, best, 200, 7)[1]
+        mats /= np.maximum(np.linalg.svd(mats, compute_uv=False)[:, 0], 1.0)[:, None, None]
+        assert score(mats).min() >= lower
+
+    @pytest.mark.parametrize("widths", [(4, 0, 2), (9, 40, 300)])
+    def test_l1_scores_add_column_masses_left_to_right(self, widths):
+        # past 8 entries numpy's own sums add pairwise; the search's column
+        # masses add left to right, as the reference does, and an empty
+        # column has no slot
+        rng = np.random.default_rng(13)
+        cols = tuple(tuple(rng.uniform(-1.0, 1.0, n)) for n in widths)
+        t = L1Operator(cols, (0.5,), TailRule.const(0.1))
+        ref_residuals, rows = ref_l1_trials(t, 30, 6)
+        assert same_bits(oracles._l1_scorer(t)(rows), ref_residuals)
+
+    @pytest.mark.parametrize("scale", [0.0, 1e-150, 0.5])
+    def test_matrix_in_the_ball_scores_zero(self, scale):
+        # the construction is T itself and scores 0, the bound of a matrix
+        # in the ball; no sampled trial scores below it
+        t = _matrix_of_norm(np.random.default_rng(15), 4, 1.0)
+        t = HilbertOperator.finite_matrix(t.entries * scale)
+        report = competitor_search(t)
+        assert report.passed and report.best_found == 0.0 == report.lower_bound
+        assert report.best_kind == "construction"
+        assert repr(ref_matrix_search(t, 200, 0)[:2]) == repr((0.0, "construction"))
 
     def test_l1_bound_sits_just_below_the_heaviest_column(self):
         # a column of k entries: its fsum mass less 1 + gamma_{4k+4} (mass + 1)
@@ -787,10 +405,10 @@ class TestFloors:
         # math.fsum's exact one overflows: the bound falls back on the rest
         t = L1Operator(((1.7976931348623157e308, 8e291, 8e291),), (), TailRule.const(0.5))
         assert oracles._l1_lower(t) == (0.5, "essential")
-        assert competitor_search(t, trials=10, seed=0).passed
+        assert competitor_search(t).passed
 
     @pytest.mark.parametrize("model", ["entry", "matrix", "l1"])
-    def test_search_on_the_floor_draws_no_trial(self, model, monkeypatch):
+    def test_search_on_the_floor_draws_no_trial(self, model):
         rng = np.random.default_rng(45)
         if model == "entry":
             cases, construct = _entry_floor_cases(rng), best_ball_approx_h
@@ -800,8 +418,6 @@ class TestFloors:
             construct = best_ball_approx_h
         else:
             cases, construct = _l1_floor_cases(rng), best_ball_approx_l1
-        for name in ("_ENTRY_SEARCH", "_MATRIX_SEARCH", "_L1_SEARCH"):
-            _patch_search(monkeypatch, name, chunks=_no_trial)
         for i, t in enumerate(cases):
             search = oracles._search_of(t)
             lower = search.lower(t)[0]
@@ -812,7 +428,7 @@ class TestFloors:
             assert best <= lower or (claimed - band <= lower
                                      and best <= min(lower, claimed) + band), i
             assert best <= lower or model != "entry", i
-            report = competitor_search(t, trials=100, seed=i)
+            report = competitor_search(t)
             found, kind, want = _exhaustive(t, 100, i)
             assert _verdicts(report.best_found, claimed) == _verdicts(found, claimed), i
             assert found <= report.best_found <= found + band, i
@@ -825,7 +441,6 @@ class TestFloors:
     @pytest.mark.parametrize("model", ["diagonal", "shift"])
     def test_benchmark_shaped_verify_draws_no_trial(self, model, monkeypatch, capsys):
         # 10^3 entries at 200 trials, one model per construction branch
-        drawn = _count_rows(monkeypatch)
         rng = np.random.default_rng(46)
         tails = [{"kind": "const", "value": 0.0},
                  {"kind": "const", "value": float(rng.uniform(0.3, 0.9))},
@@ -840,7 +455,7 @@ class TestFloors:
             monkeypatch.setattr("sys.stdin", io.StringIO(text))
             assert main(["verify", "--samples", "200", "--seed", "0", "--tol", "1e-10"]) == 0
             assert json.loads(capsys.readouterr().out)["pass"] is True
-        assert drawn == []
+            assert _settled(competitor_search(operator_from_doc(json.loads(text))))
 
 
 class TestLowerBound:
@@ -854,7 +469,7 @@ class TestLowerBound:
     def test_verdicts_equal_the_exhaustive_search(self, model):
         rng = np.random.default_rng(48)
         for i, t in enumerate(_bound_cases(rng, model)):
-            report = competitor_search(t, trials=60, seed=i)
+            report = competitor_search(t)
             found = _exhaustive(t, 60, i)[0]
             claimed, band = report.claimed, _band(report.claimed)
             got = (report.passed, report.beaten, report.attained)
@@ -875,11 +490,137 @@ class TestLowerBound:
             if d < 1e-3:
                 continue
             checked += 1
-            inflated = competitor_search(t, claimed=d * (1 + 1e-11), trials=20, seed=i, tol=0.0)
-            deflated = competitor_search(t, claimed=d * (1 - 1e-11), trials=20, seed=i, tol=0.0)
+            inflated = competitor_search(t, claimed=d * (1 + 1e-11), tol=0.0)
+            deflated = competitor_search(t, claimed=d * (1 - 1e-11), tol=0.0)
             assert inflated.beaten and not inflated.passed, i
             assert not deflated.attained and not deflated.passed, i
         assert checked >= 20, checked
+
+
+def _patch_zero_only(monkeypatch, name):
+    """The zero operator as the only fixed candidate of the search entry
+    ``name`` of ``oracles``, for the search and for the reference searches,
+    which read their fixed candidates from it."""
+    search = getattr(oracles, name)
+
+    def zero_only(t, construction):
+        return ["zero"], np.zeros_like(search.fixed(t, construction)[1][:1])
+
+    monkeypatch.setattr(oracles, name, search._replace(fixed=zero_only))
+
+
+def _same_as_exhaustive(t, trials: int, seed: int, case) -> str:
+    """Check the report of ``t`` against the exhaustive reference search:
+    no sampled trial falls below its lower bound, both searches give the
+    same verdicts, and, unless a trial wins the reference, the same best
+    score, kind and candidate.  Returns the reference's best kind."""
+    report = competitor_search(t)
+    found, kind, want = _exhaustive(t, trials, seed)
+    claimed, band = report.claimed, _band(report.claimed)
+    assert report.lower_bound <= found, case
+    assert _verdicts(report.best_found, claimed) == _verdicts(found, claimed), case
+    assert found <= report.best_found <= found + band, case
+    if kind != "random":
+        assert repr(report.best_found) == repr(found), case
+        assert report.best_kind == kind, case
+        got = _candidate_arrays(t, report)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want], case
+    return kind
+
+
+def _trials_win_above_the_bound(t, trials: int, seed: int, case) -> str:
+    """With zero as the only fixed candidate: the reference's best, a trial
+    wherever one beats zero, still scores at least the report's lower
+    bound.  Returns the reference's best kind."""
+    report = competitor_search(t)
+    found, kind, _ = _exhaustive(t, trials, seed)
+    assert report.best_kind == "zero", case
+    assert report.lower_bound <= found <= report.best_found, case
+    return kind
+
+
+def _entry_cases(rng, width):
+    """Diagonal and shift models of ``width`` explicit entries, at three
+    scales, with a zero and a nonzero const tail and geometric tails whose
+    entries rise in magnitude to a limit inside and outside the ball."""
+    tails = (TailRule.const(0.0), TailRule.const(0.5), TailRule.geometric(-1.5, 0.5),
+             TailRule.geometric(3.5, 0.3))
+    return [ctor(rng.uniform(-3.0, 3.0, width) * s, tail)
+            for ctor in (HilbertOperator.diagonal, HilbertOperator.weighted_shift)
+            for tail in tails for s in (0.3, 1.0, 3.0)]
+
+
+def _l1_cases(rng, widths, n_weights):
+    """Column models with columns of ``widths`` entries and ``n_weights``
+    tail weights, at three scales, with a zero and a nonzero const tail."""
+    return [L1Operator(tuple(rng.uniform(-1.5, 1.5, k) * s for k in widths),
+                       rng.uniform(-2.0, 2.0, n_weights) * s, TailRule.const(c * s))
+            for s in (0.3, 1.0, 3.0) for c in (0.0, 0.7)]
+
+
+ENTRY_WIDTHS = [0, 1, 2, 3, 5, 9, 14]
+# an empty column, one entry, columns around an empty one, and wide
+# columns whose masses numpy would add pairwise
+L1_SHAPES = [((), 1), ((1,), 0), ((3, 0, 2), 2), ((9, 40, 300), 1), ((0, 7), 3)]
+SAMPLED_TRIALS = [7, 50, 200]
+
+
+class TestSampledSearch:
+    """The exhaustive reference searches of ``helpers`` score seeded random
+    in-ball competitors after the search's fixed candidates, a sampled
+    falsification of the search's lower bound.  Across sizes, scales and
+    trial counts no trial falls below the bound, and where no trial wins
+    the report is the reference's bit for bit.  With the zero operator as
+    the only fixed candidate the trials win, and stay above the bound."""
+
+    @pytest.mark.parametrize("trials", SAMPLED_TRIALS)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 9, 12, 16, 64])
+    def test_report_equals_exhaustive_search(self, n, trials):
+        rng = np.random.default_rng(100 + n)
+        for i, norm in enumerate(SEARCH_NORMS):
+            _same_as_exhaustive(_matrix_of_norm(rng, n, norm), trials, i, (norm, i))
+
+    @pytest.mark.parametrize("trials", SAMPLED_TRIALS)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 9, 12, 16, 64])
+    def test_report_equals_exhaustive_search_when_trials_win(self, n, trials, monkeypatch):
+        _patch_zero_only(monkeypatch, "_MATRIX_SEARCH")
+        rng = np.random.default_rng(100 + n)
+        kinds = [_trials_win_above_the_bound(_matrix_of_norm(rng, n, norm), trials, i, (norm, i))
+                 for i, norm in enumerate(SEARCH_NORMS)]
+        assert "random" in kinds
+
+    @pytest.mark.parametrize("trials", SAMPLED_TRIALS)
+    @pytest.mark.parametrize("width", ENTRY_WIDTHS)
+    def test_entry_report_equals_exhaustive_search(self, width, trials):
+        rng = np.random.default_rng(200 + width)
+        for i, t in enumerate(_entry_cases(rng, width)):
+            _same_as_exhaustive(t, trials, i, i)
+
+    @pytest.mark.parametrize("trials", SAMPLED_TRIALS)
+    @pytest.mark.parametrize("width", ENTRY_WIDTHS)
+    def test_entry_trials_win_above_the_bound(self, width, trials, monkeypatch):
+        _patch_zero_only(monkeypatch, "_ENTRY_SEARCH")
+        rng = np.random.default_rng(200 + width)
+        kinds = [_trials_win_above_the_bound(t, trials, i, i)
+                 for i, t in enumerate(_entry_cases(rng, width))]
+        # with no explicit entry, zero scores the essential norm, the bound
+        assert ("random" in kinds) == (width > 0)
+
+    @pytest.mark.parametrize("trials", SAMPLED_TRIALS)
+    @pytest.mark.parametrize("widths,n_weights", L1_SHAPES)
+    def test_l1_report_equals_exhaustive_search(self, widths, n_weights, trials):
+        rng = np.random.default_rng(300 + sum(widths))
+        for i, t in enumerate(_l1_cases(rng, widths, n_weights)):
+            _same_as_exhaustive(t, trials, i, i)
+
+    @pytest.mark.parametrize("trials", SAMPLED_TRIALS)
+    @pytest.mark.parametrize("widths,n_weights", L1_SHAPES)
+    def test_l1_trials_win_above_the_bound(self, widths, n_weights, trials, monkeypatch):
+        _patch_zero_only(monkeypatch, "_L1_SEARCH")
+        rng = np.random.default_rng(300 + sum(widths))
+        kinds = [_trials_win_above_the_bound(t, trials, i, i)
+                 for i, t in enumerate(_l1_cases(rng, widths, n_weights))]
+        assert "random" in kinds
 
 
 class TestSvdClip:
